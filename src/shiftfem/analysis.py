@@ -8,17 +8,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .assembly import ExactSolution
-from .errors import (DimensionMismatch, MissingExact, NonDyadicSequence,
-                     NotSPD, TooLargeForDense)
+from .assembly import ExactSolution, check_spd
+from .errors import (DimensionMismatch, MissingExact, NoConvergence,
+                     NonDyadicSequence)
 from .mesh import INTERIOR, TriMesh
 from .quadrature import rule_for_degree, triangle_area
-from .spaces import (DofMap, LocalBasis, barycentric_gradients,
+from .spaces import (DofMap, LocalBasis, barycentric_gradients, degree_of,
                      eval_basis_bary, eval_basis_bary_grad, lagrange_layout)
-
-DENSE_LIMIT = 5000
 
 CSV_HEADER = "param,h,grad_err,grad_order,l2_err,l2_order,max_err,max_order,alpha_h,kt_dev"
 
@@ -69,7 +67,7 @@ def error_norms(mesh: TriMesh, dofmap: DofMap, local_bases: Sequence[LocalBasis]
     if exact is None:
         raise MissingExact("error norms require a manufactured solution")
     full = _full_coefficients(dofmap, x)
-    k = {6: 2, 10: 3}[dofmap.element_to_global.shape[1]]
+    k = degree_of(dofmap.element_to_global.shape[1])
     if rule is None:
         rule = rule_for_degree(2 * k + 4)
     dphi_bary = eval_basis_bary_grad(k, rule.points)
@@ -177,25 +175,34 @@ def kt_perturbation_report(local_bases: Sequence[LocalBasis]) -> KtReport:
 
 
 def inf_sup_estimate(A, G_test, G_trial) -> float:
-    """Smallest singular value of the Gram-normalized system matrix.
+    """Discrete inf over trial w of sup over test v of a_h(w, v) / (|w|_1 |v|_1).
 
-    Equals the discrete inf over trial functions of the sup over test
-    functions of a_h(w, v) / (|w|_1 |v|_1).
+    Its square is the smallest eigenvalue of A^T G_test^-1 A w = s G_trial w
+    (the numerical inf-sup test of Chapelle and Bathe), found by shift-invert
+    Lanczos with one sparse LU of A once :func:`check_spd` passes both Grams.
     """
+    A, G_test, G_trial = (sp.csc_matrix(M) for M in (A, G_test, G_trial))
     n = A.shape[0]
-    if n > DENSE_LIMIT:
-        raise TooLargeForDense(f"{n} unknowns exceed the dense-SVD guard {DENSE_LIMIT}")
-    Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-    if Ad.shape != (n, n) or G_test.shape != (n, n) or G_trial.shape != (n, n):
+    if A.shape != (n, n) or G_test.shape != (n, n) or G_trial.shape != (n, n):
         raise DimensionMismatch("A and both Gram matrices must be square and same size")
+    check_spd(G_test)
+    check_spd(G_trial)
+    if n == 1:  # ARPACK needs k < n
+        return abs(float(A[0, 0])) / math.sqrt(float(G_test[0, 0]) * float(G_trial[0, 0]))
     try:
-        Lt = np.linalg.cholesky(G_test.toarray() if sp.issparse(G_test) else np.asarray(G_test))
-        Lw = np.linalg.cholesky(G_trial.toarray() if sp.issparse(G_trial) else np.asarray(G_trial))
-    except np.linalg.LinAlgError as exc:
-        raise NotSPD(f"gram factorization failed: {exc}") from exc
-    M = solve_triangular(Lt, Ad, lower=True)
-    N = solve_triangular(Lw, M.T, lower=True).T
-    return float(np.linalg.svd(N, compute_uv=False).min())
+        lu = splu(A)
+    except RuntimeError:  # exactly singular A: no inf-sup stability at all
+        return 0.0
+    # OPinv = (A^T G_test^-1 A)^-1 = A^-1 G_test A^-T. Shift-invert mode applies
+    # only OPinv and M; a fixed start vector keeps repeated runs bit-identical.
+    op_inv = LinearOperator((n, n), dtype=float,
+                            matvec=lambda x: lu.solve(G_test @ lu.solve(x, trans="T")))
+    try:
+        sigma2 = eigsh(op_inv, k=1, M=G_trial, sigma=0.0, OPinv=op_inv,
+                       v0=np.ones(n), return_eigenvectors=False)
+    except ArpackError as exc:  # includes ArpackNoConvergence
+        raise NoConvergence(f"inf-sup eigenvalue iteration failed: {exc}") from exc
+    return math.sqrt(max(float(sigma2[0]), 0.0))
 
 
 def _csv_num(v) -> str:

@@ -7,18 +7,17 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import InconsistentDof, InvalidParam, NotSPD
 from .geometry import DEFAULT_TOL, BoundaryGeometry
 from .mesh import TriMesh
 from .quadrature import TriangleRule, rule_for_degree, triangle_area
-from .spaces import (DofMap, LocalBasis, barycentric_gradients,
+from .spaces import (DofMap, LocalBasis, barycentric_gradients, degree_of,
                      eval_basis_bary, eval_basis_bary_grad)
 
 EXTENSION_MODES = ("analytic", "zero_outside")
 BASIS_CHOICES = ("test_space", "trial_space")
-
-DENSE_CHECK_LIMIT = 5000
 
 
 def _zero(x, y):
@@ -73,13 +72,6 @@ class AssembledSystem:
     dofmap: DofMap
 
 
-def _degree_of(n_local: int) -> int:
-    try:
-        return {6: 2, 10: 3}[n_local]
-    except KeyError:
-        raise InconsistentDof(f"local node count {n_local} matches no degree") from None
-
-
 def source_values(problem: ProblemSpec, pts: np.ndarray) -> np.ndarray:
     """f at physical points, honoring the extension mode."""
     vals = np.broadcast_to(
@@ -103,6 +95,14 @@ def _element_blocks(mesh: TriMesh, k: int, rules: QuadratureRules):
         yield t, tri, area, B
 
 
+def _scatter(blocks: list[tuple[np.ndarray, np.ndarray]], n: int) -> sp.csr_matrix:
+    """Sum element blocks ``(global indices r, len(r) x len(r) block)`` into n x n CSR."""
+    rows = np.concatenate([np.repeat(r, len(r)) for r, _ in blocks])
+    cols = np.concatenate([np.tile(r, len(r)) for r, _ in blocks])
+    vals = np.concatenate([b.ravel() for _, b in blocks])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
 def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: list[LocalBasis],
              problem: ProblemSpec, rules: QuadratureRules | None = None) -> AssembledSystem:
     """Assemble A_ij = a_h(w_j, v_i) and the load with Dirichlet lift.
@@ -111,7 +111,7 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: list[LocalBasis],
     functions; Dirichlet columns are eliminated into the right-hand side.
     """
     n_local = dofmap.element_to_global.shape[1]
-    k = _degree_of(n_local)
+    k = degree_of(n_local)
     if len(local_bases) != mesh.num_triangles:
         raise InconsistentDof("one local basis per element required")
     if any(len(lb.nodes) != n_local for lb in local_bases):
@@ -122,7 +122,7 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: list[LocalBasis],
     phi_load = eval_basis_bary(k, rules.load.points)
     w_l = rules.load.weights
     n = dofmap.n_unknowns
-    rows, cols, vals = [], [], []
+    blocks = []
     rhs = np.zeros(n)
     for t, tri, area, B in _element_blocks(mesh, k, rules):
         lb = local_bases[t]
@@ -138,14 +138,8 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: list[LocalBasis],
         rhs[r] += F[free]
         if len(fixed):
             rhs[r] -= B[np.ix_(free, fixed)] @ dofmap.dirichlet_values[g[fixed]]
-        rows.append(np.repeat(r, len(free)))
-        cols.append(np.tile(r, len(free)))
-        vals.append(B[np.ix_(free, free)].ravel())
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    return AssembledSystem(A=A, rhs=rhs, dofmap=dofmap)
+        blocks.append((r, B[np.ix_(free, free)]))
+    return AssembledSystem(A=_scatter(blocks, n), rhs=rhs, dofmap=dofmap)
 
 
 def assemble_gram(mesh: TriMesh, dofmap: DofMap, local_bases: list[LocalBasis],
@@ -153,16 +147,16 @@ def assemble_gram(mesh: TriMesh, dofmap: DofMap, local_bases: list[LocalBasis],
                   rules: QuadratureRules | None = None) -> sp.csr_matrix:
     """Gradient Gram matrix of the chosen space's basis over the unknowns.
 
-    Verified symmetric positive definite (by dense Cholesky) whenever the
-    system is small enough; failure signals a broken dof map.
+    Verified symmetric positive definite by :func:`check_spd` at every size;
+    failure signals a broken dof map.
     """
     if basis_choice not in BASIS_CHOICES:
         raise InvalidParam(f"unknown basis_choice {basis_choice!r}")
-    k = _degree_of(dofmap.element_to_global.shape[1])
+    k = degree_of(dofmap.element_to_global.shape[1])
     if rules is None:
         rules = default_rules(k)
     n = dofmap.n_unknowns
-    rows, cols, vals = [], [], []
+    blocks = []
     for t, _tri, _area, B in _element_blocks(mesh, k, rules):
         lb = local_bases[t]
         if basis_choice == "trial_space" and lb.kt_deviation != 0.0:
@@ -170,28 +164,30 @@ def assemble_gram(mesh: TriMesh, dofmap: DofMap, local_bases: list[LocalBasis],
         ui = dofmap.unknown_index[dofmap.element_to_global[t]]
         free = np.nonzero(ui >= 0)[0]
         r = ui[free]
-        rows.append(np.repeat(r, len(free)))
-        cols.append(np.tile(r, len(free)))
-        vals.append(B[np.ix_(free, free)].ravel())
-    G = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    if n <= DENSE_CHECK_LIMIT:
-        dense = G.toarray()
-        scale = max(1.0, float(np.abs(dense).max()))
-        if float(np.abs(dense - dense.T).max()) > 1e-12 * scale:
-            raise NotSPD("gram matrix is not symmetric")
-        try:
-            np.linalg.cholesky(dense)
-        except np.linalg.LinAlgError as exc:
-            raise NotSPD(f"gram matrix is not positive definite: {exc}") from exc
+        blocks.append((r, B[np.ix_(free, free)]))
+    G = _scatter(blocks, n)
+    check_spd(G)
     return G
 
 
-def dump_matrix(A, path) -> None:
-    """Write a sparse matrix as 0-based ``i j value`` lines."""
-    coo = sp.coo_matrix(A)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {float(v)!r}\n")
+def check_spd(G) -> None:
+    """Raise NotSPD unless the sparse matrix G is symmetric positive definite.
+
+    A sparse LU that took only diagonal pivots (perm_r == perm_c) is
+    P G P^T = L D L^T with D = diag(U), so G is SPD iff every pivot is
+    positive. Pivots must clear n * eps * max|G|, as rounding can leave a
+    singular G's last pivot just above zero; an SPD G's pivots are >= lambda_min.
+    """
+    G = sp.csc_matrix(G)
+    g_max = float(abs(G).max())
+    if float(abs(G - G.T).max()) > 1e-12 * max(1.0, g_max):
+        raise NotSPD("gram matrix is not symmetric")
+    try:
+        lu = splu(G, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise NotSPD(f"gram matrix is singular: {exc}") from exc
+    pivots = lu.U.diagonal()
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(pivots > G.shape[0] * np.finfo(float).eps * g_max)):
+        raise NotSPD(f"gram matrix is not positive definite (smallest pivot {pivots.min()})")

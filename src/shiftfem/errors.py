@@ -10,7 +10,7 @@ class NoRootInBracket(ShiftFEMError):
 
 
 class NoConvergence(ShiftFEMError):
-    """Root iteration failed to reach tolerance within the iteration cap."""
+    """An iteration (boundary root or inf-sup eigenvalue) failed to converge."""
 
 
 class AmbiguousEdge(ShiftFEMError):
@@ -51,10 +51,6 @@ class SingularMatrix(ShiftFEMError):
 
 class DimensionMismatch(ShiftFEMError, ValueError):
     """Linear system operands have incompatible shapes."""
-
-
-class TooLargeForDense(ShiftFEMError):
-    """Dense diagnostic requested on a system above the size guard."""
 
 
 class MissingExact(ShiftFEMError, ValueError):

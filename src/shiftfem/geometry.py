@@ -252,8 +252,8 @@ def ray_boundary_intersection(geom: BoundaryGeometry,
         best = (samples[-2], samples[-1], samples[-1])
     if best is None:
         raise NoRootInBracket(
-            f"no sign change of g in bracket {q.bracket} along ray "
-            f"{q.origin} -> {q.through}")
+            f"no sign change of g in bracket {tuple(map(float, q.bracket))} along ray "
+            f"{tuple(map(float, q.origin))} -> {tuple(map(float, q.through))}")
 
     lo, hi, _ = best
     glo = gval(lo)

@@ -42,6 +42,14 @@ class SpaceSpec:
         return cls(k=k, n_k=n_k, m_k=m_k)
 
 
+def degree_of(n_local: int) -> int:
+    """Degree of the Lagrange element with ``n_local`` nodes."""
+    try:
+        return {6: 2, 10: 3}[n_local]
+    except KeyError:
+        raise InconsistentDof(f"local node count {n_local} matches no degree") from None
+
+
 def _multi_indices(k: int) -> np.ndarray:
     """Principal-lattice multi-indices, ordered vertices, edges, interior.
 
@@ -376,6 +384,6 @@ def eval_uh(dofmap: DofMap, local_bases: list[LocalBasis],
     lb = local_bases[element_id]
     c_local = coefficients[dofmap.element_to_global[element_id]]
     a = lb.coeffs @ c_local
-    k = {6: 2, 10: 3}[len(lb.nodes)]
+    k = degree_of(len(lb.nodes))
     vals, grads = eval_basis_physical(k, lb.tri, np.asarray(p, dtype=float))
     return EvalResult(value=float(vals[0] @ a), gradient=grads[0].T @ a)

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 
 from shiftfem.analysis import (CSV_HEADER, ConvergenceTable, ErrorReport,
                                chord_node_gap, convergence_orders, error_norms,
                                inf_sup_estimate, interpolate_Ih,
                                kt_perturbation_report, table_to_csv)
-from shiftfem.assembly import assemble, assemble_gram
+from shiftfem.assembly import assemble, assemble_gram, check_spd
 from shiftfem.errors import (DimensionMismatch, MissingExact,
-                             NonDyadicSequence, NotSPD, TooLargeForDense)
+                             NonDyadicSequence, NotSPD)
 from shiftfem.linsolve import solve
 from shiftfem.mesh import (classify_elements, gen_quarter_annulus_mesh,
                            gen_quarter_ellipse_mesh, gen_unit_square_mesh)
@@ -254,11 +255,83 @@ def test_inf_sup_frozen_on_curved_domains():
     assert a == pytest.approx(ANNULUS_ALPHA[4], abs=1e-5)
 
 
-def test_inf_sup_dense_guard():
-    n = 5001
+def _dense_inf_sup(A, G_test, G_trial):
+    """Reference: smallest singular value of L_test^-1 A L_trial^-T (Cholesky)."""
+    Lt = np.linalg.cholesky(G_test.toarray())
+    Lw = np.linalg.cholesky(G_trial.toarray())
+    M = solve_triangular(Lt, A.toarray(), lower=True)
+    return float(np.linalg.svd(solve_triangular(Lw, M.T, lower=True).T,
+                               compute_uv=False).min())
+
+
+def _curved_system(case):
+    domain, param, k = case
+    if domain == "ellipse":
+        _, mesh, dm, bases, sysm, _ = _ellipse_case(param, k)
+    else:
+        _, mesh, dm, bases, sysm, _ = _annulus_case(param, k)
+    return (sysm.A, assemble_gram(mesh, dm, bases, "test_space"),
+            assemble_gram(mesh, dm, bases, "trial_space"))
+
+
+@pytest.mark.parametrize("case", [("ellipse", 8, 2), ("ellipse", 16, 2),
+                                  ("annulus", 8, 3)])
+def test_inf_sup_matches_dense_svd(case):
+    A, G_test, G_trial = _curved_system(case)
+    a = inf_sup_estimate(A, G_test, G_trial)
+    assert a == pytest.approx(_dense_inf_sup(A, G_test, G_trial), rel=1e-12)
+    assert inf_sup_estimate(A, G_test, G_trial) == a
+
+
+def test_inf_sup_small_systems():
+    assert inf_sup_estimate(np.array([[-3.0]]), np.array([[4.0]]),
+                            np.array([[9.0]])) == pytest.approx(0.5, rel=1e-15)
+    A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
+    G_test = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    G_trial = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert inf_sup_estimate(A, G_test, G_trial) == pytest.approx(
+        _dense_inf_sup(A, G_test, G_trial), rel=1e-12)
+    assert inf_sup_estimate(np.diag([1.0, 0.0]), np.eye(2), np.eye(2)) == 0.0
+
+
+def test_inf_sup_runs_above_former_dense_limit():
+    n = 6000
+    d = np.linspace(0.5, 3.0, n)
+    d[1234] = -0.25
     eye = sp.identity(n, format="csr")
-    with pytest.raises(TooLargeForDense):
-        inf_sup_estimate(eye, eye, eye)
+    assert inf_sup_estimate(sp.diags(d, format="csr"), eye, eye) == pytest.approx(0.25, rel=1e-12)
+
+
+def _neumann_laplacian(n, scale=1.0):
+    main = np.r_[1.0, 2.0 * np.ones(n - 2), 1.0]
+    return scale * sp.diags([-np.ones(n - 1), main, -np.ones(n - 1)], [-1, 0, 1]).toarray()
+
+
+# Each is rejected by dense Cholesky or is not symmetric. The scaled Neumann
+# Laplacian rounds to a positive last pivot in the sparse factorization, so it
+# checks the pivot threshold, not just the sign.
+NOT_SPD = {
+    "negative_identity": -np.eye(3),
+    "indefinite_positive_diagonal": np.array([[1.0, 2.0], [2.0, 1.0]]),
+    "singular_neumann": _neumann_laplacian(6),
+    "singular_neumann_scaled": _neumann_laplacian(20, 7.3),
+    "nonsymmetric": np.array([[2.0, 1.0], [0.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_SPD))
+def test_sparse_spd_proof_rejects_what_dense_cholesky_rejects(name):
+    G = NOT_SPD[name]
+    eye = np.eye(len(G))
+    if name != "nonsymmetric":  # dense Cholesky reads one triangle only
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(G)
+    with pytest.raises(NotSPD):
+        check_spd(sp.csr_matrix(G))
+    with pytest.raises(NotSPD):
+        inf_sup_estimate(eye, G, eye)
+    with pytest.raises(NotSPD):
+        inf_sup_estimate(eye, eye, G)
 
 
 def test_inf_sup_rejects_indefinite_gram():

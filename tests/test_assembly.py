@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from shiftfem.assembly import (ProblemSpec, QuadratureRules, assemble,
-                               assemble_gram, default_rules, dump_matrix)
+                               assemble_gram, default_rules)
 from shiftfem.errors import InconsistentDof, InvalidParam
 from shiftfem.geometry import annulus, ellipse, unit_square
 from shiftfem.linsolve import solve
@@ -260,12 +260,3 @@ def test_default_rule_degrees():
     assert r3.stiffness.degree >= 4
     assert r3.load.degree >= 8
 
-
-def test_matrix_dump_round_trip(tmp_path):
-    A = sp.csr_matrix(np.array([[1.5, 0.0], [0.25, -2.0]]))
-    path = tmp_path / "A.txt"
-    dump_matrix(A, path)
-    lines = path.read_text().strip().splitlines()
-    entries = {(int(i), int(j)): float(v)
-               for i, j, v in (ln.split() for ln in lines)}
-    assert entries == {(0, 0): 1.5, (1, 0): 0.25, (1, 1): -2.0}

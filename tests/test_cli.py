@@ -2,8 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from shiftfem import analysis
 from shiftfem.analysis import CSV_HEADER
 from shiftfem.cli import (DIAG_HEADER, ENV_OUT_DIR, ExperimentConfig,
                           build_parser, config_from_args, main, markdown_table,
@@ -163,6 +166,17 @@ def test_cli_exit_numerical_failure(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(cfg.to_json())
     rc = main(["run", "--config", str(path)])
+    assert rc == 2
+    assert "param=2" in capsys.readouterr().err
+
+
+def test_cli_exit_inf_sup_no_convergence(tmp_path, capsys, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(analysis, "eigsh", stalled)
+    rc = main(["run", "--problem", "polygon_patch", "--sweep", "2,4",
+               "--out", str(tmp_path)])
     assert rc == 2
     assert "param=2" in capsys.readouterr().err
 

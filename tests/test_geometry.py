@@ -130,9 +130,12 @@ def test_random_rays_land_on_boundary_and_stay_collinear():
 
 def test_no_root_in_bracket_raises():
     geom = ellipse(0.5)
-    q = RayIntersectionQuery(origin=(0.0, 0.0), through=(0.05, 0.05))
-    with pytest.raises(NoRootInBracket):
+    q = RayIntersectionQuery(origin=(np.float64(0.0), np.float64(0.0)),
+                             through=(np.float64(0.05), np.float64(0.05)))
+    with pytest.raises(NoRootInBracket) as info:
         ray_boundary_intersection(geom, q)
+    assert "np.float64" not in str(info.value)
+    assert "(0.0, 0.0) -> (0.05, 0.05)" in str(info.value)
 
 
 def test_iteration_cap_raises():
