@@ -10,13 +10,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .assembly import ExactSolution, check_spd
+from .assembly import ExactSolution, check_spd, element_geometry
 from .errors import (DimensionMismatch, MissingExact, NoConvergence,
                      NonDyadicSequence)
 from .mesh import INTERIOR, TriMesh
-from .quadrature import rule_for_degree, triangle_area
-from .spaces import (DofMap, LocalBasis, barycentric_gradients, degree_of,
-                     eval_basis_bary, eval_basis_bary_grad, lagrange_layout)
+from .quadrature import rule_for_degree
+from .spaces import (DofMap, LocalBases, degree_of, eval_basis_bary,
+                     eval_basis_bary_grad, lagrange_layout)
 
 CSV_HEADER = "param,h,grad_err,grad_order,l2_err,l2_order,max_err,max_order,alpha_h,kt_dev"
 
@@ -54,7 +54,7 @@ def _full_coefficients(dofmap: DofMap, x: np.ndarray) -> np.ndarray:
         f"solution has shape {x.shape}; expected ({dofmap.n_unknowns},) or ({dofmap.n_nodes},)")
 
 
-def error_norms(mesh: TriMesh, dofmap: DofMap, local_bases: Sequence[LocalBasis],
+def error_norms(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
                 x: np.ndarray, exact: ExactSolution | None,
                 rule=None, param: int = 0) -> ErrorReport:
     """Gradient and L2 error over the mesh polygon plus the unknown-node max.
@@ -70,19 +70,19 @@ def error_norms(mesh: TriMesh, dofmap: DofMap, local_bases: Sequence[LocalBasis]
     k = degree_of(dofmap.element_to_global.shape[1])
     if rule is None:
         rule = rule_for_degree(2 * k + 4)
-    dphi_bary = eval_basis_bary_grad(k, rule.points)
-    phi = eval_basis_bary(k, rule.points)
-    g2 = l2 = 0.0
-    for t in range(mesh.num_triangles):
-        tri = mesh.triangle_coords(t)
-        area = abs(triangle_area(tri))
-        a = local_bases[t].coeffs @ full[dofmap.element_to_global[t]]
-        pts = rule.physical_points(tri)
-        gh = np.einsum("qjd,j->qd", dphi_bary @ barycentric_gradients(tri), a)
-        dg = gh - exact.grad(pts[:, 0], pts[:, 1])
-        dv = phi @ a - exact.value(pts[:, 0], pts[:, 1])
-        g2 += area * float(rule.weights @ np.einsum("qd,qd->q", dg, dg))
-        l2 += area * float(rule.weights @ (dv * dv))
+    tris, grads, area = element_geometry(mesh)
+    a = full[dofmap.element_to_global]
+    s = local_bases.shifted
+    a[s] = (local_bases.coeffs @ a[s][:, :, None])[..., 0]
+    pts = rule.physical_points(tris)
+    px, py = pts[..., 0], pts[..., 1]
+    dphi = eval_basis_bary_grad(k, rule.points)[None] @ grads[:, None]
+    dg = np.einsum("tqjd,tj->tqd", dphi, a) - exact.grad(px, py)
+    del dphi
+    dv = (eval_basis_bary(k, rule.points)[None] @ a[:, :, None])[..., 0] - exact.value(px, py)
+    # cumsum adds in element order, as a loop would; np.sum would not
+    g2 = np.cumsum(area * np.vecdot(rule.weights, np.einsum("tqd,tqd->tq", dg, dg)))[-1]
+    l2 = np.cumsum(area * np.vecdot(rule.weights, dv * dv))[-1]
     nodal = np.abs(full - exact.value(dofmap.node_coords[:, 0], dofmap.node_coords[:, 1]))
     max_err = float(nodal[~dofmap.dirichlet_mask].max()) if dofmap.n_unknowns else 0.0
     return ErrorReport(grad_err=math.sqrt(g2), l2_err=math.sqrt(l2),
@@ -122,7 +122,7 @@ def convergence_orders(reports: Sequence[ErrorReport]) -> ConvergenceTable:
 
 
 def interpolate_Ih(u: Callable, mesh: TriMesh, dofmap: DofMap,
-                   local_bases: Sequence[LocalBasis] | None = None) -> np.ndarray:
+                   local_bases: LocalBases | None = None) -> np.ndarray:
     """Trial-space interpolant: coefficient = u at every global node.
 
     Nodes of curved-edge elements live on the true boundary, so the
@@ -161,17 +161,15 @@ class KtReport:
     dev_vs_h: tuple[tuple[float, float], ...]
 
 
-def kt_perturbation_report(local_bases: Sequence[LocalBasis]) -> KtReport:
+def kt_perturbation_report(local_bases: LocalBases) -> KtReport:
     """Max node-shift system deviation and (h_T, deviation) pairs for regression."""
-    pairs = []
-    max_dev = 0.0
-    for lb in local_bases:
-        max_dev = max(max_dev, lb.kt_deviation)
-        if lb.kt_deviation > 0.0:
-            tri = lb.tri
-            h = max(float(np.linalg.norm(tri[i] - tri[(i + 1) % 3])) for i in range(3))
-            pairs.append((h, lb.kt_deviation))
-    return KtReport(max_dev=max_dev, dev_vs_h=tuple(pairs))
+    dev = local_bases.kt_deviation
+    moved = np.flatnonzero(dev > 0.0)
+    tri = local_bases.nodes[moved, :3]
+    d = tri - np.roll(tri, -1, axis=1)
+    h = np.sqrt(np.vecdot(d, d)).max(axis=1, initial=0.0)
+    return KtReport(max_dev=float(dev.max(initial=0.0)),
+                    dev_vs_h=tuple(zip(h.tolist(), dev[moved].tolist())))
 
 
 def inf_sup_estimate(A, G_test, G_trial) -> float:
@@ -185,6 +183,8 @@ def inf_sup_estimate(A, G_test, G_trial) -> float:
     n = A.shape[0]
     if A.shape != (n, n) or G_test.shape != (n, n) or G_trial.shape != (n, n):
         raise DimensionMismatch("A and both Gram matrices must be square and same size")
+    if n == 0:
+        raise DimensionMismatch("the inf-sup estimate needs at least one unknown")
     check_spd(G_test)
     check_spd(G_trial)
     if n == 1:  # ARPACK needs k < n

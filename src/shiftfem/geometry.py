@@ -16,10 +16,6 @@ import numpy as np
 
 from .errors import AmbiguousEdge, NoConvergence, NoRootInBracket
 
-INSIDE = "inside"
-ON_BOUNDARY = "on_boundary"
-OUTSIDE = "outside"
-
 CURVE_OUTSIDE_CHORD = "curve_outside_chord"
 CURVE_INSIDE_CHORD = "curve_inside_chord"
 COINCIDENT = "coincident"
@@ -194,16 +190,6 @@ class RayIntersectionQuery:
     origin: tuple[float, float]
     through: tuple[float, float]
     bracket: tuple[float, float] = DEFAULT_BRACKET
-
-
-def classify_point(geom: BoundaryGeometry, p, tol: float = DEFAULT_TOL) -> str:
-    """Classify p as inside / on_boundary / outside with absolute tolerance."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    g = geom.value(p[0], p[1])
-    if abs(g) <= tol:
-        return ON_BOUNDARY
-    return INSIDE if g < 0.0 else OUTSIDE
 
 
 def ray_boundary_intersection(geom: BoundaryGeometry,

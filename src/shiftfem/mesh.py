@@ -65,7 +65,7 @@ def _edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _signed_area(p0, p1, p2) -> float:
+def _signed_area(p0, p1, p2):
     return 0.5 * ((p1[0] - p0[0]) * (p2[1] - p0[1])
                   - (p2[0] - p0[0]) * (p1[1] - p0[1]))
 
@@ -75,7 +75,8 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
 
     Raises InvalidParam on inverted/degenerate triangles, out-of-range
     indices, nonconforming edges (shared by more than two triangles), bad
-    tags, or boundary edges that are not edges of exactly one triangle.
+    tags, or boundary edges that are not edges of exactly one triangle. Each
+    error names the first offender in element (or boundary-edge) order.
     """
     verts = np.asarray(vertices, dtype=float)
     tris = np.asarray(triangles, dtype=int)
@@ -86,37 +87,47 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
     if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
         raise InvalidParam("triangle vertex index out of range")
 
-    edge_count: dict[tuple[int, int], int] = {}
-    h = np.empty(len(tris))
-    rho = np.empty(len(tris))
-    for t, (i, j, k) in enumerate(tris):
-        area = _signed_area(verts[i], verts[j], verts[k])
-        if area <= 0.0:
-            raise InvalidParam(f"triangle {t} is degenerate or clockwise (signed area {area})")
-        a = float(np.linalg.norm(verts[j] - verts[k]))
-        b = float(np.linalg.norm(verts[k] - verts[i]))
-        c = float(np.linalg.norm(verts[i] - verts[j]))
-        h[t] = max(a, b, c)
-        rho[t] = area / (0.5 * (a + b + c))
-        for key in (_edge_key(i, j), _edge_key(j, k), _edge_key(k, i)):
-            edge_count[key] = edge_count.get(key, 0) + 1
-            if edge_count[key] > 2:
-                raise InvalidParam(f"edge {key} shared by more than two triangles")
+    p0, p1, p2 = (verts[tris[:, m]] for m in range(3))
+    area = _signed_area(p0.T, p1.T, p2.T)
+    # Edges (i, j), (j, k), (k, i) of every triangle in element order, as
+    # sorted vertex pairs encoded lo * nv + hi.
+    nv = max(len(verts), 1)
+    ends = np.sort(np.stack((tris, np.roll(tris, -1, axis=1)), axis=-1), axis=-1).reshape(-1, 2)
+    codes = ends[:, 0] * nv + ends[:, 1]
+    by_code = np.argsort(codes, kind="stable")
+    third = np.sort(by_code[2:][codes[by_code[2:]] == codes[by_code[:-2]]])
+    bad_area = np.flatnonzero(area <= 0.0)
+    if len(bad_area) and not (len(third) and third[0] // 3 < bad_area[0]):
+        t = bad_area[0]
+        raise InvalidParam(f"triangle {t} is degenerate or clockwise (signed area {area[t]})")
+    if len(third):
+        raise InvalidParam(f"edge {tuple(ends[third[0]].tolist())} shared by more than two triangles")
 
-    bedges = []
-    for i1, i2, tag in boundary_edges:
-        if tag not in (TAG_DIRICHLET, TAG_SYMMETRY):
+    d = np.stack((p1 - p2, p2 - p0, p0 - p1))
+    a, b, c = np.sqrt(np.vecdot(d, d))
+    h = np.maximum(np.maximum(a, b), c)
+    rho = area / (0.5 * (a + b + c))
+
+    bedges = tuple((int(i1), int(i2), tag) for i1, i2, tag in boundary_edges)
+    lo, hi = np.sort(np.array([e[:2] for e in bedges], dtype=int).reshape(-1, 2), axis=1).T
+    uniq, counts = np.unique(codes, return_counts=True)
+    single = (lo >= 0) & (hi < len(verts)) & np.isin(lo * nv + hi, uniq[counts == 1])
+    bad_tag = np.array([e[2] not in (TAG_DIRICHLET, TAG_SYMMETRY) for e in bedges], dtype=bool)
+    bad = np.flatnonzero(bad_tag | ~single)
+    if len(bad):
+        i1, i2, tag = bedges[bad[0]]
+        if bad_tag[bad[0]]:
             raise InvalidParam(f"unknown boundary tag {tag!r}")
-        if edge_count.get(_edge_key(i1, i2), 0) != 1:
-            raise InvalidParam(f"boundary edge ({i1}, {i2}) is not an edge of exactly one triangle")
-        bedges.append((int(i1), int(i2), tag))
-    return TriMesh(verts, tris, tuple(bedges), h, rho)
+        raise InvalidParam(f"boundary edge ({i1}, {i2}) is not an edge of exactly one triangle")
+    return TriMesh(verts, tris, bedges, h, rho)
 
 
-def _orient_ccw(verts: np.ndarray, tris: list[list[int]]) -> None:
-    for t in tris:
-        if _signed_area(verts[t[0]], verts[t[1]], verts[t[2]]) < 0.0:
-            t[1], t[2] = t[2], t[1]
+def _orient_ccw(verts: np.ndarray, tris: list[list[int]]) -> np.ndarray:
+    """Triangles as an (n, 3) array, clockwise ones with vertices 1 and 2 swapped."""
+    tris = np.array(tris, dtype=int).reshape(-1, 3)
+    cw = _signed_area(*(verts[tris[:, m]].T for m in range(3))) < 0.0
+    tris[cw, 1:] = tris[cw, :0:-1]
+    return tris
 
 
 def gen_quarter_ellipse_mesh(J: int, e: float) -> TriMesh:
@@ -157,7 +168,7 @@ def gen_quarter_ellipse_mesh(J: int, e: float) -> TriMesh:
             c, d = vid(i + 1, j + 1), vid(i, j + 1)
             tris.append([a, b, c])
             tris.append([a, c, d])
-    _orient_ccw(verts, tris)
+    tris = _orient_ccw(verts, tris)
 
     bedges: list[BoundaryEdge] = []
     for i in range(J):
@@ -204,7 +215,7 @@ def gen_quarter_annulus_mesh(I: int, J: int, e: float,
             c, d = vid(i + 1, j + 1), vid(i, j + 1)
             tris.append([a, b, c])
             tris.append([a, c, d])
-    _orient_ccw(verts, tris)
+    tris = _orient_ccw(verts, tris)
 
     bedges: list[BoundaryEdge] = []
     for i in range(I):

@@ -91,7 +91,7 @@ class TriangleRule:
         return len(self.weights)
 
     def physical_points(self, tri: np.ndarray) -> np.ndarray:
-        """Map the rule points onto a physical triangle (3x2 vertex array)."""
+        """Map the rule points onto physical triangles ((..., 3, 2) vertex array)."""
         return self.points @ np.asarray(tri, dtype=float)
 
 
@@ -131,9 +131,9 @@ def rule_for_degree(d: int) -> TriangleRule:
     return TriangleRule(degree=table_degree, points=points, weights=weights)
 
 
-def triangle_area(tri: np.ndarray) -> float:
-    """Signed area of a 3x2 vertex array (positive for counterclockwise)."""
-    (x0, y0), (x1, y1), (x2, y2) = np.asarray(tri, dtype=float)
+def triangle_area(tri: np.ndarray):
+    """Signed area of a (..., 3, 2) vertex array (positive for counterclockwise)."""
+    (x0, y0), (x1, y1), (x2, y2) = np.moveaxis(np.asarray(tri, dtype=float), (-2, -1), (0, 1))
     return 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
 
 

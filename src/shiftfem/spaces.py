@@ -18,6 +18,7 @@ from .errors import (DuplicateNodeCollision, InconsistentDof,
                      UnsupportedDegree)
 from .geometry import BoundaryGeometry, RayIntersectionQuery, ray_boundary_intersection
 from .mesh import INTERIOR, TriMesh, _edge_key
+from .quadrature import triangle_area
 
 SUPPORTED_DEGREES = (2, 3)
 COND_LIMIT = 1e12
@@ -77,43 +78,47 @@ def edge_interior_locals(k: int, m: int) -> list[int]:
 
 
 def lagrange_layout(k: int, tri: np.ndarray) -> np.ndarray:
-    """Physical positions of the n_k principal-lattice nodes of a triangle."""
+    """Physical positions (..., n_k, 2) of the principal-lattice nodes of
+    a (..., 3, 2) stack of triangles."""
     tri = np.asarray(tri, dtype=float)
     return _multi_indices(k) @ tri / k
 
 
 def barycentric_coords(tri: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of pts (n, 2) w.r.t. a 3x2 triangle.
+    """Barycentric coordinates (..., n, 3) of pts (..., n, 2) w.r.t.
+    (..., 3, 2) triangles.
 
     Points outside the triangle yield coordinates outside [0, 1]; the affine
     map is total, supporting polynomial extension beyond the element.
     """
     tri = np.asarray(tri, dtype=float)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    mat = np.column_stack((tri[1] - tri[0], tri[2] - tri[0]))
-    lam12 = np.linalg.solve(mat, (pts - tri[0]).T).T
-    return np.column_stack((1.0 - lam12.sum(axis=1), lam12))
+    mat = np.stack((tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :]), axis=-1)
+    lam12 = np.linalg.solve(mat, np.swapaxes(pts - tri[..., :1, :], -1, -2))
+    lam12 = np.swapaxes(lam12, -1, -2)
+    return np.concatenate((1.0 - lam12.sum(axis=-1, keepdims=True), lam12), axis=-1)
 
 
 def barycentric_gradients(tri: np.ndarray) -> np.ndarray:
-    """(3, 2) array of the constant physical gradients of the barycentrics."""
-    (x0, y0), (x1, y1), (x2, y2) = np.asarray(tri, dtype=float)
-    twice_area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    return np.array([[y1 - y2, x2 - x1],
-                     [y2 - y0, x0 - x2],
-                     [y0 - y1, x1 - x0]]) / twice_area
+    """(..., 3, 2) constant physical gradients of the barycentrics of
+    a (..., 3, 2) stack of triangles."""
+    tri = np.asarray(tri, dtype=float)
+    # grad lambda_i is the opposite edge p_{i+2} - p_{i+1} turned a quarter
+    # turn counterclockwise, over twice the signed area
+    e = np.roll(tri, -2, axis=-2) - np.roll(tri, -1, axis=-2)
+    return np.stack((-e[..., 1], e[..., 0]), axis=-1) / (2.0 * triangle_area(tri))[..., None, None]
 
 
 def eval_basis_bary(k: int, lam: np.ndarray) -> np.ndarray:
-    """Reference Lagrange basis values at barycentric points: (n, n_k)."""
+    """Reference Lagrange basis values at barycentric points (..., n, 3): (..., n, n_k)."""
     lam = np.atleast_2d(lam)
-    out = np.empty((len(lam), len(_multi_indices(k))))
+    out = np.empty(lam.shape[:-1] + (len(_multi_indices(k)),))
     for j, abc in enumerate(_multi_indices(k)):
-        val = np.ones(len(lam))
+        val = np.ones(lam.shape[:-1])
         for m in range(3):
             for i in range(abc[m]):
-                val = val * (k * lam[:, m] - i) / (abc[m] - i)
-        out[:, j] = val
+                val = val * (k * lam[..., m] - i) / (abc[m] - i)
+        out[..., j] = val
     return out
 
 
@@ -171,58 +176,32 @@ def shift_boundary_nodes(tri: np.ndarray, local_edge: int,
 
 
 @dataclass(frozen=True)
-class LocalBasis:
-    """Per-element basis data.
+class LocalBases:
+    """Stacked basis data of the trial space on T elements.
 
-    ``coeffs`` maps nodal values at ``nodes`` to coefficients in the
-    reference Lagrange basis (the identity for interior elements);
-    ``kt_deviation`` is the max departure of the node-evaluation matrix
-    from the identity.
+    ``nodes`` (T, n_k, 2) are the node layouts. ``shifted`` lists, sorted,
+    the elements owning a Dirichlet edge; ``coeffs[i]`` maps nodal values at
+    ``nodes[shifted[i]]`` to reference-basis coefficients, and every other
+    element's map is the identity. ``kt_deviation`` (T,) is the max departure
+    of each node-evaluation matrix from the identity (0 on interior elements).
     """
 
-    element_id: int
     nodes: np.ndarray
+    shifted: np.ndarray
     coeffs: np.ndarray
-    kt_deviation: float
+    kt_deviation: np.ndarray
 
-    @property
-    def tri(self) -> np.ndarray:
-        return self.nodes[:3]
-
-
-def build_local_basis(tri: np.ndarray, k: int, nodes: np.ndarray | None = None,
-                      element_id: int = -1) -> LocalBasis:
-    """Invert the node-evaluation matrix to get the modified nodal basis.
-
-    With unshifted nodes the matrix is the identity and is returned exactly;
-    shifted nodes give a small perturbation of it. A condition estimate
-    beyond 1e12 signals the perturbation is too large (mesh too coarse).
-    """
-    spec = SpaceSpec.for_degree(k)
-    tri = np.asarray(tri, dtype=float)
-    if nodes is None:
-        return LocalBasis(element_id=element_id, nodes=lagrange_layout(k, tri),
-                          coeffs=np.eye(spec.n_k), kt_deviation=0.0)
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.shape != (spec.n_k, 2):
-        raise InconsistentDof(f"expected {spec.n_k} nodes, got {nodes.shape}")
-    kt = eval_basis_bary(k, barycentric_coords(tri, nodes))
-    cond = np.linalg.cond(kt)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularLocalSystem(
-            f"node-evaluation matrix of element {element_id} has condition "
-            f"estimate {cond:.3e} > {COND_LIMIT:.0e}")
-    coeffs = np.linalg.inv(kt)
-    kt_deviation = float(np.max(np.abs(kt - np.eye(spec.n_k))))
-    return LocalBasis(element_id=element_id, nodes=nodes, coeffs=coeffs,
-                      kt_deviation=kt_deviation)
+    def element_coeffs(self, t: int) -> np.ndarray:
+        """Coefficient map of element t (the identity unless t is shifted)."""
+        i = int(np.searchsorted(self.shifted, t))
+        if i < len(self.shifted) and self.shifted[i] == t:
+            return self.coeffs[i]
+        return np.eye(self.nodes.shape[1])
 
 
-def _local_dirichlet_edge(mesh: TriMesh, t: int) -> int | None:
-    """Local edge index (0..2) of triangle t's Dirichlet edge, if any."""
+def _local_dirichlet_edge(mesh: TriMesh, t: int) -> int:
+    """Local edge index (0..2) of the Dirichlet edge of boundary element t."""
     edge = mesh.dirichlet_edge_of(t)
-    if edge is None:
-        return None
     want = _edge_key(edge[0], edge[1])
     tri = mesh.triangles[t]
     for m in range(3):
@@ -232,37 +211,58 @@ def _local_dirichlet_edge(mesh: TriMesh, t: int) -> int | None:
         f"Dirichlet edge {edge[:2]} is not an edge of triangle {t}")
 
 
-def element_node_layouts(mesh: TriMesh, geom: BoundaryGeometry, k: int) -> np.ndarray:
-    """(n_elements, n_k, 2) node positions, shifted on boundary elements."""
-    spec = SpaceSpec.for_degree(k)
+def _shifted_elements(mesh: TriMesh) -> np.ndarray:
     if mesh.element_class is None:
         raise MeshAssumptionViolated("mesh has not been classified")
-    layouts = np.empty((mesh.num_triangles, spec.n_k, 2))
-    for t in range(mesh.num_triangles):
-        m = _local_dirichlet_edge(mesh, t)
-        if m is None:
-            layouts[t] = lagrange_layout(k, mesh.triangle_coords(t))
-        else:
-            layouts[t] = shift_boundary_nodes(mesh.triangle_coords(t), m, geom, k)
+    return np.flatnonzero(mesh.element_class != INTERIOR)
+
+
+def element_node_layouts(mesh: TriMesh, geom: BoundaryGeometry, k: int) -> np.ndarray:
+    """(n_elements, n_k, 2) node positions, shifted on boundary elements.
+
+    Every element gets the plain lattice layout; only the elements owning a
+    Dirichlet edge then run the ray solver.
+    """
+    shifted = _shifted_elements(mesh)
+    tris = mesh.vertices[mesh.triangles]
+    layouts = lagrange_layout(k, tris)
+    for t in shifted:
+        layouts[t] = shift_boundary_nodes(tris[t], _local_dirichlet_edge(mesh, t), geom, k)
     return layouts
 
 
 def build_local_bases(mesh: TriMesh, k: int,
                       layouts: np.ndarray | None = None,
-                      geom: BoundaryGeometry | None = None) -> list[LocalBasis]:
-    """LocalBasis per element; identity for interior, inverted system else."""
+                      geom: BoundaryGeometry | None = None) -> LocalBases:
+    """Invert the node-evaluation matrices of the elements owning a Dirichlet edge.
+
+    Interior elements keep the unshifted layout and the identity map. On a
+    shifted element the matrix is a small perturbation of the identity; a
+    condition estimate beyond 1e12 signals the perturbation is too large
+    (mesh too coarse) and names the first such element.
+    """
+    spec = SpaceSpec.for_degree(k)
     if layouts is None:
         if geom is None:
             raise InconsistentDof("need either precomputed layouts or geometry")
         layouts = element_node_layouts(mesh, geom, k)
-    bases = []
-    for t in range(mesh.num_triangles):
-        tri = mesh.triangle_coords(t)
-        if mesh.element_class[t] == INTERIOR:
-            bases.append(build_local_basis(tri, k, element_id=t))
-        else:
-            bases.append(build_local_basis(tri, k, nodes=layouts[t], element_id=t))
-    return bases
+    layouts = np.asarray(layouts, dtype=float)
+    if layouts.shape != (mesh.num_triangles, spec.n_k, 2):
+        raise InconsistentDof(f"expected layouts of shape "
+                              f"{(mesh.num_triangles, spec.n_k, 2)}, got {layouts.shape}")
+    shifted = _shifted_elements(mesh)
+    kt = eval_basis_bary(k, barycentric_coords(mesh.vertices[mesh.triangles[shifted]],
+                                               layouts[shifted]))
+    cond = np.linalg.cond(kt)
+    bad = np.flatnonzero(~(np.isfinite(cond) & (cond <= COND_LIMIT)))
+    if len(bad):
+        raise SingularLocalSystem(
+            f"node-evaluation matrix of element {int(shifted[bad[0]])} has condition "
+            f"estimate {cond[bad[0]]:.3e} > {COND_LIMIT:.0e}")
+    kt_deviation = np.zeros(mesh.num_triangles)
+    kt_deviation[shifted] = np.abs(kt - np.eye(spec.n_k)).max(axis=(1, 2), initial=0.0)
+    return LocalBases(nodes=layouts, shifted=shifted, coeffs=np.linalg.inv(kt),
+                      kt_deviation=kt_deviation)
 
 
 @dataclass(frozen=True)
@@ -374,16 +374,16 @@ class EvalResult:
     gradient: np.ndarray
 
 
-def eval_uh(dofmap: DofMap, local_bases: list[LocalBasis],
+def eval_uh(dofmap: DofMap, local_bases: LocalBases,
             coefficients: np.ndarray, element_id: int, p) -> EvalResult:
     """Evaluate the trial-space function given by full nodal coefficients.
 
     Valid anywhere the element's polynomial extension is wanted, including
     the skin beyond a curved edge.
     """
-    lb = local_bases[element_id]
+    nodes = local_bases.nodes[element_id]
     c_local = coefficients[dofmap.element_to_global[element_id]]
-    a = lb.coeffs @ c_local
-    k = degree_of(len(lb.nodes))
-    vals, grads = eval_basis_physical(k, lb.tri, np.asarray(p, dtype=float))
+    a = local_bases.element_coeffs(element_id) @ c_local
+    k = degree_of(len(nodes))
+    vals, grads = eval_basis_physical(k, nodes[:3], np.asarray(p, dtype=float))
     return EvalResult(value=float(vals[0] @ a), gradient=grads[0].T @ a)

@@ -347,6 +347,16 @@ def test_inf_sup_rejects_shape_mismatch():
         inf_sup_estimate(A, np.eye(4), np.eye(3))
 
 
+def test_check_spd_accepts_an_empty_matrix():
+    check_spd(sp.csr_matrix((0, 0)))
+
+
+def test_inf_sup_rejects_zero_unknowns():
+    empty = sp.csr_matrix((0, 0))
+    with pytest.raises(DimensionMismatch, match="at least one unknown"):
+        inf_sup_estimate(empty, empty, empty)
+
+
 def test_csv_serialization_golden():
     reps = [ErrorReport(0.5, 0.25, 0.125, 0.5, 4),
             ErrorReport(0.125, 0.03125, 0.03125, 0.25, 8)]

@@ -1,4 +1,4 @@
-"""Implicit geometry: classification, ray intersection, chord sides."""
+"""Implicit geometry: field values, ray intersection, chord sides."""
 
 import math
 
@@ -7,45 +7,15 @@ import pytest
 
 from shiftfem.errors import AmbiguousEdge, NoConvergence, NoRootInBracket
 from shiftfem.geometry import (COINCIDENT, CURVE_INSIDE_CHORD,
-                               CURVE_OUTSIDE_CHORD, INSIDE, ON_BOUNDARY,
-                               OUTSIDE, RayIntersectionQuery, annulus,
-                               classify_point, edge_skin_side, ellipse,
-                               polygon, ray_boundary_intersection, unit_square)
-
-
-def test_ellipse_classification():
-    geom = ellipse(0.5)
-    assert classify_point(geom, (0.25, 0.5)) == INSIDE
-    assert classify_point(geom, (0.5, 0.0)) == ON_BOUNDARY
-    assert classify_point(geom, (0.0, 1.0)) == ON_BOUNDARY
-    assert classify_point(geom, (0.6, 0.9)) == OUTSIDE
-    assert classify_point(geom, (0.0, 0.0)) == INSIDE
-
-
-def test_annulus_classification():
-    geom = annulus(0.5)
-    assert classify_point(geom, (0.7, 0.0)) == INSIDE
-    assert classify_point(geom, (0.5, 0.0)) == ON_BOUNDARY
-    assert classify_point(geom, (1.0, 0.0)) == ON_BOUNDARY
-    assert classify_point(geom, (0.3, 0.0)) == OUTSIDE  # in the hole
-    assert classify_point(geom, (1.2, 0.0)) == OUTSIDE
-    assert classify_point(geom, (0.0, 0.0)) == OUTSIDE
-
-
-def test_classification_tolerance():
-    geom = annulus(0.5)
-    assert classify_point(geom, (1.0 + 5e-13, 0.0), tol=1e-12) == ON_BOUNDARY
-    assert classify_point(geom, (1.0 + 5e-13, 0.0), tol=1e-13) == OUTSIDE
-    with pytest.raises(ValueError):
-        classify_point(geom, (0.7, 0.0), tol=0.0)
+                               CURVE_OUTSIDE_CHORD, RayIntersectionQuery,
+                               annulus, edge_skin_side, ellipse, polygon,
+                               ray_boundary_intersection, unit_square)
 
 
 def test_polygon_signed_distance_and_classification():
     geom = unit_square()
-    assert classify_point(geom, (0.5, 0.5)) == INSIDE
-    assert classify_point(geom, (0.5, 0.0)) == ON_BOUNDARY
-    assert classify_point(geom, (1.5, 0.5)) == OUTSIDE
     assert geom.value(0.5, 0.5) == pytest.approx(-0.5)
+    assert geom.value(0.5, 0.0) == 0.0
     assert geom.value(2.0, 0.5) == pytest.approx(1.0)
     # nearest feature is the corner (0, 0)
     assert geom.value(-0.3, -0.4) == pytest.approx(0.5)

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from shiftfem.errors import (DuplicateNodeCollision, SingularLocalSystem,
-                             UnsupportedDegree)
+from shiftfem.errors import (DuplicateNodeCollision, InconsistentDof,
+                             SingularLocalSystem, UnsupportedDegree)
 from shiftfem.geometry import annulus, ellipse, unit_square
 from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, classify_elements,
                            gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh,
                            gen_unit_square_mesh, make_mesh)
 from shiftfem.spaces import (DofMap, SpaceSpec, build_dof_map,
-                             build_local_bases, build_local_basis,
+                             build_local_bases,
                              edge_interior_locals, element_node_layouts,
                              eval_basis_physical, eval_uh, lagrange_layout,
                              shift_boundary_nodes)
@@ -154,10 +154,17 @@ def test_shift_distance_scales_with_h_squared(k):
 
 
 def test_interior_local_basis_is_exact_identity():
-    lb = build_local_basis(REF_TRI, 2, element_id=7)
-    assert lb.element_id == 7
-    assert lb.kt_deviation == 0.0
-    assert np.array_equal(lb.coeffs, np.eye(6))
+    geom = ellipse(0.5)
+    mesh = classify_elements(gen_quarter_ellipse_mesh(4, 0.5), geom)
+    bases = build_local_bases(mesh, 2, geom=geom)
+    interior = np.flatnonzero(mesh.element_class == INTERIOR)
+    assert len(interior) == mesh.num_triangles - 4
+    assert np.array_equal(bases.shifted, np.flatnonzero(mesh.element_class != INTERIOR))
+    assert np.all(bases.kt_deviation[interior] == 0.0)
+    assert np.all(bases.kt_deviation[bases.shifted] > 0.0)
+    for t in interior:
+        assert np.array_equal(bases.element_coeffs(t), np.eye(6))
+        assert np.array_equal(bases.nodes[t], lagrange_layout(2, mesh.triangle_coords(t)))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -166,14 +173,11 @@ def test_modified_basis_nodal_duality(k):
     mesh = classify_elements(gen_quarter_ellipse_mesh(16, 0.5), geom)
     layouts = element_node_layouts(mesh, geom, k)
     bases = build_local_bases(mesh, k, layouts)
-    checked = 0
-    for t, lb in enumerate(bases):
-        if mesh.element_class[t] == INTERIOR:
-            continue
-        vals, _ = eval_basis_physical(k, lb.tri, lb.nodes)
-        assert np.max(np.abs(vals @ lb.coeffs - np.eye(len(lb.nodes)))) <= 1e-10
-        checked += 1
-    assert checked == 16
+    for t, coeffs in zip(bases.shifted, bases.coeffs):
+        nodes = bases.nodes[t]
+        vals, _ = eval_basis_physical(k, nodes[:3], nodes)
+        assert np.max(np.abs(vals @ coeffs - np.eye(len(nodes)))) <= 1e-10
+    assert len(bases.shifted) == 16
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -183,7 +187,7 @@ def test_kt_deviation_halves_per_refinement(k):
     for J in (8, 16, 32):
         mesh = classify_elements(gen_quarter_ellipse_mesh(J, 0.5), geom)
         bases = build_local_bases(mesh, k, geom=geom)
-        devs.append(max(lb.kt_deviation for lb in bases))
+        devs.append(bases.kt_deviation.max())
     for coarse, fine in zip(devs, devs[1:]):
         assert 1.5 <= coarse / fine <= 3.0
 
@@ -193,21 +197,32 @@ def test_annulus_rings_have_comparable_deviations():
     mesh = classify_elements(gen_quarter_annulus_mesh(16, 8, 0.5), geom)
     bases = build_local_bases(mesh, 2, geom=geom)
     inner, outer = [], []
-    for t, lb in enumerate(bases):
-        if lb.kt_deviation == 0.0:
-            continue
+    for t in bases.shifted:
         edge = mesh.dirichlet_edge_of(t)
         r = math.hypot(*mesh.vertices[edge[0]])
-        (inner if abs(r - 0.5) < 1e-9 else outer).append(lb.kt_deviation)
+        (inner if abs(r - 0.5) < 1e-9 else outer).append(bases.kt_deviation[t])
     assert inner and outer
     assert 0.1 <= max(inner) / max(outer) <= 10.0
 
 
 def test_coincident_nodes_make_local_system_singular():
-    nodes = lagrange_layout(2, REF_TRI)
-    nodes[4] = nodes[3]
-    with pytest.raises(SingularLocalSystem):
-        build_local_basis(REF_TRI, 2, nodes=nodes)
+    geom = ellipse(0.5)
+    mesh = classify_elements(gen_quarter_ellipse_mesh(4, 0.5), geom)
+    layouts = element_node_layouts(mesh, geom, 2)
+    t = int(np.flatnonzero(mesh.element_class != INTERIOR)[2])
+    layouts[t, 4] = layouts[t, 3]
+    with pytest.raises(SingularLocalSystem, match=f"element {t} has condition"):
+        build_local_bases(mesh, 2, layouts)
+
+
+def test_local_bases_reject_mismatched_layouts():
+    geom = ellipse(0.5)
+    mesh = classify_elements(gen_quarter_ellipse_mesh(4, 0.5), geom)
+    layouts = element_node_layouts(mesh, geom, 2)
+    with pytest.raises(InconsistentDof):
+        build_local_bases(mesh, 3, layouts)
+    with pytest.raises(InconsistentDof):
+        build_local_bases(mesh, 2, layouts[:-1])
 
 
 def test_dof_map_single_element_ellipse():
