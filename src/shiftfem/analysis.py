@@ -121,8 +121,7 @@ def convergence_orders(reports: Sequence[ErrorReport]) -> ConvergenceTable:
     )
 
 
-def interpolate_Ih(u: Callable, mesh: TriMesh, dofmap: DofMap,
-                   local_bases: LocalBases | None = None) -> np.ndarray:
+def interpolate_Ih(u: Callable, dofmap: DofMap) -> np.ndarray:
     """Trial-space interpolant: coefficient = u at every global node.
 
     Nodes of curved-edge elements live on the true boundary, so the
@@ -140,19 +139,14 @@ def chord_node_gap(mesh: TriMesh, dofmap: DofMap, u: Callable, k: int) -> float:
     constrained dof; it decays as O(h^2) while unknown-node errors
     superconverge, so the two diagnostics are reported separately.
     """
-    gap = 0.0
-    for t in range(mesh.num_triangles):
-        if mesh.element_class is not None and mesh.element_class[t] == INTERIOR:
-            continue
-        tri = mesh.triangle_coords(t)
-        plain = lagrange_layout(k, tri)
-        shifted = dofmap.node_coords[dofmap.element_to_global[t]]
-        moved = np.linalg.norm(shifted - plain, axis=1) > 0.0
-        for loc in np.nonzero(moved)[0]:
-            um = float(u(plain[loc, 0], plain[loc, 1]))
-            up = float(u(shifted[loc, 0], shifted[loc, 1]))
-            gap = max(gap, abs(um - up))
-    return gap
+    elems = (np.arange(mesh.num_triangles) if mesh.element_class is None
+             else np.flatnonzero(mesh.element_class != INTERIOR))
+    plain = lagrange_layout(k, mesh.vertices[mesh.triangles[elems]])
+    shifted = dofmap.node_coords[dofmap.element_to_global[elems]]
+    moved = np.linalg.norm(shifted - plain, axis=-1) > 0.0
+    plain, shifted = plain[moved], shifted[moved]
+    gap = np.abs(u(plain[:, 0], plain[:, 1]) - u(shifted[:, 0], shifted[:, 1]))
+    return float(np.max(gap, initial=0.0))
 
 
 @dataclass(frozen=True)

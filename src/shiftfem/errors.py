@@ -13,10 +13,6 @@ class NoConvergence(ShiftFEMError):
     """An iteration (boundary root or inf-sup eigenvalue) failed to converge."""
 
 
-class AmbiguousEdge(ShiftFEMError):
-    """Chord midpoint sits on the boundary although the edge subtends an arc."""
-
-
 class InvalidParam(ShiftFEMError, ValueError):
     """Mesh generator called with out-of-range parameters."""
 
@@ -31,10 +27,6 @@ class UnsupportedDegree(ShiftFEMError, ValueError):
 
 class SingularLocalSystem(ShiftFEMError):
     """Local node matrix is numerically singular (mesh too coarse)."""
-
-
-class DuplicateNodeCollision(ShiftFEMError):
-    """Two logically distinct global nodes coincide within tolerance."""
 
 
 class InconsistentDof(ShiftFEMError):

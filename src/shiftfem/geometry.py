@@ -14,11 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AmbiguousEdge, NoConvergence, NoRootInBracket
-
-CURVE_OUTSIDE_CHORD = "curve_outside_chord"
-CURVE_INSIDE_CHORD = "curve_inside_chord"
-COINCIDENT = "coincident"
+from .errors import NoConvergence, NoRootInBracket
 
 DEFAULT_BRACKET = (0.5, 2.0)
 DEFAULT_TOL = 1e-12
@@ -262,24 +258,3 @@ def ray_boundary_intersection(geom: BoundaryGeometry,
         t = 0.5 * (lo + hi)
     raise NoConvergence(
         f"ray-boundary Newton did not reach |g| <= {tol} in {max_iter} iterations")
-
-
-def edge_skin_side(geom: BoundaryGeometry, a, b, tol: float = DEFAULT_TOL) -> str:
-    """Which side of the chord ab the boundary arc lies on.
-
-    ``curve_outside_chord`` means the skin between chord and arc lies outside
-    the mesh polygon (convex boundary portion); ``curve_inside_chord`` means
-    the chord cuts into the exterior of the domain (concave portion, the
-    element overlaps the outside). Polygonal geometry is always coincident.
-    """
-    if geom.kind == "polygon":
-        return COINCIDENT
-    mx, my = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
-    gm = geom.value(mx, my)
-    if abs(gm) <= tol:
-        if math.hypot(b[0] - a[0], b[1] - a[1]) <= tol:
-            return COINCIDENT
-        raise AmbiguousEdge(
-            f"chord midpoint ({mx}, {my}) lies on the boundary but the edge "
-            f"endpoints subtend a non-degenerate arc")
-    return CURVE_OUTSIDE_CHORD if gm < 0.0 else CURVE_INSIDE_CHORD

@@ -21,6 +21,9 @@ from .geometry import BoundaryGeometry
 TAG_DIRICHLET = "D"
 TAG_SYMMETRY = "S"
 INTERIOR = -1
+# Vertices closer than this fraction of the bounding-box diameter coincide,
+# and triangles with a smaller inradius are slivers.
+MESH_REL_TOL = 1e-10
 
 BoundaryEdge = tuple[int, int, str]
 
@@ -61,27 +64,53 @@ class TriMesh:
         return None if idx == INTERIOR else self.boundary_edges[idx]
 
 
-def _edge_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 def _signed_area(p0, p1, p2):
     return 0.5 * ((p1[0] - p0[0]) * (p2[1] - p0[1])
                   - (p2[0] - p0[0]) * (p1[1] - p0[1]))
 
 
+def edge_codes(triangles: np.ndarray, nv: int) -> np.ndarray:
+    """(T, 3) codes lo * nv + hi of the sorted vertex pairs of edges
+    (i, j), (j, k), (k, i) of every triangle; equal codes, same edge."""
+    ends = np.sort(np.stack((triangles, np.roll(triangles, -1, axis=1)), axis=-1), axis=-1)
+    return ends[..., 0] * max(nv, 1) + ends[..., 1]
+
+
+def _coincident_vertices(verts: np.ndarray, tol: float) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, of vertices sharing a cell of side 2 tol
+    in one of four grids offset by half a cell in x, y or both, or None.
+
+    Every pair at most tol apart shares a cell; none more than 3 tol apart can.
+    """
+    pairs = []
+    for shift in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)):
+        cell = np.floor((verts - verts.min(axis=0)) / (2.0 * tol or 1.0) + shift).astype(np.int64)
+        order = np.lexsort((cell[:, 1], cell[:, 0]))
+        same = np.flatnonzero(np.all(cell[order[1:]] == cell[order[:-1]], axis=1))
+        pairs.append(np.sort(np.stack((order[same], order[same + 1]), axis=1), axis=1))
+    pairs = np.concatenate(pairs)
+    return tuple(pairs[np.lexsort(pairs.T[::-1])[0]].tolist()) if len(pairs) else None
+
+
 def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
     """Validate raw arrays and build a TriMesh with per-element h and rho.
 
-    Raises InvalidParam on inverted/degenerate triangles, out-of-range
-    indices, nonconforming edges (shared by more than two triangles), bad
-    tags, or boundary edges that are not edges of exactly one triangle. Each
-    error names the first offender in element (or boundary-edge) order.
+    Raises InvalidParam on non-finite coordinates, inverted/degenerate
+    triangles, out-of-range indices, nonconforming edges (shared by more
+    than two triangles), sliver triangles, coincident vertices, bad tags,
+    or boundary edges that are not edges of exactly one triangle. Slivers
+    (inradius) and coincident vertices (distance) are measured against
+    MESH_REL_TOL times the bounding-box diameter, so the check does not
+    depend on the domain scale; it keeps a duplicated vertex from cracking
+    the mesh, since dofs are numbered from vertex ids. Each error names the
+    first offender in element (or vertex, or boundary-edge) order.
     """
     verts = np.asarray(vertices, dtype=float)
     tris = np.asarray(triangles, dtype=int)
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise InvalidParam("vertices must be an (n, 2) array")
+    if not np.all(np.isfinite(verts)):
+        raise InvalidParam("vertex coordinates must be finite")
     if tris.ndim != 2 or tris.shape[1] != 3:
         raise InvalidParam("triangles must be an (n, 3) array")
     if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
@@ -89,11 +118,8 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
 
     p0, p1, p2 = (verts[tris[:, m]] for m in range(3))
     area = _signed_area(p0.T, p1.T, p2.T)
-    # Edges (i, j), (j, k), (k, i) of every triangle in element order, as
-    # sorted vertex pairs encoded lo * nv + hi.
     nv = max(len(verts), 1)
-    ends = np.sort(np.stack((tris, np.roll(tris, -1, axis=1)), axis=-1), axis=-1).reshape(-1, 2)
-    codes = ends[:, 0] * nv + ends[:, 1]
+    codes = edge_codes(tris, nv).ravel()
     by_code = np.argsort(codes, kind="stable")
     third = np.sort(by_code[2:][codes[by_code[2:]] == codes[by_code[:-2]]])
     bad_area = np.flatnonzero(area <= 0.0)
@@ -101,12 +127,24 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
         t = bad_area[0]
         raise InvalidParam(f"triangle {t} is degenerate or clockwise (signed area {area[t]})")
     if len(third):
-        raise InvalidParam(f"edge {tuple(ends[third[0]].tolist())} shared by more than two triangles")
+        lo, hi = divmod(int(codes[third[0]]), nv)
+        raise InvalidParam(f"edge {(lo, hi)} shared by more than two triangles")
 
     d = np.stack((p1 - p2, p2 - p0, p0 - p1))
     a, b, c = np.sqrt(np.vecdot(d, d))
     h = np.maximum(np.maximum(a, b), c)
     rho = area / (0.5 * (a + b + c))
+
+    tol = MESH_REL_TOL * float(np.hypot(*np.ptp(verts, axis=0))) if len(verts) else 0.0
+    sliver = np.flatnonzero(rho <= tol)
+    if len(sliver):
+        t = sliver[0]
+        raise InvalidParam(f"triangle {t} is a sliver: inradius {rho[t]:.3e} <= {tol:.3e} "
+                           f"({MESH_REL_TOL:.0e} of the mesh diameter)")
+    pair = _coincident_vertices(verts, tol) if len(verts) else None
+    if pair is not None:
+        raise InvalidParam(f"vertices {pair[0]} and {pair[1]} coincide within {tol:.3e} "
+                           f"({MESH_REL_TOL:.0e} of the mesh diameter)")
 
     bedges = tuple((int(i1), int(i2), tag) for i1, i2, tag in boundary_edges)
     lo, hi = np.sort(np.array([e[:2] for e in bedges], dtype=int).reshape(-1, 2), axis=1).T
@@ -254,6 +292,13 @@ def gen_unit_square_mesh(J: int) -> TriMesh:
     return make_mesh(verts, tris, bedges)
 
 
+def dirichlet_edges(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into ``boundary_edges`` of the "D" edges, and their (n, 2) ends."""
+    idx = [n for n, e in enumerate(mesh.boundary_edges) if e[2] == TAG_DIRICHLET]
+    ends = [mesh.boundary_edges[n][:2] for n in idx]
+    return np.array(idx, dtype=int), np.array(ends, dtype=int).reshape(-1, 2)
+
+
 def classify_elements(mesh: TriMesh, geom: BoundaryGeometry,
                       tol: float = 1e-10) -> TriMesh:
     """Fill element_class: each triangle is interior or owns one "D" edge.
@@ -261,33 +306,41 @@ def classify_elements(mesh: TriMesh, geom: BoundaryGeometry,
     For polygon geometry every element is interior (the mesh boundary is the
     true boundary, no node relocation happens). For curved geometry every
     "D" edge endpoint must lie on the boundary within tol and no triangle
-    may own more than one "D" edge; violations raise MeshAssumptionViolated.
+    may own more than one "D" edge; violations raise MeshAssumptionViolated,
+    naming the first offending endpoint in boundary-edge order, else the
+    first offending triangle. One array pass: the "D" edges are matched to
+    triangle edges by their sorted vertex-pair codes (:func:`edge_codes`).
     """
     classes = np.full(mesh.num_triangles, INTERIOR, dtype=int)
     if geom.kind == "polygon":
         return replace(mesh, element_class=classes)
 
-    edge_to_index: dict[tuple[int, int], int] = {}
-    for idx, (i1, i2, tag) in enumerate(mesh.boundary_edges):
-        if tag != TAG_DIRICHLET:
-            continue
-        for v in (i1, i2):
-            g = geom.value(mesh.vertices[v][0], mesh.vertices[v][1])
-            if abs(g) > tol:
-                raise MeshAssumptionViolated(
-                    f"Dirichlet edge ({i1}, {i2}) endpoint {v} is off the "
-                    f"boundary: |g| = {abs(g):.3e} > {tol}")
-        edge_to_index[_edge_key(i1, i2)] = idx
+    owner, ends = dirichlet_edges(mesh)
+    g = np.abs(geom.value_many(mesh.vertices[ends.ravel()]))
+    off = np.flatnonzero(g > tol)
+    if len(off):
+        (i1, i2), v = ends[off[0] // 2], ends.flat[off[0]]
+        raise MeshAssumptionViolated(
+            f"Dirichlet edge ({i1}, {i2}) endpoint {v} is off the "
+            f"boundary: |g| = {g[off[0]]:.3e} > {tol}")
+    if not len(owner):
+        return replace(mesh, element_class=classes)
 
-    for t, (i, j, k) in enumerate(mesh.triangles):
-        hits = [edge_to_index[key]
-                for key in (_edge_key(i, j), _edge_key(j, k), _edge_key(k, i))
-                if key in edge_to_index]
-        if len(hits) > 1:
-            raise MeshAssumptionViolated(
-                f"triangle {t} has {len(hits)} Dirichlet edges; at most one is allowed")
-        if hits:
-            classes[t] = hits[0]
+    # a "D" edge listed twice belongs to its last listing
+    dcodes = np.sort(ends, axis=1) @ [mesh.num_vertices, 1]
+    dcodes, last = np.unique(dcodes[::-1], return_index=True)
+    owner = owner[::-1][last]
+    codes = edge_codes(mesh.triangles, mesh.num_vertices)
+    pos = np.minimum(np.searchsorted(dcodes, codes), len(dcodes) - 1)
+    hit = dcodes[pos] == codes
+    count = hit.sum(axis=1)
+    multi = np.flatnonzero(count > 1)
+    if len(multi):
+        t = multi[0]
+        raise MeshAssumptionViolated(
+            f"triangle {t} has {count[t]} Dirichlet edges; at most one is allowed")
+    one = np.flatnonzero(count)
+    classes[one] = owner[pos[one, hit[one].argmax(axis=1)]]
     return replace(mesh, element_class=classes)
 
 

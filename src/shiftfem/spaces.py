@@ -13,17 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DuplicateNodeCollision, InconsistentDof,
-                     MeshAssumptionViolated, SingularLocalSystem,
-                     UnsupportedDegree)
+from .errors import (InconsistentDof, MeshAssumptionViolated,
+                     SingularLocalSystem, UnsupportedDegree)
 from .geometry import BoundaryGeometry, RayIntersectionQuery, ray_boundary_intersection
-from .mesh import INTERIOR, TriMesh, _edge_key
+from .mesh import INTERIOR, TriMesh, dirichlet_edges, edge_codes
 from .quadrature import triangle_area
 
 SUPPORTED_DEGREES = (2, 3)
 COND_LIMIT = 1e12
-DEDUP_TOL = 1e-10
-ON_BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -199,16 +196,11 @@ class LocalBases:
         return np.eye(self.nodes.shape[1])
 
 
-def _local_dirichlet_edge(mesh: TriMesh, t: int) -> int:
-    """Local edge index (0..2) of the Dirichlet edge of boundary element t."""
-    edge = mesh.dirichlet_edge_of(t)
-    want = _edge_key(edge[0], edge[1])
-    tri = mesh.triangles[t]
-    for m in range(3):
-        if _edge_key(tri[m], tri[(m + 1) % 3]) == want:
-            return m
-    raise InconsistentDof(
-        f"Dirichlet edge {edge[:2]} is not an edge of triangle {t}")
+def _local_dirichlet_edges(mesh: TriMesh, shifted: np.ndarray) -> np.ndarray:
+    """Local edge index (0..2) of the Dirichlet edge of each shifted element."""
+    ends = [mesh.boundary_edges[i][:2] for i in mesh.element_class[shifted]]
+    want = np.sort(np.array(ends, dtype=int).reshape(-1, 2), axis=1) @ [mesh.num_vertices, 1]
+    return np.argmax(edge_codes(mesh.triangles[shifted], mesh.num_vertices) == want[:, None], axis=1)
 
 
 def _shifted_elements(mesh: TriMesh) -> np.ndarray:
@@ -226,8 +218,8 @@ def element_node_layouts(mesh: TriMesh, geom: BoundaryGeometry, k: int) -> np.nd
     shifted = _shifted_elements(mesh)
     tris = mesh.vertices[mesh.triangles]
     layouts = lagrange_layout(k, tris)
-    for t in shifted:
-        layouts[t] = shift_boundary_nodes(tris[t], _local_dirichlet_edge(mesh, t), geom, k)
+    for t, m in zip(shifted, _local_dirichlet_edges(mesh, shifted)):
+        layouts[t] = shift_boundary_nodes(tris[t], m, geom, k)
     return layouts
 
 
@@ -293,75 +285,61 @@ class DofMap:
         return full
 
 
-def _expected_node_count(mesh: TriMesh, k: int) -> int:
-    edges = set()
-    for i, j, l in mesh.triangles:
-        edges.update((_edge_key(i, j), _edge_key(j, l), _edge_key(l, i)))
-    per_interior = {2: 0, 3: 1}[k]
-    return (mesh.num_vertices + len(edges) * (k - 1)
-            + mesh.num_triangles * per_interior)
-
-
 def build_dof_map(mesh: TriMesh, geom: BoundaryGeometry, k: int,
                   dirichlet_data=None,
                   layouts: np.ndarray | None = None) -> DofMap:
-    """Deduplicate element nodes into a global numbering and mark Dirichlet.
+    """Number the element nodes globally from the mesh topology; mark Dirichlet.
 
-    A node is Dirichlet iff it lies on the true boundary (within 1e-9);
-    that covers curved-edge endpoints, relocated edge nodes, and polygon
-    boundary-edge nodes, and leaves symmetry-edge nodes unknown. Nodes
-    closer than 1e-10 are merged; a merge count differing from the
-    combinatorial expectation raises DuplicateNodeCollision.
+    Each node is owned by a mesh entity: a vertex (its id), an edge (its
+    unique edge id and the node's position counted from the edge's lower
+    vertex id), or a cell (its id and the interior index). Global numbers
+    follow first appearance in element-major order, and ``node_coords`` are
+    the layouts at those first appearances, so the numbering needs no
+    coordinate matching and no tolerance. A node is Dirichlet iff it lies on
+    an edge tagged "D": the edge's two vertices and its k-1 edge nodes
+    (curved-edge nodes are the relocated ones). Nodes of "S" edges stay
+    unknowns. ``dirichlet_data``, if given, is called once with the x and y
+    arrays of the Dirichlet nodes.
     """
     spec = SpaceSpec.for_degree(k)
     if layouts is None:
         layouts = element_node_layouts(mesh, geom, k)
+    T, nv, per_edge = mesh.num_triangles, mesh.num_vertices, k - 1
+    if np.shape(layouts) != (T, spec.n_k, 2):
+        raise InconsistentDof(f"expected layouts of shape {(T, spec.n_k, 2)}, "
+                              f"got {np.shape(layouts)}")
+    per_cell = spec.n_k - 3 - 3 * per_edge
 
-    cell = 1e-6
-    buckets: dict[tuple[int, int], list[int]] = {}
-    coords: list[np.ndarray] = []
-    elem_to_global = np.empty((mesh.num_triangles, spec.n_k), dtype=int)
-    for t in range(mesh.num_triangles):
-        for loc in range(spec.n_k):
-            p = layouts[t, loc]
-            cx, cy = int(np.floor(p[0] / cell)), int(np.floor(p[1] / cell))
-            found = -1
-            for nx in (cx - 1, cx, cx + 1):
-                for ny in (cy - 1, cy, cy + 1):
-                    for idx in buckets.get((nx, ny), ()):
-                        d = coords[idx] - p
-                        if d[0] * d[0] + d[1] * d[1] <= DEDUP_TOL * DEDUP_TOL:
-                            found = idx
-                            break
-                    if found >= 0:
-                        break
-                if found >= 0:
-                    break
-            if found < 0:
-                found = len(coords)
-                coords.append(p.copy())
-                buckets.setdefault((cx, cy), []).append(found)
-            elem_to_global[t, loc] = found
+    codes = edge_codes(mesh.triangles, nv)
+    edge_ids, edge_of = np.unique(codes, return_inverse=True)
+    # Edge m runs from local vertex m to m+1, so its t-th node (from 0) is at
+    # position t from the lower vertex id if that is vertex m, else k-2-t.
+    forward = mesh.triangles < np.roll(mesh.triangles, -1, axis=1)
+    step = np.arange(per_edge)
+    pos = np.where(forward[..., None], step, per_edge - 1 - step)
+    keys = np.concatenate((
+        mesh.triangles,
+        (nv + edge_of.reshape(T, 3)[..., None] * per_edge + pos).reshape(T, -1),
+        nv + len(edge_ids) * per_edge
+        + np.arange(T * per_cell).reshape(T, per_cell)), axis=1)
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    elem_to_global = rank[inverse].reshape(T, spec.n_k)
+    node_coords = np.asarray(layouts, dtype=float).reshape(-1, 2)[first[order]]
 
-    expected = _expected_node_count(mesh, k)
-    if len(coords) < expected:
-        raise DuplicateNodeCollision(
-            f"{expected - len(coords)} logically distinct nodes merged within "
-            f"{DEDUP_TOL}; the mesh is too distorted for this degree")
-    if len(coords) > expected:
-        raise InconsistentDof(
-            f"node dedup produced {len(coords)} nodes, expected {expected}; "
-            f"shared-edge nodes did not match across elements")
-
-    node_coords = np.array(coords)
-    gvals = geom.value_many(node_coords)
-    mask = np.abs(gvals) <= ON_BOUNDARY_TOL
-    values = np.zeros(len(node_coords))
+    _, ends = dirichlet_edges(mesh)
+    lo, hi = np.sort(ends, axis=1).T
+    edge = np.searchsorted(edge_ids, lo * nv + hi)
+    dkeys = np.concatenate((lo, hi, (nv + edge[:, None] * per_edge + step).ravel()))
+    mask = np.zeros(len(uniq), dtype=bool)
+    mask[rank[np.searchsorted(uniq, dkeys)]] = True
+    values = np.zeros(len(uniq))
     if dirichlet_data is not None:
-        for i in np.nonzero(mask)[0]:
-            values[i] = dirichlet_data(node_coords[i, 0], node_coords[i, 1])
+        values[mask] = dirichlet_data(node_coords[mask, 0], node_coords[mask, 1])
 
-    unknown_index = np.full(len(node_coords), -1, dtype=int)
+    unknown_index = np.full(len(uniq), -1, dtype=int)
     unknown_index[~mask] = np.arange(int(np.sum(~mask)))
     return DofMap(node_coords=node_coords, dirichlet_mask=mask,
                   dirichlet_values=values, element_to_global=elem_to_global,

@@ -59,7 +59,7 @@ def _sweep(problem_name, params, k=2, extension_mode="analytic",
         out["kt"].append(kt_perturbation_report(bases).max_dev)
         out["gap"].append(chord_node_gap(mesh, dm, prob.exact.value, k))
         if with_interp:
-            coeffs = interpolate_Ih(prob.exact.value, mesh, dm, bases)
+            coeffs = interpolate_Ih(prob.exact.value, dm)
             out["interp"].append(
                 error_norms(mesh, dm, bases, coeffs, prob.exact, param=p))
         if p <= alpha_upto:

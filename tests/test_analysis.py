@@ -71,7 +71,7 @@ def test_patch_errors_vanish():
 def test_interpolant_of_space_polynomial_exact():
     prob = polygon_patch(3)
     mesh, dm, bases, _, _ = _solve_problem(prob, gen_unit_square_mesh(3), k=3)
-    coeffs = interpolate_Ih(prob.exact.value, mesh, dm, bases)
+    coeffs = interpolate_Ih(prob.exact.value, dm)
     r = error_norms(mesh, dm, bases, coeffs, prob.exact, param=3)
     assert max(r.grad_err, r.l2_err, r.max_nodal_err) <= 1e-10
 
@@ -162,7 +162,7 @@ def test_error_report_rejects_bad_values():
 
 def test_interpolant_nodal_duality():
     prob, mesh, dm, bases, _, _ = _ellipse_case(8)
-    coeffs = interpolate_Ih(prob.exact.value, mesh, dm, bases)
+    coeffs = interpolate_Ih(prob.exact.value, dm)
     rng = np.random.default_rng(7)
     worst = 0.0
     for t in rng.choice(mesh.num_triangles, size=12, replace=False):
@@ -178,7 +178,7 @@ def test_interpolant_gradient_converges_at_order_two():
     errs = []
     for J in (8, 16, 32):
         mesh, dm, bases, _, _ = _solve_problem(prob, gen_quarter_ellipse_mesh(J, 0.5))
-        coeffs = interpolate_Ih(prob.exact.value, mesh, dm, bases)
+        coeffs = interpolate_Ih(prob.exact.value, dm)
         errs.append(error_norms(mesh, dm, bases, coeffs, prob.exact, param=J))
     assert errs[0].grad_err == pytest.approx(3.192000e-03, rel=1e-6)
     tab = convergence_orders(errs)

@@ -16,9 +16,9 @@ import scipy.sparse as sp
 from shiftfem.analysis import error_norms, kt_perturbation_report
 from shiftfem.assembly import (assemble, assemble_gram, default_rules,
                                source_values)
-from shiftfem.errors import InvalidParam
+from shiftfem.errors import InvalidParam, MeshAssumptionViolated
 from shiftfem.linsolve import solve
-from shiftfem.mesh import (INTERIOR, classify_elements,
+from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, classify_elements,
                            gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh,
                            gen_unit_square_mesh, make_mesh)
 from shiftfem.problems import annulus_test2, ellipse_test1, polygon_patch
@@ -158,12 +158,48 @@ def _loop_errors(mesh, dm, coeffs, full, exact, k):
     return math.sqrt(g2), math.sqrt(l2)
 
 
+def _hash_dof_map(mesh, geom, k, dirichlet_data, layouts):
+    """Global numbering by merging element nodes closer than 1e-10 (a 1e-6
+    spatial hash); Dirichlet iff |g| <= 1e-9 at the node."""
+    n_k = layouts.shape[1]
+    cell, tol = 1e-6, 1e-10
+    buckets, coords = {}, []
+    elem_to_global = np.empty((mesh.num_triangles, n_k), dtype=int)
+    for t in range(mesh.num_triangles):
+        for loc in range(n_k):
+            p = layouts[t, loc]
+            cx, cy = int(np.floor(p[0] / cell)), int(np.floor(p[1] / cell))
+            near = [idx for nx in (cx - 1, cx, cx + 1) for ny in (cy - 1, cy, cy + 1)
+                    for idx in buckets.get((nx, ny), ())
+                    if np.sum((coords[idx] - p) ** 2) <= tol * tol]
+            if near:
+                found = near[0]
+            else:
+                found = len(coords)
+                coords.append(p.copy())
+                buckets.setdefault((cx, cy), []).append(found)
+            elem_to_global[t, loc] = found
+    node_coords = np.array(coords)
+    mask = np.abs(geom.value_many(node_coords)) <= 1e-9
+    values = np.zeros(len(node_coords))
+    if dirichlet_data is not None:
+        for i in np.flatnonzero(mask):
+            values[i] = dirichlet_data(node_coords[i, 0], node_coords[i, 1])
+    unknown_index = np.full(len(node_coords), -1, dtype=int)
+    unknown_index[~mask] = np.arange(int(np.sum(~mask)))
+    return node_coords, mask, values, elem_to_global, unknown_index
+
+
 def _case(name):
     if name == "ellipse_k2_J8":
         return ellipse_test1(), gen_quarter_ellipse_mesh(8, 0.5), 2
+    if name == "ellipse_k3_J16":
+        return ellipse_test1(), gen_quarter_ellipse_mesh(16, 0.5), 3
     if name == "annulus_k3_I8_zero":
         return (annulus_test2(extension_mode="zero_outside"),
                 gen_quarter_annulus_mesh(8, 4, 0.5), 3)
+    if name == "annulus_k2_I16":
+        return annulus_test2(), gen_quarter_annulus_mesh(16, 8, 0.5), 2
     return polygon_patch(2), gen_unit_square_mesh(4), 2
 
 
@@ -211,6 +247,48 @@ def test_stacked_kernels_reproduce_the_element_loops(name):
     assert rep.max_nodal_err == float(nodal[~dm.dirichlet_mask].max())
     assert rep.h == float(h.max())
     assert rep.param == 8
+
+
+@pytest.mark.parametrize("name", ["ellipse_k2_J8", "annulus_k3_I8_zero", "polygon_k2_J4",
+                                  "ellipse_k3_J16", "annulus_k2_I16"])
+def test_topological_numbering_reproduces_the_spatial_hash(name):
+    prob, raw, k = _case(name)
+    mesh = classify_elements(raw, prob.geom)
+    lay = element_node_layouts(mesh, prob.geom, k)
+    dm = build_dof_map(mesh, prob.geom, k, dirichlet_data=prob.d, layouts=lay)
+    coords, mask, values, e2g, unknown = _hash_dof_map(mesh, prob.geom, k, prob.d, lay)
+    assert np.array_equal(dm.element_to_global, e2g)
+    assert np.array_equal(dm.node_coords, coords)
+    assert np.array_equal(dm.dirichlet_mask, mask)
+    assert np.array_equal(dm.dirichlet_values, values)
+    assert np.array_equal(dm.unknown_index, unknown)
+    assert dm.n_unknowns == int(np.sum(~mask))
+
+
+def test_one_pass_classification_matches_the_element_loop():
+    for geom, raw in ((ellipse_test1().geom, gen_quarter_ellipse_mesh(8, 0.5)),
+                      (annulus_test2().geom, gen_quarter_annulus_mesh(8, 4, 0.5))):
+        classes = classify_elements(raw, geom).element_class
+        owner = {frozenset(e[:2]): n for n, e in enumerate(raw.boundary_edges)
+                 if e[2] == TAG_DIRICHLET}
+        for t, (i, j, l) in enumerate(raw.triangles):
+            hits = [owner[e] for e in map(frozenset, ((i, j), (j, l), (l, i))) if e in owner]
+            assert classes[t] == (hits[0] if hits else INTERIOR)
+
+
+def test_classification_names_the_first_offender():
+    s = math.sqrt(0.5)
+    verts = [(1.0, 0.0), (s, s), (0.0, 1.0), (0.1, 0.1)]
+    tris = [(0, 2, 3), (0, 1, 2)]
+    geom = annulus_test2().geom
+    two = make_mesh(verts, tris, [(0, 1, "D"), (1, 2, "D"), (2, 3, "S")])
+    with pytest.raises(MeshAssumptionViolated, match="triangle 1 has 2 Dirichlet edges"):
+        classify_elements(two, geom)
+    off = make_mesh(verts, tris, [(1, 2, "D"), (3, 0, "D"), (2, 3, "D")])
+    with pytest.raises(MeshAssumptionViolated,
+                       match=r"Dirichlet edge \(3, 0\) endpoint 3 is off the boundary: "
+                             r"\|g\| = 3\.586e-01 > 1e-10"):
+        classify_elements(off, geom)
 
 
 def test_make_mesh_names_the_first_offender_in_element_order():

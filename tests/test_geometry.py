@@ -1,14 +1,12 @@
-"""Implicit geometry: field values, ray intersection, chord sides."""
+"""Implicit geometry: field values and ray intersection."""
 
 import math
 
 import numpy as np
 import pytest
 
-from shiftfem.errors import AmbiguousEdge, NoConvergence, NoRootInBracket
-from shiftfem.geometry import (COINCIDENT, CURVE_INSIDE_CHORD,
-                               CURVE_OUTSIDE_CHORD, RayIntersectionQuery,
-                               annulus, edge_skin_side, ellipse, polygon,
+from shiftfem.errors import NoConvergence, NoRootInBracket
+from shiftfem.geometry import (RayIntersectionQuery, annulus, ellipse, polygon,
                                ray_boundary_intersection, unit_square)
 
 
@@ -113,31 +111,6 @@ def test_iteration_cap_raises():
     q = RayIntersectionQuery(origin=(0.0, 0.0), through=(0.3, 0.4))
     with pytest.raises(NoConvergence):
         ray_boundary_intersection(geom, q, tol=1e-30, max_iter=1)
-
-
-def test_chord_sides_on_circles():
-    geom = annulus(0.5)
-    s = math.sqrt(0.5)
-    # outer circle bulges away from the chord: skin outside the polygon
-    assert edge_skin_side(geom, (1.0, 0.0), (s, s)) == CURVE_OUTSIDE_CHORD
-    # inner circle: chord midpoint pokes into the hole
-    assert edge_skin_side(geom, (0.5, 0.0), (0.5 * s, 0.5 * s)) == CURVE_INSIDE_CHORD
-
-
-def test_chord_side_on_ellipse():
-    geom = ellipse(0.5)
-    assert edge_skin_side(geom, (0.5, 0.0), (0.0, 1.0)) == CURVE_OUTSIDE_CHORD
-
-
-def test_chord_side_polygon_coincident():
-    geom = unit_square()
-    assert edge_skin_side(geom, (0.0, 0.0), (1.0, 0.0)) == COINCIDENT
-
-
-def test_chord_side_ambiguous_midpoint():
-    geom = annulus(0.5)
-    with pytest.raises(AmbiguousEdge):
-        edge_skin_side(geom, (0.9, 0.0), (1.1, 0.0))
 
 
 def test_vectorized_field_values_match_scalar():

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from shiftfem.errors import InvalidParam, MeshAssumptionViolated
-from shiftfem.geometry import (CURVE_INSIDE_CHORD, CURVE_OUTSIDE_CHORD,
-                               annulus, edge_skin_side, ellipse, unit_square)
+from shiftfem.geometry import annulus, ellipse, unit_square
 from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY,
                            classify_elements, gen_quarter_annulus_mesh,
                            gen_quarter_ellipse_mesh, gen_unit_square_mesh,
@@ -183,27 +182,6 @@ def test_ellipse_center_cells_degrade_but_boundary_cells_stay_regular():
     assert g32 > g8
 
 
-def test_skin_sides_match_domain_convexity():
-    geom = ellipse(0.5)
-    mesh = gen_quarter_ellipse_mesh(8, 0.5)
-    for i1, i2, tag in mesh.boundary_edges:
-        if tag == TAG_DIRICHLET:
-            side = edge_skin_side(geom, mesh.vertices[i1], mesh.vertices[i2])
-            assert side == CURVE_OUTSIDE_CHORD
-
-    geom = annulus(0.5)
-    mesh = gen_quarter_annulus_mesh(8, 4, 0.5)
-    for i1, i2, tag in mesh.boundary_edges:
-        if tag != TAG_DIRICHLET:
-            continue
-        side = edge_skin_side(geom, mesh.vertices[i1], mesh.vertices[i2])
-        r = np.hypot(*mesh.vertices[i1])
-        if abs(r - 0.5) < 1e-9:
-            assert side == CURVE_INSIDE_CHORD
-        else:
-            assert side == CURVE_OUTSIDE_CHORD
-
-
 def test_quarter_pi_angular_override():
     mesh = gen_quarter_annulus_mesh(8, 4, 0.5, theta_max=0.25 * math.pi)
     angles = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
@@ -251,6 +229,37 @@ def test_make_mesh_rejects_nonconforming_input():
     # boundary edge that is not a mesh edge
     with pytest.raises(InvalidParam):
         make_mesh(verts, tris, [(1, 4, TAG_DIRICHLET)])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+def test_nearly_coincident_vertices_rejected(scale):
+    eps = 5e-11
+    verts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, eps), (1.0, 1.0)]) * scale
+    with pytest.raises(InvalidParam, match="triangle 1 is a sliver"):
+        make_mesh(verts[:4], [(0, 1, 2), (1, 3, 2)], [])
+    # the same two vertices in two well-shaped triangles that share no edge
+    with pytest.raises(InvalidParam, match="vertices 1 and 3 coincide"):
+        make_mesh(verts, [(0, 1, 2), (3, 4, 2)], [])
+    make_mesh(verts[[0, 1, 2, 4]], [(0, 1, 2), (1, 3, 2)], [])
+
+
+def test_non_finite_coordinates_rejected():
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, math.nan)]
+    with pytest.raises(InvalidParam, match="must be finite"):
+        make_mesh(verts, [(0, 1, 2)], [])
+
+
+def test_cracked_square_rejected():
+    # the centre vertex of the J=2 square duplicated for half the triangles:
+    # every triangle is fine, but the two halves share no centre node
+    mesh = gen_unit_square_mesh(2)
+    verts = np.vstack((mesh.vertices, mesh.vertices[4]))
+    tris = mesh.triangles.copy()
+    half = tris[len(tris) // 2:]
+    half[half == 4] = len(verts) - 1
+    with pytest.raises(InvalidParam, match="vertices 4 and 9 coincide"):
+        make_mesh(verts, tris, mesh.boundary_edges)
+    make_mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges)
 
 
 @pytest.mark.parametrize("call", [

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from shiftfem.errors import (DuplicateNodeCollision, InconsistentDof,
-                             SingularLocalSystem, UnsupportedDegree)
-from shiftfem.geometry import annulus, ellipse, unit_square
-from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, classify_elements,
+from shiftfem.errors import (InconsistentDof, SingularLocalSystem,
+                             UnsupportedDegree)
+from shiftfem.geometry import annulus, ellipse, polygon, unit_square
+from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY,
+                           classify_elements,
                            gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh,
                            gen_unit_square_mesh, make_mesh)
 from shiftfem.spaces import (DofMap, SpaceSpec, build_dof_map,
@@ -223,6 +224,10 @@ def test_local_bases_reject_mismatched_layouts():
         build_local_bases(mesh, 3, layouts)
     with pytest.raises(InconsistentDof):
         build_local_bases(mesh, 2, layouts[:-1])
+    with pytest.raises(InconsistentDof):
+        build_dof_map(mesh, geom, 3, layouts=layouts)
+    with pytest.raises(InconsistentDof):
+        build_dof_map(mesh, geom, 2, layouts=layouts[:-1])
 
 
 def test_dof_map_single_element_ellipse():
@@ -271,13 +276,38 @@ def test_symmetry_edge_nodes_stay_unknown():
     assert int(axis_unknowns.sum()) == int(on_axis.sum()) - 2
 
 
-def test_nearly_coincident_vertices_rejected():
-    eps = 5e-11
-    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, eps)]
-    tris = [(0, 1, 2), (1, 3, 2)]
-    mesh = classify_elements(make_mesh(verts, tris, []), unit_square())
-    with pytest.raises(DuplicateNodeCollision):
-        build_dof_map(mesh, unit_square(), 2)
+def _scaled_square(J, scale, bottom_tag=TAG_DIRICHLET):
+    base = gen_unit_square_mesh(J)
+    bedges = [(i1, i2, bottom_tag if max(i1, i2) <= J else tag)
+              for i1, i2, tag in base.boundary_edges]
+    geom = polygon([(0.0, 0.0), (scale, 0.0), (scale, scale), (0.0, scale)])
+    return classify_elements(make_mesh(base.vertices * scale, base.triangles, bedges), geom), geom
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-10, 1e5])
+@pytest.mark.parametrize("k", [2, 3])
+def test_square_patch_numbering_is_scale_free(k, scale):
+    J = 8
+    mesh, geom = _scaled_square(J, scale)
+    dm = build_dof_map(mesh, geom, k)
+    assert dm.n_unknowns == (k * J - 1) ** 2
+    ref_mesh, ref_geom = _scaled_square(J, 1.0)
+    ref = build_dof_map(ref_mesh, ref_geom, k)
+    assert np.array_equal(dm.element_to_global, ref.element_to_global)
+    assert np.array_equal(dm.dirichlet_mask, ref.dirichlet_mask)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_symmetry_tagged_polygon_side_keeps_its_nodes(k):
+    # the bottom side of the square tagged "S": its nodes are unknowns
+    # except the two corners, which also lie on "D" sides
+    J = 2
+    mesh, geom = _scaled_square(J, 1.0, bottom_tag=TAG_SYMMETRY)
+    dm = build_dof_map(mesh, geom, k)
+    bottom = dm.node_coords[:, 1] == 0.0
+    assert int(bottom.sum()) == k * J + 1
+    assert int(dm.dirichlet_mask[bottom].sum()) == 2
+    assert dm.n_unknowns == (k * J - 1) ** 2 + k * J - 1
 
 
 def _interior_edges(mesh):
