@@ -171,9 +171,13 @@ def inf_sup_estimate(A, G_test, G_trial) -> float:
 
     Its square is the smallest eigenvalue of A^T G_test^-1 A w = s G_trial w
     (the numerical inf-sup test of Chapelle and Bathe), found by shift-invert
-    Lanczos with one sparse LU of A once :func:`check_spd` passes both Grams.
+    Lanczos with one sparse LU of A. This is the one place the Grams are
+    proved symmetric positive definite: :func:`check_spd` must pass both
+    before A is factored. The Grams stay CSR, which is faster for the
+    Lanczos matvecs than CSC and gives bitwise the same products.
     """
-    A, G_test, G_trial = (sp.csc_matrix(M) for M in (A, G_test, G_trial))
+    A = sp.csc_matrix(A)
+    G_test, G_trial = sp.csr_matrix(G_test), sp.csr_matrix(G_trial)
     n = A.shape[0]
     if A.shape != (n, n) or G_test.shape != (n, n) or G_trial.shape != (n, n):
         raise DimensionMismatch("A and both Gram matrices must be square and same size")

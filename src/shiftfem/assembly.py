@@ -73,9 +73,21 @@ def default_rules(k: int) -> QuadratureRules:
 
 @dataclass(frozen=True)
 class AssembledSystem:
+    """A, the load and the dof map of one mesh, plus the element stiffness
+    blocks :func:`assemble_gram` builds both Gram matrices from.
+
+    ``blocks`` (T, n_k, n_k) are A's element blocks. A shifted element's
+    block is ``B @ C`` for its standard-basis block B and coefficient map C;
+    ``plain_shifted`` (S, n_k, n_k) keeps those B, in the order of
+    ``LocalBases.shifted``. Drop the system once A, the load and the Grams
+    are taken from it: the blocks are about as large as A.
+    """
+
     A: sp.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
+    blocks: np.ndarray
+    plain_shifted: np.ndarray
 
 
 def source_values(problem: ProblemSpec, pts: np.ndarray) -> np.ndarray:
@@ -104,14 +116,23 @@ def _stiffness_blocks(mesh: TriMesh, k: int, rules: QuadratureRules):
     return tris, area, B
 
 
-def _scatter(ui: np.ndarray, blocks: np.ndarray, n: int) -> sp.csr_matrix:
+def _scatter(ui: np.ndarray, blocks: np.ndarray, n: int,
+             shifted: np.ndarray | None = None,
+             shifted_blocks: np.ndarray | None = None) -> sp.csr_matrix:
     """Sum element blocks (T, n_k, n_k) into n x n CSR, dropping the rows and
     columns of locals whose unknown index ``ui`` (T, n_k) is -1. COO entries
-    run element by element, row-major over the free locals."""
+    run element by element, row-major over the free locals. If given,
+    ``shifted_blocks`` (S, n_k, n_k) stand in for the blocks of the sorted
+    elements ``shifted`` (S,), without a copy of ``blocks``."""
     free = (ui[:, :, None] >= 0) & (ui[:, None, :] >= 0)
     rows = np.broadcast_to(ui[:, :, None], blocks.shape)[free]
     cols = np.broadcast_to(ui[:, None, :], blocks.shape)[free]
-    return sp.coo_matrix((blocks[free], (rows, cols)), shape=(n, n)).tocsr()
+    data = blocks[free]
+    if shifted is not None:
+        sub = np.zeros_like(free)
+        sub[shifted] = free[shifted]
+        data[sub[free]] = shifted_blocks[free[shifted]]
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
@@ -132,7 +153,8 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
 
     tris, area, B = _stiffness_blocks(mesh, k, rules)
     s = local_bases.shifted
-    B[s] = B[s] @ local_bases.coeffs
+    plain_shifted = B[s]
+    B[s] = plain_shifted @ local_bases.coeffs
     pts = rules.load.physical_points(tris)
     f = source_values(problem, pts.reshape(-1, 2)).reshape(pts.shape[:2])
     phi_load = eval_basis_bary(k, rules.load.points)
@@ -145,29 +167,30 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     idx = np.broadcast_to(ui[:, None, :], weights.shape)
     free = idx >= 0
     rhs = np.bincount(idx[free], weights[free], minlength=dofmap.n_unknowns)
-    return AssembledSystem(A=_scatter(ui, B, dofmap.n_unknowns), rhs=rhs, dofmap=dofmap)
+    return AssembledSystem(A=_scatter(ui, B, dofmap.n_unknowns), rhs=rhs, dofmap=dofmap,
+                           blocks=B, plain_shifted=plain_shifted)
 
 
-def assemble_gram(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
-                  basis_choice: str = "test_space",
-                  rules: QuadratureRules | None = None) -> sp.csr_matrix:
+def assemble_gram(system: AssembledSystem, local_bases: LocalBases,
+                  basis_choice: str = "test_space") -> sp.csr_matrix:
     """Gradient Gram matrix of the chosen space's basis over the unknowns.
 
-    Verified symmetric positive definite by :func:`check_spd` at every size;
-    failure signals a broken dof map.
+    Built from the element blocks :func:`assemble` made for ``system``, so
+    it uses the same stiffness rule and costs no second block kernel: the
+    test Gram takes A's blocks with the shifted elements' plain blocks
+    restored, the trial Gram ``C^T B C`` on the shifted elements. The result
+    is not checked here; :func:`shiftfem.analysis.inf_sup_estimate` proves
+    both Grams symmetric positive definite with :func:`check_spd` before it
+    uses them (failure signals a broken dof map).
     """
     if basis_choice not in BASIS_CHOICES:
         raise InvalidParam(f"unknown basis_choice {basis_choice!r}")
-    k = degree_of(dofmap.element_to_global.shape[1])
-    if rules is None:
-        rules = default_rules(k)
-    _, _, B = _stiffness_blocks(mesh, k, rules)
+    dofmap, s, B = system.dofmap, local_bases.shifted, system.plain_shifted
     if basis_choice == "trial_space":
-        s, C = local_bases.shifted, local_bases.coeffs
-        B[s] = C.transpose(0, 2, 1) @ B[s] @ C
-    G = _scatter(dofmap.unknown_index[dofmap.element_to_global], B, dofmap.n_unknowns)
-    check_spd(G)
-    return G
+        C = local_bases.coeffs
+        B = C.transpose(0, 2, 1) @ B @ C
+    return _scatter(dofmap.unknown_index[dofmap.element_to_global], system.blocks,
+                    dofmap.n_unknowns, s, B)
 
 
 def check_spd(G) -> None:

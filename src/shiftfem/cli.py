@@ -215,14 +215,18 @@ def run_experiment(cfg: ExperimentConfig,
             dm = build_dof_map(mesh, problem.geom, cfg.k,
                                dirichlet_data=problem.d, layouts=lay)
             sysm = assemble(mesh, dm, bases, problem, rules)
-            srep = solve(sysm.A, sysm.rhs)
-            rep = error_norms(mesh, dm, bases, srep.x, problem.exact, param=param)
-            alpha = None
+            grams = None
             if 0 < dm.n_unknowns <= INFSUP_LIMIT:
-                alpha = inf_sup_estimate(
-                    sysm.A,
-                    assemble_gram(mesh, dm, bases, "test_space", rules=rules),
-                    assemble_gram(mesh, dm, bases, "trial_space", rules=rules))
+                grams = (assemble_gram(sysm, bases, "test_space"),
+                         assemble_gram(sysm, bases, "trial_space"))
+            A, rhs = sysm.A, sysm.rhs
+            # drop the element blocks before the LU, and the Grams once used,
+            # so neither is alive under a later, larger factorization
+            del sysm
+            srep = solve(A, rhs)
+            alpha = None if grams is None else inf_sup_estimate(A, *grams)
+            del grams
+            rep = error_norms(mesh, dm, bases, srep.x, problem.exact, param=param)
             entry = EntryResult(
                 param=param, n_unknowns=dm.n_unknowns, h=rep.h,
                 kt_dev=kt_perturbation_report(bases).max_dev, alpha_h=alpha,

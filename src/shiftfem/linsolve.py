@@ -17,7 +17,6 @@ RESIDUAL_LIMIT = 1e-10
 class SolveReport:
     x: np.ndarray
     residual_norm: float
-    method: str
     nnz: int
 
 
@@ -35,7 +34,7 @@ def solve(A, b: np.ndarray) -> SolveReport:
     if b.shape != (A.shape[0],):
         raise DimensionMismatch(f"rhs has shape {b.shape}, expected ({A.shape[0]},)")
     if A.shape[0] == 0:
-        return SolveReport(x=np.zeros(0), residual_norm=0.0, method="splu", nnz=0)
+        return SolveReport(x=np.zeros(0), residual_norm=0.0, nnz=0)
     try:
         lu = splu(A)
         x = lu.solve(b)
@@ -48,4 +47,4 @@ def solve(A, b: np.ndarray) -> SolveReport:
     rel = resid / bnorm if bnorm > 0 else resid
     if rel > RESIDUAL_LIMIT:
         raise SingularMatrix(f"relative residual {rel:.3e} exceeds {RESIDUAL_LIMIT}")
-    return SolveReport(x=x, residual_norm=rel, method="splu", nnz=int(lu.nnz))
+    return SolveReport(x=x, residual_norm=rel, nnz=int(lu.nnz))

@@ -160,12 +160,28 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
     return TriMesh(verts, tris, bedges, h, rho)
 
 
-def _orient_ccw(verts: np.ndarray, tris: list[list[int]]) -> np.ndarray:
+def _orient_ccw(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Triangles as an (n, 3) array, clockwise ones with vertices 1 and 2 swapped."""
     tris = np.array(tris, dtype=int).reshape(-1, 3)
     cw = _signed_area(*(verts[tris[:, m]].T for m in range(3))) < 0.0
     tris[cw, 1:] = tris[cw, :0:-1]
     return tris
+
+
+def _split_cells(ids: np.ndarray) -> np.ndarray:
+    """Triangles (a, b, c) and (a, c, d) of every cell of the vertex-id grid
+    ``ids[j, i]``, with a = (i, j), b = (i+1, j), c = (i+1, j+1) and
+    d = (i, j+1); cells run row by row, i fastest."""
+    a, b, c, d = ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]
+    return np.stack((np.stack((a, b, c), axis=-1), np.stack((a, c, d), axis=-1)),
+                    axis=2).reshape(-1, 3)
+
+
+def _chain_edges(tag: str, *chains: np.ndarray) -> list[BoundaryEdge]:
+    """Edges (p[n], p[n+1], tag) along vertex-id chains of equal length,
+    taking the n-th edge of every chain in turn."""
+    pairs = np.stack([np.stack((p[:-1], p[1:]), axis=-1) for p in chains], axis=1)
+    return [(a, b, tag) for a, b in pairs.reshape(-1, 2).tolist()]
 
 
 def gen_quarter_ellipse_mesh(J: int, e: float) -> TriMesh:
@@ -187,33 +203,18 @@ def gen_quarter_ellipse_mesh(J: int, e: float) -> TriMesh:
     cos_t[0], sin_t[0] = 1.0, 0.0
     cos_t[J], sin_t[J] = 0.0, 1.0
 
-    def vid(i: int, j: int) -> int:
-        return 0 if j == 0 else 1 + (j - 1) * (J + 1) + i
+    # ids[j, i] is vertex (i, j); the whole ring j=0 is the origin, vertex 0
+    ids = np.zeros((J + 1, J + 1), dtype=int)
+    ids[1:] = np.arange(1, J * (J + 1) + 1).reshape(J, J + 1)
+    r = np.arange(1, J + 1) / J
+    verts = np.zeros((J * (J + 1) + 1, 2))
+    verts[1:, 0] = ((e * r)[:, None] * cos_t).ravel()
+    verts[1:, 1] = (r[:, None] * sin_t).ravel()
 
-    verts = np.empty((J * (J + 1) + 1, 2))
-    verts[0] = (0.0, 0.0)
-    for j in range(1, J + 1):
-        r = j / J
-        for i in range(J + 1):
-            verts[vid(i, j)] = (e * r * cos_t[i], r * sin_t[i])
-
-    tris: list[list[int]] = []
-    for i in range(J):
-        tris.append([vid(i, 1), vid(i + 1, 1), 0])
-    for j in range(1, J):
-        for i in range(J):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append([a, b, c])
-            tris.append([a, c, d])
-    tris = _orient_ccw(verts, tris)
-
-    bedges: list[BoundaryEdge] = []
-    for i in range(J):
-        bedges.append((vid(i, J), vid(i + 1, J), TAG_DIRICHLET))
-    for j in range(J):
-        bedges.append((vid(0, j), vid(0, j + 1), TAG_SYMMETRY))
-        bedges.append((vid(J, j), vid(J, j + 1), TAG_SYMMETRY))
+    fan = np.stack((ids[1, :-1], ids[1, 1:], ids[0, :-1]), axis=-1)
+    tris = _orient_ccw(verts, np.concatenate((fan, _split_cells(ids[1:]))))
+    bedges = (_chain_edges(TAG_DIRICHLET, ids[J])
+              + _chain_edges(TAG_SYMMETRY, ids[:, 0], ids[:, J]))
     return make_mesh(verts, tris, bedges)
 
 
@@ -237,31 +238,13 @@ def gen_quarter_annulus_mesh(I: int, J: int, e: float,
     if theta_max == 0.5 * math.pi:
         cos_t[I], sin_t[I] = 0.0, 1.0
 
-    def vid(i: int, j: int) -> int:
-        return j * (I + 1) + i
+    ids = np.arange((I + 1) * (J + 1)).reshape(J + 1, I + 1)
+    r = e + ((1.0 - e) * np.arange(J + 1)) / J
+    verts = np.stack(((r[:, None] * cos_t).ravel(), (r[:, None] * sin_t).ravel()), axis=-1)
 
-    verts = np.empty(((I + 1) * (J + 1), 2))
-    for j in range(J + 1):
-        r = e + (1.0 - e) * j / J
-        for i in range(I + 1):
-            verts[vid(i, j)] = (r * cos_t[i], r * sin_t[i])
-
-    tris: list[list[int]] = []
-    for j in range(J):
-        for i in range(I):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append([a, b, c])
-            tris.append([a, c, d])
-    tris = _orient_ccw(verts, tris)
-
-    bedges: list[BoundaryEdge] = []
-    for i in range(I):
-        bedges.append((vid(i, 0), vid(i + 1, 0), TAG_DIRICHLET))
-        bedges.append((vid(i, J), vid(i + 1, J), TAG_DIRICHLET))
-    for j in range(J):
-        bedges.append((vid(0, j), vid(0, j + 1), TAG_SYMMETRY))
-        bedges.append((vid(I, j), vid(I, j + 1), TAG_SYMMETRY))
+    tris = _orient_ccw(verts, _split_cells(ids))
+    bedges = (_chain_edges(TAG_DIRICHLET, ids[0], ids[J])
+              + _chain_edges(TAG_SYMMETRY, ids[:, 0], ids[:, I]))
     return make_mesh(verts, tris, bedges)
 
 
@@ -270,26 +253,11 @@ def gen_unit_square_mesh(J: int) -> TriMesh:
     if J < 1:
         raise InvalidParam(f"J must be >= 1, got {J}")
 
-    def vid(i: int, j: int) -> int:
-        return j * (J + 1) + i
-
+    ids = np.arange((J + 1) ** 2).reshape(J + 1, J + 1)
     grid = np.arange(J + 1) / J
-    verts = np.array([(x, y) for y in grid for x in grid])
-    tris: list[list[int]] = []
-    for j in range(J):
-        for i in range(J):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append([a, b, c])
-            tris.append([a, c, d])
-
-    bedges: list[BoundaryEdge] = []
-    for i in range(J):
-        bedges.append((vid(i, 0), vid(i + 1, 0), TAG_DIRICHLET))
-        bedges.append((vid(i, J), vid(i + 1, J), TAG_DIRICHLET))
-        bedges.append((vid(0, i), vid(0, i + 1), TAG_DIRICHLET))
-        bedges.append((vid(J, i), vid(J, i + 1), TAG_DIRICHLET))
-    return make_mesh(verts, tris, bedges)
+    verts = np.stack((np.tile(grid, J + 1), np.repeat(grid, J + 1)), axis=-1)
+    bedges = _chain_edges(TAG_DIRICHLET, ids[0], ids[J], ids[:, 0], ids[:, J])
+    return make_mesh(verts, _split_cells(ids), bedges)
 
 
 def dirichlet_edges(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:

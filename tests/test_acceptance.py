@@ -65,8 +65,8 @@ def _sweep(problem_name, params, k=2, extension_mode="analytic",
         if p <= alpha_upto:
             out["alpha"][p] = inf_sup_estimate(
                 sysm.A,
-                assemble_gram(mesh, dm, bases, "test_space"),
-                assemble_gram(mesh, dm, bases, "trial_space"))
+                assemble_gram(sysm, bases, "test_space"),
+                assemble_gram(sysm, bases, "trial_space"))
     out["elapsed"] = time.perf_counter() - t0
     return out
 

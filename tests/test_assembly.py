@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from shiftfem.assembly import (ProblemSpec, QuadratureRules, assemble,
-                               assemble_gram, default_rules)
+                               assemble_gram, check_spd, default_rules)
 from shiftfem.errors import InconsistentDof, InvalidParam
 from shiftfem.geometry import annulus, ellipse, unit_square
 from shiftfem.linsolve import solve
@@ -209,9 +209,9 @@ def test_nonsymmetry_concentrated_on_boundary_elements():
 def test_gram_equals_stiffness_on_polygon():
     geom = unit_square()
     mesh = classify_elements(gen_unit_square_mesh(3), geom)
-    dm, bases, sys = _pipeline(mesh, geom, 2, polygon_patch(2))
-    g_test = assemble_gram(mesh, dm, bases, "test_space")
-    g_trial = assemble_gram(mesh, dm, bases, "trial_space")
+    _, bases, sys = _pipeline(mesh, geom, 2, polygon_patch(2))
+    g_test = assemble_gram(sys, bases, "test_space")
+    g_trial = assemble_gram(sys, bases, "trial_space")
     assert np.array_equal(g_test.toarray(), sys.A.toarray())
     assert np.array_equal(g_trial.toarray(), sys.A.toarray())
 
@@ -220,10 +220,9 @@ def test_gram_equals_stiffness_on_polygon():
 def test_gram_symmetric_spd_on_curved_mesh(choice):
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(8, 0.5), geom)
-    layouts = element_node_layouts(mesh, geom, 2)
-    bases = build_local_bases(mesh, 2, layouts)
-    dm = build_dof_map(mesh, geom, 2, layouts=layouts)
-    G = assemble_gram(mesh, dm, bases, choice)  # SPD-checked internally
+    _, bases, sys = _pipeline(mesh, geom, 2, ellipse_test1())
+    G = assemble_gram(sys, bases, choice)
+    check_spd(G)
     dense = G.toarray()
     assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -231,11 +230,9 @@ def test_gram_symmetric_spd_on_curved_mesh(choice):
 def test_gram_spaces_differ_on_curved_mesh():
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(4, 0.5), geom)
-    layouts = element_node_layouts(mesh, geom, 2)
-    bases = build_local_bases(mesh, 2, layouts)
-    dm = build_dof_map(mesh, geom, 2, layouts=layouts)
-    g_test = assemble_gram(mesh, dm, bases, "test_space")
-    g_trial = assemble_gram(mesh, dm, bases, "trial_space")
+    _, bases, sys = _pipeline(mesh, geom, 2, ellipse_test1())
+    g_test = assemble_gram(sys, bases, "test_space")
+    g_trial = assemble_gram(sys, bases, "trial_space")
     assert np.max(np.abs((g_test - g_trial).toarray())) > 1e-6
 
 
@@ -251,7 +248,7 @@ def test_invalid_inputs_rejected():
     with pytest.raises(InconsistentDof):
         assemble(mesh, dm, short, polygon_patch(2))
     with pytest.raises(InvalidParam):
-        assemble_gram(mesh, dm, bases2, "both_spaces")
+        assemble_gram(assemble(mesh, dm, bases2, polygon_patch(2)), bases2, "both_spaces")
 
 
 def test_default_rule_degrees():

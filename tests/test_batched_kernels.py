@@ -18,9 +18,10 @@ from shiftfem.assembly import (assemble, assemble_gram, default_rules,
                                source_values)
 from shiftfem.errors import InvalidParam, MeshAssumptionViolated
 from shiftfem.linsolve import solve
-from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, classify_elements,
-                           gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh,
-                           gen_unit_square_mesh, make_mesh)
+from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY, _orient_ccw,
+                           classify_elements, gen_quarter_annulus_mesh,
+                           gen_quarter_ellipse_mesh, gen_unit_square_mesh,
+                           make_mesh)
 from shiftfem.problems import annulus_test2, ellipse_test1, polygon_patch
 from shiftfem.quadrature import rule_for_degree
 from shiftfem.spaces import (build_dof_map, build_local_bases,
@@ -236,7 +237,7 @@ def test_stacked_kernels_reproduce_the_element_loops(name):
     else:
         assert np.array_equal(sysm.rhs, rhs)
     for choice in ("test_space", "trial_space"):
-        assert _exact_csr(assemble_gram(mesh, dm, bases, choice),
+        assert _exact_csr(assemble_gram(sysm, bases, choice),
                           _loop_gram(mesh, dm, coeffs, dev, choice, k))
 
     x = solve(sysm.A, sysm.rhs).x
@@ -309,3 +310,111 @@ def test_make_mesh_names_the_first_offender_in_element_order():
         make_mesh(verts, ok, [(1, 2, "S")])
     with pytest.raises(InvalidParam, match=r"boundary edge \(0, 9\) is not an edge"):
         make_mesh(verts, ok, [(0, 9, "S")])
+
+
+def _loop_ellipse_mesh(J, e):
+    cos_t = np.cos(0.5 * math.pi * np.arange(J + 1) / J)
+    sin_t = np.sin(0.5 * math.pi * np.arange(J + 1) / J)
+    cos_t[0], sin_t[0] = 1.0, 0.0
+    cos_t[J], sin_t[J] = 0.0, 1.0
+
+    def vid(i, j):
+        return 0 if j == 0 else 1 + (j - 1) * (J + 1) + i
+
+    verts = np.empty((J * (J + 1) + 1, 2))
+    verts[0] = (0.0, 0.0)
+    for j in range(1, J + 1):
+        r = j / J
+        for i in range(J + 1):
+            verts[vid(i, j)] = (e * r * cos_t[i], r * sin_t[i])
+    tris = []
+    for i in range(J):
+        tris.append([vid(i, 1), vid(i + 1, 1), 0])
+    for j in range(1, J):
+        for i in range(J):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            tris.append([a, b, c])
+            tris.append([a, c, d])
+    tris = _orient_ccw(verts, tris)
+    bedges = []
+    for i in range(J):
+        bedges.append((vid(i, J), vid(i + 1, J), TAG_DIRICHLET))
+    for j in range(J):
+        bedges.append((vid(0, j), vid(0, j + 1), TAG_SYMMETRY))
+        bedges.append((vid(J, j), vid(J, j + 1), TAG_SYMMETRY))
+    return make_mesh(verts, tris, bedges)
+
+
+def _loop_annulus_mesh(I, J, e, theta_max):
+    cos_t = np.cos(theta_max * np.arange(I + 1) / I)
+    sin_t = np.sin(theta_max * np.arange(I + 1) / I)
+    cos_t[0], sin_t[0] = 1.0, 0.0
+    if theta_max == 0.5 * math.pi:
+        cos_t[I], sin_t[I] = 0.0, 1.0
+
+    def vid(i, j):
+        return j * (I + 1) + i
+
+    verts = np.empty(((I + 1) * (J + 1), 2))
+    for j in range(J + 1):
+        r = e + (1.0 - e) * j / J
+        for i in range(I + 1):
+            verts[vid(i, j)] = (r * cos_t[i], r * sin_t[i])
+    tris = []
+    for j in range(J):
+        for i in range(I):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            tris.append([a, b, c])
+            tris.append([a, c, d])
+    tris = _orient_ccw(verts, tris)
+    bedges = []
+    for i in range(I):
+        bedges.append((vid(i, 0), vid(i + 1, 0), TAG_DIRICHLET))
+        bedges.append((vid(i, J), vid(i + 1, J), TAG_DIRICHLET))
+    for j in range(J):
+        bedges.append((vid(0, j), vid(0, j + 1), TAG_SYMMETRY))
+        bedges.append((vid(I, j), vid(I, j + 1), TAG_SYMMETRY))
+    return make_mesh(verts, tris, bedges)
+
+
+def _loop_square_mesh(J):
+    def vid(i, j):
+        return j * (J + 1) + i
+
+    grid = np.arange(J + 1) / J
+    verts = np.array([(x, y) for y in grid for x in grid])
+    tris = []
+    for j in range(J):
+        for i in range(J):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            tris.append([a, b, c])
+            tris.append([a, c, d])
+    bedges = []
+    for i in range(J):
+        bedges.append((vid(i, 0), vid(i + 1, 0), TAG_DIRICHLET))
+        bedges.append((vid(i, J), vid(i + 1, J), TAG_DIRICHLET))
+        bedges.append((vid(0, i), vid(0, i + 1), TAG_DIRICHLET))
+        bedges.append((vid(J, i), vid(J, i + 1), TAG_DIRICHLET))
+    return make_mesh(verts, tris, bedges)
+
+
+@pytest.mark.parametrize("case", (
+    [("ellipse", J, 0.3) for J in (1, 4, 12, 64)]
+    + [("annulus", I, J, 0.3, theta) for I, J in ((2, 1), (8, 4), (12, 6), (64, 32))
+       for theta in (0.5 * math.pi, 0.25 * math.pi)]
+    + [("square", J) for J in (1, 6, 8)]))
+def test_array_mesh_generators_reproduce_the_loops(case):
+    kind, *args = case
+    new, old = {
+        "ellipse": (gen_quarter_ellipse_mesh, _loop_ellipse_mesh),
+        "annulus": (gen_quarter_annulus_mesh, _loop_annulus_mesh),
+        "square": (gen_unit_square_mesh, _loop_square_mesh),
+    }[kind]
+    got, want = new(*args), old(*args)
+    assert np.array_equal(got.vertices, want.vertices)
+    assert got.triangles.dtype == want.triangles.dtype
+    assert np.array_equal(got.triangles, want.triangles)
+    assert got.boundary_edges == want.boundary_edges

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from shiftfem import analysis
+from shiftfem import analysis, assembly, linsolve
 from shiftfem.analysis import CSV_HEADER
 from shiftfem.cli import (DIAG_HEADER, ENV_OUT_DIR, ExperimentConfig,
                           build_parser, config_from_args, main, markdown_table,
@@ -179,6 +179,31 @@ def test_cli_exit_inf_sup_no_convergence(tmp_path, capsys, monkeypatch):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "param=2" in capsys.readouterr().err
+
+
+def test_work_per_sweep_entry(tmp_path, monkeypatch):
+    """Per entry that reports alpha_h: one element-block kernel, shared by A and
+    both Grams, and four sparse LUs (the solve, one SPD proof per Gram, and
+    the inf-sup factor of A)."""
+    calls = {"splu": 0, "blocks": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (linsolve, assembly, analysis):
+        monkeypatch.setattr(module, "splu", counted("splu", module.splu))
+    monkeypatch.setattr(assembly, "_stiffness_blocks",
+                        counted("blocks", assembly._stiffness_blocks))
+    cfg = ExperimentConfig(problem="ellipse_test1", k=2, sweep=(4, 8),
+                           out_dir=str(tmp_path))
+    run_experiment(cfg)
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
+    with_alpha = sum(1 for row in rows if row.split(",")[4])
+    assert with_alpha == 2
+    assert calls == {"splu": 4 * with_alpha, "blocks": with_alpha}
 
 
 def test_cli_config_file_with_override(tmp_path):
