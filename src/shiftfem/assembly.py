@@ -45,7 +45,8 @@ class ProblemSpec:
     ``extension_mode`` controls how f is evaluated at quadrature points that
     fall outside the true domain (possible when the mesh overshoots a concave
     boundary): ``analytic`` uses the formula as given, ``zero_outside``
-    replaces the value by 0 there.
+    replaces the value by 0 there. A geometry with no curved pieces leaves
+    no skin beyond the mesh, so ``zero_outside`` is rejected for it.
     """
 
     geom: BoundaryGeometry
@@ -57,6 +58,9 @@ class ProblemSpec:
     def __post_init__(self):
         if self.extension_mode not in EXTENSION_MODES:
             raise InvalidParam(f"unknown extension_mode {self.extension_mode!r}")
+        if self.extension_mode == "zero_outside" and not self.geom.pieces:
+            raise InvalidParam(f"extension_mode 'zero_outside' needs a curved boundary; "
+                               f"{self.geom.kind} geometry has none")
 
 
 @dataclass(frozen=True)

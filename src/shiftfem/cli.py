@@ -64,6 +64,9 @@ class ExperimentConfig:
             raise ConfigError("annulus sweep entries are angular counts I = 2J; they must be even")
         if self.extension_mode not in EXTENSION_MODES:
             raise ConfigError(f"extension_mode must be one of {EXTENSION_MODES}")
+        if self.extension_mode == "zero_outside" and self.problem == "polygon_patch":
+            raise ConfigError("extension_mode zero_outside needs a curved boundary; "
+                              "polygon_patch has none")
         if self.angular_range not in ANGULAR_RANGES:
             raise ConfigError(f"angular_range must be one of {tuple(ANGULAR_RANGES)}")
         if self.angular_range != "half_pi" and self.problem != "annulus_test2":
@@ -212,8 +215,7 @@ def run_experiment(cfg: ExperimentConfig,
             mesh = classify_elements(mesh_for(param), problem.geom)
             lay = element_node_layouts(mesh, problem.geom, cfg.k)
             bases = build_local_bases(mesh, cfg.k, lay)
-            dm = build_dof_map(mesh, problem.geom, cfg.k,
-                               dirichlet_data=problem.d, layouts=lay)
+            dm = build_dof_map(mesh, cfg.k, lay, dirichlet_data=problem.d)
             sysm = assemble(mesh, dm, bases, problem, rules)
             grams = None
             if 0 < dm.n_unknowns <= INFSUP_LIMIT:

@@ -98,7 +98,8 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
     Raises InvalidParam on non-finite coordinates, inverted/degenerate
     triangles, out-of-range indices, nonconforming edges (shared by more
     than two triangles), sliver triangles, coincident vertices, bad tags,
-    or boundary edges that are not edges of exactly one triangle. Slivers
+    boundary edges that are not edges of exactly one triangle, or a boundary
+    edge listed twice (in either orientation, with any tags). Slivers
     (inradius) and coincident vertices (distance) are measured against
     MESH_REL_TOL times the bounding-box diameter, so the check does not
     depend on the domain scale; it keeps a duplicated vertex from cracking
@@ -157,6 +158,14 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
         if bad_tag[bad[0]]:
             raise InvalidParam(f"unknown boundary tag {tag!r}")
         raise InvalidParam(f"boundary edge ({i1}, {i2}) is not an edge of exactly one triangle")
+    bcodes = lo * nv + hi
+    order = np.argsort(bcodes, kind="stable")
+    again = np.flatnonzero(bcodes[order[1:]] == bcodes[order[:-1]])
+    if len(again):
+        n = again[np.argmin(order[again + 1])]
+        first, second = order[n], order[n + 1]
+        raise InvalidParam(f"boundary edge {bedges[second]} (listing {second}) repeats "
+                           f"{bedges[first]} (listing {first})")
     return TriMesh(verts, tris, bedges, h, rho)
 
 
@@ -271,16 +280,16 @@ def classify_elements(mesh: TriMesh, geom: BoundaryGeometry,
                       tol: float = 1e-10) -> TriMesh:
     """Fill element_class: each triangle is interior or owns one "D" edge.
 
-    For polygon geometry every element is interior (the mesh boundary is the
-    true boundary, no node relocation happens). For curved geometry every
-    "D" edge endpoint must lie on the boundary within tol and no triangle
-    may own more than one "D" edge; violations raise MeshAssumptionViolated,
+    A geometry with no curved pieces leaves every element interior (the mesh
+    boundary is the true boundary, nothing is shifted). Otherwise every "D"
+    edge endpoint must lie on the boundary within tol and no triangle may
+    own more than one "D" edge; violations raise MeshAssumptionViolated,
     naming the first offending endpoint in boundary-edge order, else the
     first offending triangle. One array pass: the "D" edges are matched to
     triangle edges by their sorted vertex-pair codes (:func:`edge_codes`).
     """
     classes = np.full(mesh.num_triangles, INTERIOR, dtype=int)
-    if geom.kind == "polygon":
+    if not geom.pieces:
         return replace(mesh, element_class=classes)
 
     owner, ends = dirichlet_edges(mesh)
@@ -294,10 +303,9 @@ def classify_elements(mesh: TriMesh, geom: BoundaryGeometry,
     if not len(owner):
         return replace(mesh, element_class=classes)
 
-    # a "D" edge listed twice belongs to its last listing
     dcodes = np.sort(ends, axis=1) @ [mesh.num_vertices, 1]
-    dcodes, last = np.unique(dcodes[::-1], return_index=True)
-    owner = owner[::-1][last]
+    order = np.argsort(dcodes)
+    dcodes, owner = dcodes[order], owner[order]
     codes = edge_codes(mesh.triangles, mesh.num_vertices)
     pos = np.minimum(np.searchsorted(dcodes, codes), len(dcodes) - 1)
     hit = dcodes[pos] == codes

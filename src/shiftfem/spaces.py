@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InconsistentDof, MeshAssumptionViolated,
-                     SingularLocalSystem, UnsupportedDegree)
-from .geometry import BoundaryGeometry, RayIntersectionQuery, ray_boundary_intersection
+from .errors import (InconsistentDof, MeshAssumptionViolated, NoConvergence,
+                     NoRootInBracket, SingularLocalSystem, UnsupportedDegree)
+from .geometry import BoundaryGeometry, ray_boundary_intersection
 from .mesh import INTERIOR, TriMesh, dirichlet_edges, edge_codes
 from .quadrature import triangle_area
 
@@ -152,26 +152,6 @@ def eval_basis_physical(k: int, tri: np.ndarray, pts: np.ndarray):
     return vals, grads
 
 
-def shift_boundary_nodes(tri: np.ndarray, local_edge: int,
-                         geom: BoundaryGeometry, k: int) -> np.ndarray:
-    """Node layout with the curved edge's interior nodes moved onto the boundary.
-
-    ``local_edge`` is the local index of the Dirichlet edge; the ray origin
-    is the opposite vertex. Polygon geometry returns the plain layout.
-    """
-    tri = np.asarray(tri, dtype=float)
-    nodes = lagrange_layout(k, tri)
-    if geom.kind == "polygon":
-        return nodes
-    a, b = tri[local_edge], tri[(local_edge + 1) % 3]
-    origin = tri[(local_edge + 2) % 3]
-    piece = geom.piece_for_edge(a, b)
-    for loc in edge_interior_locals(k, local_edge):
-        q = RayIntersectionQuery(origin=tuple(origin), through=tuple(nodes[loc]))
-        nodes[loc] = ray_boundary_intersection(geom, q, piece=piece)
-    return nodes
-
-
 @dataclass(frozen=True)
 class LocalBases:
     """Stacked basis data of the trial space on T elements.
@@ -212,20 +192,30 @@ def _shifted_elements(mesh: TriMesh) -> np.ndarray:
 def element_node_layouts(mesh: TriMesh, geom: BoundaryGeometry, k: int) -> np.ndarray:
     """(n_elements, n_k, 2) node positions, shifted on boundary elements.
 
-    Every element gets the plain lattice layout; only the elements owning a
-    Dirichlet edge then run the ray solver.
+    Every element gets the plain lattice layout. On an element owning a
+    Dirichlet edge m, each of the edge's k-1 interior nodes then moves onto
+    the curved piece through the edge's ends, along the ray from the
+    opposite vertex. A geometry with no curved pieces moves nothing. A ray
+    failure is re-raised naming the element and its local edge.
     """
     shifted = _shifted_elements(mesh)
     tris = mesh.vertices[mesh.triangles]
     layouts = lagrange_layout(k, tris)
+    if not geom.pieces:
+        return layouts
     for t, m in zip(shifted, _local_dirichlet_edges(mesh, shifted)):
-        layouts[t] = shift_boundary_nodes(tris[t], m, geom, k)
+        tri = tris[t]
+        piece = geom.piece_for_edge(tri[m], tri[(m + 1) % 3])
+        try:
+            for loc in edge_interior_locals(k, m):
+                layouts[t, loc] = ray_boundary_intersection(piece, tri[(m + 2) % 3],
+                                                            layouts[t, loc])
+        except (NoRootInBracket, NoConvergence) as exc:
+            raise type(exc)(f"node layouts: element {t}, edge {m}: {exc}") from exc
     return layouts
 
 
-def build_local_bases(mesh: TriMesh, k: int,
-                      layouts: np.ndarray | None = None,
-                      geom: BoundaryGeometry | None = None) -> LocalBases:
+def build_local_bases(mesh: TriMesh, k: int, layouts: np.ndarray) -> LocalBases:
     """Invert the node-evaluation matrices of the elements owning a Dirichlet edge.
 
     Interior elements keep the unshifted layout and the identity map. On a
@@ -234,10 +224,6 @@ def build_local_bases(mesh: TriMesh, k: int,
     (mesh too coarse) and names the first such element.
     """
     spec = SpaceSpec.for_degree(k)
-    if layouts is None:
-        if geom is None:
-            raise InconsistentDof("need either precomputed layouts or geometry")
-        layouts = element_node_layouts(mesh, geom, k)
     layouts = np.asarray(layouts, dtype=float)
     if layouts.shape != (mesh.num_triangles, spec.n_k, 2):
         raise InconsistentDof(f"expected layouts of shape "
@@ -285,9 +271,8 @@ class DofMap:
         return full
 
 
-def build_dof_map(mesh: TriMesh, geom: BoundaryGeometry, k: int,
-                  dirichlet_data=None,
-                  layouts: np.ndarray | None = None) -> DofMap:
+def build_dof_map(mesh: TriMesh, k: int, layouts: np.ndarray,
+                  dirichlet_data=None) -> DofMap:
     """Number the element nodes globally from the mesh topology; mark Dirichlet.
 
     Each node is owned by a mesh entity: a vertex (its id), an edge (its
@@ -302,8 +287,6 @@ def build_dof_map(mesh: TriMesh, geom: BoundaryGeometry, k: int,
     arrays of the Dirichlet nodes.
     """
     spec = SpaceSpec.for_degree(k)
-    if layouts is None:
-        layouts = element_node_layouts(mesh, geom, k)
     T, nv, per_edge = mesh.num_triangles, mesh.num_vertices, k - 1
     if np.shape(layouts) != (T, spec.n_k, 2):
         raise InconsistentDof(f"expected layouts of shape {(T, spec.n_k, 2)}, "

@@ -52,7 +52,7 @@ def _sweep(problem_name, params, k=2, extension_mode="analytic",
         mesh = classify_elements(_mesh_for(problem_name, p), prob.geom)
         lay = element_node_layouts(mesh, prob.geom, k)
         bases = build_local_bases(mesh, k, lay)
-        dm = build_dof_map(mesh, prob.geom, k, dirichlet_data=prob.d, layouts=lay)
+        dm = build_dof_map(mesh, k, lay, dirichlet_data=prob.d)
         sysm = assemble(mesh, dm, bases, prob)
         x = solve(sysm.A, sysm.rhs).x
         out["reports"].append(error_norms(mesh, dm, bases, x, prob.exact, param=p))
@@ -112,7 +112,7 @@ def test_acceptance_01_patch_test():
         mesh = classify_elements(gen_unit_square_mesh(4), prob.geom)
         lay = element_node_layouts(mesh, prob.geom, k)
         bases = build_local_bases(mesh, k, lay)
-        dm = build_dof_map(mesh, prob.geom, k, dirichlet_data=prob.d, layouts=lay)
+        dm = build_dof_map(mesh, k, lay, dirichlet_data=prob.d)
         sysm = assemble(mesh, dm, bases, prob)
         x = solve(sysm.A, sysm.rhs).x
         r = error_norms(mesh, dm, bases, x, prob.exact, param=4)

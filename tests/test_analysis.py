@@ -43,7 +43,7 @@ def _solve_problem(prob, mesh, k=2):
     mesh = classify_elements(mesh, prob.geom)
     lay = element_node_layouts(mesh, prob.geom, k)
     bases = build_local_bases(mesh, k, lay)
-    dm = build_dof_map(mesh, prob.geom, k, dirichlet_data=prob.d, layouts=lay)
+    dm = build_dof_map(mesh, k, lay, dirichlet_data=prob.d)
     sysm = assemble(mesh, dm, bases, prob)
     x = solve(sysm.A, sysm.rhs).x
     return mesh, dm, bases, sysm, x

@@ -25,7 +25,7 @@ from shiftfem.spaces import (build_dof_map, build_local_bases,
 def _pipeline(mesh, geom, k, problem):
     layouts = element_node_layouts(mesh, geom, k)
     bases = build_local_bases(mesh, k, layouts)
-    dm = build_dof_map(mesh, geom, k, dirichlet_data=problem.d, layouts=layouts)
+    dm = build_dof_map(mesh, k, layouts, dirichlet_data=problem.d)
     return dm, bases, assemble(mesh, dm, bases, problem)
 
 
@@ -162,7 +162,7 @@ def test_zero_extension_touches_only_inner_ring_rows():
     mesh = classify_elements(gen_quarter_annulus_mesh(4, 2, 0.5), geom)
     layouts = element_node_layouts(mesh, geom, 2)
     bases = build_local_bases(mesh, 2, layouts)
-    dm = build_dof_map(mesh, geom, 2, layouts=layouts)
+    dm = build_dof_map(mesh, 2, layouts)
     rules = QuadratureRules(stiffness=rule_for_degree(2), load=rule_for_degree(8))
     s1 = assemble(mesh, dm, bases, annulus_test2(extension_mode="analytic"), rules)
     s2 = assemble(mesh, dm, bases, annulus_test2(extension_mode="zero_outside"), rules)
@@ -239,9 +239,9 @@ def test_gram_spaces_differ_on_curved_mesh():
 def test_invalid_inputs_rejected():
     geom = unit_square()
     mesh = classify_elements(gen_unit_square_mesh(2), geom)
-    dm = build_dof_map(mesh, geom, 2)
-    bases2 = build_local_bases(mesh, 2, geom=geom)
-    bases3 = build_local_bases(mesh, 3, geom=geom)
+    dm = build_dof_map(mesh, 2, element_node_layouts(mesh, geom, 2))
+    bases2 = build_local_bases(mesh, 2, element_node_layouts(mesh, geom, 2))
+    bases3 = build_local_bases(mesh, 3, element_node_layouts(mesh, geom, 3))
     with pytest.raises(InconsistentDof):
         assemble(mesh, dm, bases3, polygon_patch(2))
     short = replace(bases2, nodes=bases2.nodes[:-1], kt_deviation=bases2.kt_deviation[:-1])

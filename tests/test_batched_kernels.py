@@ -24,10 +24,11 @@ from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY, _orient_ccw,
                            make_mesh)
 from shiftfem.problems import annulus_test2, ellipse_test1, polygon_patch
 from shiftfem.quadrature import rule_for_degree
+from shiftfem.geometry import ray_boundary_intersection
 from shiftfem.spaces import (build_dof_map, build_local_bases,
-                             element_node_layouts,
+                             edge_interior_locals, element_node_layouts,
                              eval_basis_bary, eval_basis_bary_grad,
-                             lagrange_layout, shift_boundary_nodes)
+                             lagrange_layout)
 
 
 def _area(tri):
@@ -66,13 +67,16 @@ def _loop_layouts(mesh, geom, k):
     out = []
     for t, tri_ids in enumerate(mesh.triangles):
         tri = mesh.triangle_coords(t)
+        nodes = lagrange_layout(k, tri)
         edge = mesh.dirichlet_edge_of(t)
-        if edge is None:
-            out.append(lagrange_layout(k, tri))
-            continue
-        m = next(m for m in range(3)
-                 if {tri_ids[m], tri_ids[(m + 1) % 3]} == {edge[0], edge[1]})
-        out.append(shift_boundary_nodes(tri, m, geom, k))
+        if edge is not None and geom.pieces:
+            m = next(m for m in range(3)
+                     if {tri_ids[m], tri_ids[(m + 1) % 3]} == {edge[0], edge[1]})
+            piece = geom.piece_for_edge(tri[m], tri[(m + 1) % 3])
+            for loc in edge_interior_locals(k, m):
+                nodes[loc] = ray_boundary_intersection(piece, tuple(tri[(m + 2) % 3]),
+                                                       tuple(nodes[loc]))
+        out.append(nodes)
     return np.array(out)
 
 
@@ -161,7 +165,9 @@ def _loop_errors(mesh, dm, coeffs, full, exact, k):
 
 def _hash_dof_map(mesh, geom, k, dirichlet_data, layouts):
     """Global numbering by merging element nodes closer than 1e-10 (a 1e-6
-    spatial hash); Dirichlet iff |g| <= 1e-9 at the node."""
+    spatial hash); Dirichlet iff |g| <= 1e-9 at the node, where g of a
+    geometry without curved pieces is the distance to the unit square's
+    boundary."""
     n_k = layouts.shape[1]
     cell, tol = 1e-6, 1e-10
     buckets, coords = {}, []
@@ -181,7 +187,11 @@ def _hash_dof_map(mesh, geom, k, dirichlet_data, layouts):
                 buckets.setdefault((cx, cy), []).append(found)
             elem_to_global[t, loc] = found
     node_coords = np.array(coords)
-    mask = np.abs(geom.value_many(node_coords)) <= 1e-9
+    if geom.pieces:
+        g = geom.value_many(node_coords)
+    else:
+        g = np.min(np.hstack((node_coords, 1.0 - node_coords)), axis=1)
+    mask = np.abs(g) <= 1e-9
     values = np.zeros(len(node_coords))
     if dirichlet_data is not None:
         for i in np.flatnonzero(mask):
@@ -228,7 +238,7 @@ def test_stacked_kernels_reproduce_the_element_loops(name):
     assert np.array_equal(bases.kt_deviation, dev)
     assert kt_perturbation_report(bases).max_dev == max(dev)
 
-    dm = build_dof_map(mesh, prob.geom, k, dirichlet_data=prob.d, layouts=lay)
+    dm = build_dof_map(mesh, k, lay, dirichlet_data=prob.d)
     sysm = assemble(mesh, dm, bases, prob)
     A, rhs = _loop_assemble(mesh, dm, coeffs, dev, prob, k)
     assert _exact_csr(sysm.A, A)
@@ -256,7 +266,7 @@ def test_topological_numbering_reproduces_the_spatial_hash(name):
     prob, raw, k = _case(name)
     mesh = classify_elements(raw, prob.geom)
     lay = element_node_layouts(mesh, prob.geom, k)
-    dm = build_dof_map(mesh, prob.geom, k, dirichlet_data=prob.d, layouts=lay)
+    dm = build_dof_map(mesh, k, lay, dirichlet_data=prob.d)
     coords, mask, values, e2g, unknown = _hash_dof_map(mesh, prob.geom, k, prob.d, lay)
     assert np.array_equal(dm.element_to_global, e2g)
     assert np.array_equal(dm.node_coords, coords)

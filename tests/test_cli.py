@@ -54,6 +54,7 @@ def test_config_defaults_match_reference_experiment():
     {"angular_range": "full_pi"},
     {"angular_range": "quarter_pi"},  # only annulus supports it
     {"stiffness_degree": 17},
+    {"problem": "polygon_patch", "extension_mode": "zero_outside"},
 ])
 def test_config_validation_rejects(kw):
     with pytest.raises(ConfigError):
@@ -168,6 +169,17 @@ def test_cli_exit_numerical_failure(tmp_path, capsys):
     rc = main(["run", "--config", str(path)])
     assert rc == 2
     assert "param=2" in capsys.readouterr().err
+
+
+def test_ray_failure_names_stage_and_element(tmp_path, capsys):
+    # e = 0.95 leaves the I=4 annulus mesh too coarse: a ray from the outer
+    # arc's opposite vertex misses the outer circle inside its bracket
+    rc = main(["run", "--problem", "annulus_test2", "--e", "0.95", "--sweep", "4",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("sweep entry param=4: node layouts: element 0, edge 2: "
+            "no sign change of g in bracket (0.5, 2.0)") in err
 
 
 def test_cli_exit_inf_sup_no_convergence(tmp_path, capsys, monkeypatch):

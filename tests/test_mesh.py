@@ -69,21 +69,15 @@ def test_generated_meshes_are_counterclockwise():
 def test_ellipse_dirichlet_endpoints_on_boundary(J):
     geom = ellipse(0.5)
     mesh = gen_quarter_ellipse_mesh(J, 0.5)
-    for i1, i2, tag in mesh.boundary_edges:
-        if tag != TAG_DIRICHLET:
-            continue
-        for v in (i1, i2):
-            assert abs(geom.value(*mesh.vertices[v])) <= 1e-12
+    ends = [e[:2] for e in mesh.boundary_edges if e[2] == TAG_DIRICHLET]
+    assert np.max(np.abs(geom.value_many(mesh.vertices[np.ravel(ends)]))) <= 1e-12
 
 
 def test_annulus_dirichlet_endpoints_on_boundary():
     geom = annulus(0.5)
     mesh = gen_quarter_annulus_mesh(8, 4, 0.5)
-    for i1, i2, tag in mesh.boundary_edges:
-        if tag != TAG_DIRICHLET:
-            continue
-        for v in (i1, i2):
-            assert abs(geom.value(*mesh.vertices[v])) <= 1e-12
+    ends = [e[:2] for e in mesh.boundary_edges if e[2] == TAG_DIRICHLET]
+    assert np.max(np.abs(geom.value_many(mesh.vertices[np.ravel(ends)]))) <= 1e-12
 
 
 def test_classification_counts_boundary_elements():
@@ -102,6 +96,15 @@ def test_classification_counts_boundary_elements():
 def test_polygon_classification_is_all_interior():
     mesh = classify_elements(gen_unit_square_mesh(2), unit_square())
     assert np.all(mesh.element_class == INTERIOR)
+
+
+def test_boundary_edge_listed_twice_rejected():
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    with pytest.raises(InvalidParam, match=r"boundary edge \(2, 1, 'S'\) \(listing 2\) "
+                                           r"repeats \(1, 2, 'D'\) \(listing 0\)"):
+        make_mesh(verts, [(0, 1, 2)], [(1, 2, "D"), (0, 1, "S"), (2, 1, "S")])
+    with pytest.raises(InvalidParam, match=r"\(0, 1, 'D'\) \(listing 1\) repeats"):
+        make_mesh(verts, [(0, 1, 2)], [(0, 1, "D"), (0, 1, "D")])
 
 
 def test_unclassified_mesh_rejects_element_queries():

@@ -98,3 +98,10 @@ def test_by_name_dispatch_and_validation():
     with pytest.raises(InvalidParam):
         ProblemSpec(geom=ellipse_test1().geom, f=lambda x, y: 0.0,
                     extension_mode="extrapolate")
+
+
+def test_zero_extension_needs_a_curved_boundary():
+    square = polygon_patch(2).geom
+    with pytest.raises(InvalidParam, match="'zero_outside' needs a curved boundary"):
+        ProblemSpec(geom=square, f=lambda x, y: 0.0, extension_mode="zero_outside")
+    ProblemSpec(geom=square, f=lambda x, y: 0.0)

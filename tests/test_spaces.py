@@ -7,7 +7,9 @@ import pytest
 
 from shiftfem.errors import (InconsistentDof, SingularLocalSystem,
                              UnsupportedDegree)
-from shiftfem.geometry import annulus, ellipse, polygon, unit_square
+from shiftfem import spaces
+from shiftfem.geometry import (annulus, ellipse, polygon, ray_boundary_intersection,
+                               unit_square)
 from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY,
                            classify_elements,
                            gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh,
@@ -15,8 +17,7 @@ from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY,
 from shiftfem.spaces import (DofMap, SpaceSpec, build_dof_map,
                              build_local_bases,
                              edge_interior_locals, element_node_layouts,
-                             eval_basis_physical, eval_uh, lagrange_layout,
-                             shift_boundary_nodes)
+                             eval_basis_physical, eval_uh, lagrange_layout)
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -96,19 +97,26 @@ def test_polynomial_reproduction_by_standard_basis(k):
     assert np.max(np.abs(got - want)) <= 1e-9
 
 
+def _ref_triangle_layout(geom, k):
+    """Layout of REF_TRI with its edge 1, (1,0) -> (0,1), tagged "D"."""
+    mesh = make_mesh(REF_TRI, [(0, 1, 2)],
+                     [(0, 1, TAG_SYMMETRY), (1, 2, TAG_DIRICHLET), (2, 0, TAG_SYMMETRY)])
+    return element_node_layouts(classify_elements(mesh, geom), geom, k)[0]
+
+
 def test_shift_is_identity_on_polygon():
-    nodes = shift_boundary_nodes(REF_TRI, 1, unit_square(), 2)
+    nodes = _ref_triangle_layout(polygon(REF_TRI), 2)
     assert np.array_equal(nodes, lagrange_layout(2, REF_TRI))
 
 
 def test_shift_on_unit_circle_chord():
-    # edge 1 runs (1,0) -> (0,1); rays from the origin are radial
+    # rays from the origin are radial
     geom = annulus(0.5)
-    nodes2 = shift_boundary_nodes(REF_TRI, 1, geom, 2)
+    nodes2 = _ref_triangle_layout(geom, 2)
     s = math.sqrt(0.5)
     assert np.allclose(nodes2[edge_interior_locals(2, 1)[0]], (s, s), atol=1e-12)
 
-    nodes3 = shift_boundary_nodes(REF_TRI, 1, geom, 3)
+    nodes3 = _ref_triangle_layout(geom, 3)
     locs = edge_interior_locals(3, 1)
     r5 = math.sqrt(5.0)
     assert np.allclose(nodes3[locs[0]], (2.0 / r5, 1.0 / r5), atol=1e-12)
@@ -117,6 +125,26 @@ def test_shift_on_unit_circle_chord():
     plain = lagrange_layout(3, REF_TRI)
     untouched = [i for i in range(10) if i not in locs]
     assert np.array_equal(nodes3[untouched], plain[untouched])
+
+
+@pytest.mark.parametrize("geom, raw, k, n_calls", [
+    (ellipse(0.5), gen_quarter_ellipse_mesh(8, 0.5), 2, 8),
+    (annulus(0.5), gen_quarter_annulus_mesh(8, 4, 0.5), 3, 32),
+])
+def test_layouts_make_one_ray_call_per_moved_node(monkeypatch, geom, raw, k, n_calls):
+    # the ray solver is looked up in shiftfem.spaces on every call, once per
+    # moved node (k-1 per shifted element), so wrapping it there counts the
+    # ray work
+    calls = []
+
+    def counted(piece, origin, through):
+        calls.append(piece.name)
+        return ray_boundary_intersection(piece, origin, through)
+
+    monkeypatch.setattr(spaces, "ray_boundary_intersection", counted)
+    mesh = classify_elements(raw, geom)
+    element_node_layouts(mesh, geom, k)
+    assert len(calls) == (k - 1) * int(np.sum(mesh.element_class != INTERIOR)) == n_calls
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -132,7 +160,7 @@ def test_shifted_nodes_land_on_boundary(k):
         for loc in range(len(plain)):
             if moved[loc] > 0:
                 x, y = layouts[t, loc]
-                assert abs(geom.value(x, y)) <= 1e-12
+                assert abs(geom.value_many([(x, y)])[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -157,7 +185,7 @@ def test_shift_distance_scales_with_h_squared(k):
 def test_interior_local_basis_is_exact_identity():
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(4, 0.5), geom)
-    bases = build_local_bases(mesh, 2, geom=geom)
+    bases = build_local_bases(mesh, 2, element_node_layouts(mesh, geom, 2))
     interior = np.flatnonzero(mesh.element_class == INTERIOR)
     assert len(interior) == mesh.num_triangles - 4
     assert np.array_equal(bases.shifted, np.flatnonzero(mesh.element_class != INTERIOR))
@@ -187,7 +215,7 @@ def test_kt_deviation_halves_per_refinement(k):
     devs = []
     for J in (8, 16, 32):
         mesh = classify_elements(gen_quarter_ellipse_mesh(J, 0.5), geom)
-        bases = build_local_bases(mesh, k, geom=geom)
+        bases = build_local_bases(mesh, k, element_node_layouts(mesh, geom, k))
         devs.append(bases.kt_deviation.max())
     for coarse, fine in zip(devs, devs[1:]):
         assert 1.5 <= coarse / fine <= 3.0
@@ -196,7 +224,7 @@ def test_kt_deviation_halves_per_refinement(k):
 def test_annulus_rings_have_comparable_deviations():
     geom = annulus(0.5)
     mesh = classify_elements(gen_quarter_annulus_mesh(16, 8, 0.5), geom)
-    bases = build_local_bases(mesh, 2, geom=geom)
+    bases = build_local_bases(mesh, 2, element_node_layouts(mesh, geom, 2))
     inner, outer = [], []
     for t in bases.shifted:
         edge = mesh.dirichlet_edge_of(t)
@@ -225,29 +253,30 @@ def test_local_bases_reject_mismatched_layouts():
     with pytest.raises(InconsistentDof):
         build_local_bases(mesh, 2, layouts[:-1])
     with pytest.raises(InconsistentDof):
-        build_dof_map(mesh, geom, 3, layouts=layouts)
+        build_dof_map(mesh, 3, layouts)
     with pytest.raises(InconsistentDof):
-        build_dof_map(mesh, geom, 2, layouts=layouts[:-1])
+        build_dof_map(mesh, 2, layouts[:-1])
 
 
 def test_dof_map_single_element_ellipse():
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(1, 0.5), geom)
-    dm = build_dof_map(mesh, geom, 2)
+    dm = build_dof_map(mesh, 2, element_node_layouts(mesh, geom, 2))
     assert dm.n_nodes == 6
     assert int(dm.dirichlet_mask.sum()) == 3
     assert dm.n_unknowns == 3
     # the Dirichlet set is the two arc endpoints plus the relocated node
     for i in np.nonzero(dm.dirichlet_mask)[0]:
-        assert abs(geom.value(*dm.node_coords[i])) <= 1e-9
+        assert abs(geom.value_many(dm.node_coords[i:i + 1])[0]) <= 1e-9
 
 
 def test_dof_map_dirichlet_values():
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(2, 0.5), geom)
-    dm0 = build_dof_map(mesh, geom, 2)
+    dm0 = build_dof_map(mesh, 2, element_node_layouts(mesh, geom, 2))
     assert np.all(dm0.dirichlet_values == 0.0)
-    dm = build_dof_map(mesh, geom, 2, dirichlet_data=lambda x, y: x + 2.0 * y)
+    dm = build_dof_map(mesh, 2, element_node_layouts(mesh, geom, 2),
+                       dirichlet_data=lambda x, y: x + 2.0 * y)
     for i in range(dm.n_nodes):
         if dm.dirichlet_mask[i]:
             x, y = dm.node_coords[i]
@@ -260,16 +289,16 @@ def test_dof_map_dirichlet_values():
 def test_square_patch_unknown_counts(J):
     geom = unit_square()
     mesh = classify_elements(gen_unit_square_mesh(J), geom)
-    dm2 = build_dof_map(mesh, geom, 2)
+    dm2 = build_dof_map(mesh, 2, element_node_layouts(mesh, geom, 2))
     assert dm2.n_unknowns == (2 * J - 1) ** 2
-    dm3 = build_dof_map(mesh, geom, 3)
+    dm3 = build_dof_map(mesh, 3, element_node_layouts(mesh, geom, 3))
     assert dm3.n_unknowns == (3 * J - 1) ** 2
 
 
 def test_symmetry_edge_nodes_stay_unknown():
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(4, 0.5), geom)
-    dm = build_dof_map(mesh, geom, 2)
+    dm = build_dof_map(mesh, 2, element_node_layouts(mesh, geom, 2))
     on_axis = (np.abs(dm.node_coords[:, 0]) < 1e-14) | (np.abs(dm.node_coords[:, 1]) < 1e-14)
     axis_unknowns = (~dm.dirichlet_mask) & on_axis
     # all axis nodes except the two arc endpoints are unknowns
@@ -289,10 +318,10 @@ def _scaled_square(J, scale, bottom_tag=TAG_DIRICHLET):
 def test_square_patch_numbering_is_scale_free(k, scale):
     J = 8
     mesh, geom = _scaled_square(J, scale)
-    dm = build_dof_map(mesh, geom, k)
+    dm = build_dof_map(mesh, k, element_node_layouts(mesh, geom, k))
     assert dm.n_unknowns == (k * J - 1) ** 2
     ref_mesh, ref_geom = _scaled_square(J, 1.0)
-    ref = build_dof_map(ref_mesh, ref_geom, k)
+    ref = build_dof_map(ref_mesh, k, element_node_layouts(ref_mesh, ref_geom, k))
     assert np.array_equal(dm.element_to_global, ref.element_to_global)
     assert np.array_equal(dm.dirichlet_mask, ref.dirichlet_mask)
 
@@ -303,7 +332,7 @@ def test_symmetry_tagged_polygon_side_keeps_its_nodes(k):
     # except the two corners, which also lie on "D" sides
     J = 2
     mesh, geom = _scaled_square(J, 1.0, bottom_tag=TAG_SYMMETRY)
-    dm = build_dof_map(mesh, geom, k)
+    dm = build_dof_map(mesh, k, element_node_layouts(mesh, geom, k))
     bottom = dm.node_coords[:, 1] == 0.0
     assert int(bottom.sum()) == k * J + 1
     assert int(dm.dirichlet_mask[bottom].sum()) == 2
@@ -325,7 +354,7 @@ def test_trial_functions_continuous_across_interior_edges(k):
     mesh = classify_elements(gen_quarter_ellipse_mesh(4, 0.5), geom)
     layouts = element_node_layouts(mesh, geom, k)
     bases = build_local_bases(mesh, k, layouts)
-    dm = build_dof_map(mesh, geom, k, layouts=layouts)
+    dm = build_dof_map(mesh, k, layouts)
     rng = np.random.default_rng(777)
     coeffs = rng.standard_normal(dm.n_nodes)
     for (a, b), (t1, t2) in _interior_edges(mesh):
@@ -367,7 +396,7 @@ def test_eval_uh_reproduces_global_polynomial(k):
     mesh = classify_elements(gen_quarter_ellipse_mesh(4, 0.5), geom)
     layouts = element_node_layouts(mesh, geom, k)
     bases = build_local_bases(mesh, k, layouts)
-    dm = build_dof_map(mesh, geom, k, layouts=layouts)
+    dm = build_dof_map(mesh, k, layouts)
     coeffs = np.array([poly(x, y) for x, y in dm.node_coords])
     rng = np.random.default_rng(555)
     for t in rng.choice(mesh.num_triangles, size=10, replace=False):
@@ -380,8 +409,8 @@ def test_eval_uh_reproduces_global_polynomial(k):
 def test_eval_uh_zero_coefficients():
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(2, 0.5), geom)
-    bases = build_local_bases(mesh, 2, geom=geom)
-    dm = build_dof_map(mesh, geom, 2)
+    bases = build_local_bases(mesh, 2, element_node_layouts(mesh, geom, 2))
+    dm = build_dof_map(mesh, 2, element_node_layouts(mesh, geom, 2))
     out = eval_uh(dm, bases, np.zeros(dm.n_nodes), 0, (0.1, 0.1))
     assert out.value == 0.0
     assert np.array_equal(out.gradient, [0.0, 0.0])
