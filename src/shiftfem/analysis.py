@@ -7,12 +7,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .assembly import ExactSolution, check_spd, element_geometry
-from .errors import (DimensionMismatch, MissingExact, NoConvergence,
-                     NonDyadicSequence)
+from .assembly import ExactSolution, ShiftUpdate, check_spd, element_geometry
+from .errors import DimensionMismatch, MissingExact, NonDyadicSequence
 from .mesh import INTERIOR, TriMesh
 from .quadrature import rule_for_degree
 from .spaces import (DofMap, LocalBases, degree_of, eval_basis_bary,
@@ -166,41 +163,59 @@ def kt_perturbation_report(local_bases: LocalBases) -> KtReport:
                     dev_vs_h=tuple(zip(h.tolist(), dev[moved].tolist())))
 
 
-def inf_sup_estimate(A, G_test, G_trial) -> float:
+# Right-hand sides per Gram solve: r columns at once would hold an n x r
+# dense block, as large as a Gram factor on fine meshes.
+SOLVE_BLOCK = 8
+
+
+def _inner(lu, X) -> np.ndarray:
+    """X^T G^-1 X for the factor ``lu`` of G and sparse X (n, r)."""
+    out = np.empty((X.shape[1], X.shape[1]))
+    for j in range(0, X.shape[1], SOLVE_BLOCK):
+        out[:, j:j + SOLVE_BLOCK] = X.T @ lu.solve(X[:, j:j + SOLVE_BLOCK].toarray())
+    return out
+
+
+def inf_sup_estimate(G_test, G_trial, update: ShiftUpdate) -> float:
     """Discrete inf over trial w of sup over test v of a_h(w, v) / (|w|_1 |v|_1).
 
-    Its square is the smallest eigenvalue of A^T G_test^-1 A w = s G_trial w
-    (the numerical inf-sup test of Chapelle and Bathe), found by shift-invert
-    Lanczos with one sparse LU of A. This is the one place the Grams are
-    proved symmetric positive definite: :func:`check_spd` must pass both
-    before A is factored. The Grams stay CSR, which is faster for the
-    Lanczos matvecs than CSC and gives bitwise the same products.
+    Its square is the smallest eigenvalue s of A^T G_test^-1 A w = s G_trial w,
+    the numerical inf-sup test of Chapelle and Bathe. The trial space differs
+    from the test space only at the r moved boundary nodes, so with N, L and
+    Q of ``update`` (see :class:`ShiftUpdate`), A = G_test + N L^T and
+
+        A^T G_test^-1 A - G_trial = L R L^T,    R = N^T G_test^-1 N - Q.
+
+    The plain stiffness over the unknowns and the moved nodes is
+    [[G_test, N], [N^T, Q]], positive semidefinite like every stiffness, and
+    -R is its Schur complement with respect to G_test, so R <= 0. Hence
+    A^T G_test^-1 A <= G_trial: every s is at most 1, and alpha_h <= 1. The
+    eigenvalues s - 1 of G_trial^-1 L R L^T other than 0 are those of
+    Z^T R Z, where Z Z^T = L^T G_trial^-1 L, so
+
+        alpha_h^2 = 1 + min(0, lambda_min(Z^T R Z)).
+
+    That takes r solves with each Gram's factor, one at a time, and two
+    r x r symmetric eigenproblems: no factor of A and no iteration. This is
+    the one place the Grams are proved symmetric positive definite, by the
+    :func:`check_spd` that builds those factors; both are proved even when
+    r = 0, where alpha_h is exactly 1.
     """
-    A = sp.csc_matrix(A)
-    G_test, G_trial = sp.csr_matrix(G_test), sp.csr_matrix(G_trial)
-    n = A.shape[0]
-    if A.shape != (n, n) or G_test.shape != (n, n) or G_trial.shape != (n, n):
-        raise DimensionMismatch("A and both Gram matrices must be square and same size")
+    N, L, Q = update.N, update.L, update.Q
+    n, r = N.shape
+    if G_test.shape != (n, n) or G_trial.shape != (n, n) or L.shape != (n, r) \
+            or Q.shape != (r, r):
+        raise DimensionMismatch("both Gram matrices must be n x n, N and L n x r, Q r x r")
     if n == 0:
         raise DimensionMismatch("the inf-sup estimate needs at least one unknown")
-    check_spd(G_test)
-    check_spd(G_trial)
-    if n == 1:  # ARPACK needs k < n
-        return abs(float(A[0, 0])) / math.sqrt(float(G_test[0, 0]) * float(G_trial[0, 0]))
-    try:
-        lu = splu(A)
-    except RuntimeError:  # exactly singular A: no inf-sup stability at all
-        return 0.0
-    # OPinv = (A^T G_test^-1 A)^-1 = A^-1 G_test A^-T. Shift-invert mode applies
-    # only OPinv and M; a fixed start vector keeps repeated runs bit-identical.
-    op_inv = LinearOperator((n, n), dtype=float,
-                            matvec=lambda x: lu.solve(G_test @ lu.solve(x, trans="T")))
-    try:
-        sigma2 = eigsh(op_inv, k=1, M=G_trial, sigma=0.0, OPinv=op_inv,
-                       v0=np.ones(n), return_eigenvectors=False)
-    except ArpackError as exc:  # includes ArpackNoConvergence
-        raise NoConvergence(f"inf-sup eigenvalue iteration failed: {exc}") from exc
-    return math.sqrt(max(float(sigma2[0]), 0.0))
+    R = _inner(check_spd(G_test), N) - Q
+    W = _inner(check_spd(G_trial), L)
+    if r == 0:
+        return 1.0
+    w, V = np.linalg.eigh(W)
+    Z = V * np.sqrt(np.maximum(w, 0.0))
+    lam = float(np.linalg.eigvalsh(Z.T @ R @ Z)[0])
+    return math.sqrt(max(1.0 + min(lam, 0.0), 0.0))
 
 
 def _csv_num(v) -> str:

@@ -83,8 +83,9 @@ class AssembledSystem:
     ``blocks`` (T, n_k, n_k) are A's element blocks. A shifted element's
     block is ``B @ C`` for its standard-basis block B and coefficient map C;
     ``plain_shifted`` (S, n_k, n_k) keeps those B, in the order of
-    ``LocalBases.shifted``. Drop the system once A, the load and the Grams
-    are taken from it: the blocks are about as large as A.
+    ``LocalBases.shifted``. Drop the system once A, the load, the Grams and
+    the :func:`shift_update` are taken from it: the blocks are about as large
+    as A.
     """
 
     A: sp.csr_matrix
@@ -184,8 +185,8 @@ def assemble_gram(system: AssembledSystem, local_bases: LocalBases,
     test Gram takes A's blocks with the shifted elements' plain blocks
     restored, the trial Gram ``C^T B C`` on the shifted elements. The result
     is not checked here; :func:`shiftfem.analysis.inf_sup_estimate` proves
-    both Grams symmetric positive definite with :func:`check_spd` before it
-    uses them (failure signals a broken dof map).
+    both Grams symmetric positive definite with :func:`check_spd` and solves
+    with the factors that proof builds (failure signals a broken dof map).
     """
     if basis_choice not in BASIS_CHOICES:
         raise InvalidParam(f"unknown basis_choice {basis_choice!r}")
@@ -197,17 +198,58 @@ def assemble_gram(system: AssembledSystem, local_bases: LocalBases,
                     dofmap.n_unknowns, s, B)
 
 
-def check_spd(G) -> None:
-    """Raise NotSPD unless the sparse matrix G is symmetric positive definite.
+@dataclass(frozen=True)
+class ShiftUpdate:
+    """The trial space's departure from the test space, in low-rank form.
+
+    Column j of ``N`` and ``L`` (n, r) belongs to moved node j, a local of a
+    shifted element whose node left its lattice position (``LocalBases.moved``,
+    element-major). ``N[:, j]`` is the node's plain stiffness column over the
+    unknowns and ``L[:, j]`` its row of the element's coefficient map over
+    the unknowns. ``Q`` (r, r) is the plain stiffness among the moved nodes:
+    block diagonal, one block per element, since each moved node lies on a
+    boundary edge and so in one element. Moved nodes are Dirichlet nodes, so
+    their own columns are not unknowns, and up to rounding
+
+        A = G_test + N L^T,    G_trial = G_test + N L^T + L N^T + L Q L^T.
+    """
+
+    N: sp.csc_matrix
+    L: sp.csc_matrix
+    Q: np.ndarray
+
+
+def shift_update(system: AssembledSystem, local_bases: LocalBases) -> ShiftUpdate:
+    """N, L and Q of :class:`ShiftUpdate` from the blocks :func:`assemble`
+    kept in ``system``; take it before the system is dropped."""
+    dofmap = system.dofmap
+    el, loc = np.nonzero(local_bases.moved)
+    rows = dofmap.unknown_index[dofmap.element_to_global[local_bases.shifted[el]]]
+    if np.any(rows[np.arange(len(el)), loc] >= 0):
+        raise InconsistentDof("a moved node is an unknown; only Dirichlet nodes may move")
+    free = rows >= 0
+    cols = np.broadcast_to(np.arange(len(el))[:, None], rows.shape)[free]
+    shape = (dofmap.n_unknowns, len(el))
+    B = system.plain_shifted
+    N = sp.csc_matrix((B[el, :, loc][free], (rows[free], cols)), shape=shape)
+    L = sp.csc_matrix((local_bases.coeffs[el, loc, :][free], (rows[free], cols)), shape=shape)
+    Q = np.where(el[:, None] == el, B[el[:, None], loc[:, None], loc], 0.0)
+    return ShiftUpdate(N=N, L=L, Q=Q)
+
+
+def check_spd(G):
+    """Prove the sparse matrix G symmetric positive definite, or raise NotSPD.
 
     A sparse LU that took only diagonal pivots (perm_r == perm_c) is
     P G P^T = L D L^T with D = diag(U), so G is SPD iff every pivot is
     positive. Pivots must clear n * eps * max|G|, as rounding can leave a
     singular G's last pivot just above zero; an SPD G's pivots are >= lambda_min.
+    Returns that factor (a ``SuperLU``) for solves with G, or None for a
+    0 x 0 G, which is vacuously SPD.
     """
     G = sp.csc_matrix(G)
-    if G.shape[0] == 0:  # vacuously SPD
-        return
+    if G.shape[0] == 0:
+        return None
     g_max = float(abs(G).max())
     if float(abs(G - G.T).max()) > 1e-12 * max(1.0, g_max):
         raise NotSPD("gram matrix is not symmetric")
@@ -220,3 +262,4 @@ def check_spd(G) -> None:
     if not (np.array_equal(lu.perm_r, lu.perm_c)
             and np.all(pivots > G.shape[0] * np.finfo(float).eps * g_max)):
         raise NotSPD(f"gram matrix is not positive definite (smallest pivot {pivots.min()})")
+    return lu

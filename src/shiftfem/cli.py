@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -16,7 +17,7 @@ from .analysis import (ConvergenceTable, chord_node_gap, convergence_orders,
                        error_norms, inf_sup_estimate, kt_perturbation_report,
                        table_to_csv)
 from .assembly import (EXTENSION_MODES, ProblemSpec, QuadratureRules, assemble,
-                       assemble_gram, default_rules)
+                       assemble_gram, default_rules, shift_update)
 from .errors import ConfigError, ShiftFEMError, UnsupportedDegree
 from .linsolve import solve
 from .mesh import (TriMesh, classify_elements, gen_quarter_annulus_mesh,
@@ -31,6 +32,10 @@ CONFIG_PROBLEMS = PROBLEM_NAMES + ("custom",)
 DIAG_HEADER = "param,n_unknowns,h,kt_dev,alpha_h,chord_gap,residual"
 INFSUP_LIMIT = 5000  # larger entries leave alpha_h empty, as perfbench/reference does
 _ORDER_DASH = "--"
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -48,15 +53,22 @@ class ExperimentConfig:
     dump_meshes: bool = False
 
     def validate(self) -> None:
+        for name, kind in (("problem", str), ("extension_mode", str),
+                           ("angular_range", str), ("out_dir", str),
+                           ("deterministic", bool), ("dump_meshes", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, "
+                                  f"got {getattr(self, name)!r}")
         if self.problem not in CONFIG_PROBLEMS:
             raise ConfigError(f"problem must be one of {CONFIG_PROBLEMS}, got {self.problem!r}")
-        if self.k not in (2, 3):
-            raise ConfigError(f"degree k must be 2 or 3, got {self.k}")
-        if not 0.0 < self.e < 1.0:
-            raise ConfigError(f"geometry parameter e must lie in (0, 1), got {self.e}")
+        if not _is_int(self.k) or self.k not in (2, 3):
+            raise ConfigError(f"degree k must be 2 or 3, got {self.k!r}")
+        if isinstance(self.e, bool) or not isinstance(self.e, numbers.Real) \
+                or not 0.0 < self.e < 1.0:
+            raise ConfigError(f"geometry parameter e must be a number in (0, 1), got {self.e!r}")
         if not self.sweep:
             raise ConfigError("sweep must contain at least one mesh parameter")
-        if any(not isinstance(p, int) or p < 1 for p in self.sweep):
+        if any(not _is_int(p) or p < 1 for p in self.sweep):
             raise ConfigError(f"sweep entries must be positive integers, got {self.sweep}")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError(f"sweep must be strictly increasing, got {self.sweep}")
@@ -75,6 +87,8 @@ class ExperimentConfig:
             deg = getattr(self, name)
             if deg is None:
                 continue
+            if not _is_int(deg):
+                raise ConfigError(f"{name} must be an integer, got {deg!r}")
             try:
                 rule_for_degree(deg)
             except UnsupportedDegree as exc:
@@ -217,17 +231,19 @@ def run_experiment(cfg: ExperimentConfig,
             bases = build_local_bases(mesh, cfg.k, lay)
             dm = build_dof_map(mesh, cfg.k, lay, dirichlet_data=problem.d)
             sysm = assemble(mesh, dm, bases, problem, rules)
-            grams = None
+            infsup = None
             if 0 < dm.n_unknowns <= INFSUP_LIMIT:
-                grams = (assemble_gram(sysm, bases, "test_space"),
-                         assemble_gram(sysm, bases, "trial_space"))
+                infsup = (assemble_gram(sysm, bases, "test_space"),
+                          assemble_gram(sysm, bases, "trial_space"),
+                          shift_update(sysm, bases))
             A, rhs = sysm.A, sysm.rhs
-            # drop the element blocks before the LU, and the Grams once used,
-            # so neither is alive under a later, larger factorization
+            # drop the element blocks before the LU, and A before the Gram
+            # factors, so no two large factorizations or block stacks overlap
             del sysm
             srep = solve(A, rhs)
-            alpha = None if grams is None else inf_sup_estimate(A, *grams)
-            del grams
+            del A, rhs
+            alpha = None if infsup is None else inf_sup_estimate(*infsup)
+            del infsup
             rep = error_norms(mesh, dm, bases, srep.x, problem.exact, param=param)
             entry = EntryResult(
                 param=param, n_unknowns=dm.n_unknowns, h=rep.h,

@@ -10,7 +10,7 @@ class NoRootInBracket(ShiftFEMError):
 
 
 class NoConvergence(ShiftFEMError):
-    """An iteration (boundary root or inf-sup eigenvalue) failed to converge."""
+    """The boundary root iteration failed to converge."""
 
 
 class InvalidParam(ShiftFEMError, ValueError):

@@ -159,13 +159,17 @@ class LocalBases:
     ``nodes`` (T, n_k, 2) are the node layouts. ``shifted`` lists, sorted,
     the elements owning a Dirichlet edge; ``coeffs[i]`` maps nodal values at
     ``nodes[shifted[i]]`` to reference-basis coefficients, and every other
-    element's map is the identity. ``kt_deviation`` (T,) is the max departure
-    of each node-evaluation matrix from the identity (0 on interior elements).
+    element's map is the identity. ``moved`` (S, n_k) marks the locals of
+    ``shifted[i]`` whose node left its lattice position; ``coeffs[i]`` equals
+    the identity up to rounding outside those rows. ``kt_deviation`` (T,) is
+    the max departure of each node-evaluation matrix from the identity (0 on
+    interior elements).
     """
 
     nodes: np.ndarray
     shifted: np.ndarray
     coeffs: np.ndarray
+    moved: np.ndarray
     kt_deviation: np.ndarray
 
     def element_coeffs(self, t: int) -> np.ndarray:
@@ -229,8 +233,8 @@ def build_local_bases(mesh: TriMesh, k: int, layouts: np.ndarray) -> LocalBases:
         raise InconsistentDof(f"expected layouts of shape "
                               f"{(mesh.num_triangles, spec.n_k, 2)}, got {layouts.shape}")
     shifted = _shifted_elements(mesh)
-    kt = eval_basis_bary(k, barycentric_coords(mesh.vertices[mesh.triangles[shifted]],
-                                               layouts[shifted]))
+    tris = mesh.vertices[mesh.triangles[shifted]]
+    kt = eval_basis_bary(k, barycentric_coords(tris, layouts[shifted]))
     cond = np.linalg.cond(kt)
     bad = np.flatnonzero(~(np.isfinite(cond) & (cond <= COND_LIMIT)))
     if len(bad):
@@ -240,6 +244,7 @@ def build_local_bases(mesh: TriMesh, k: int, layouts: np.ndarray) -> LocalBases:
     kt_deviation = np.zeros(mesh.num_triangles)
     kt_deviation[shifted] = np.abs(kt - np.eye(spec.n_k)).max(axis=(1, 2), initial=0.0)
     return LocalBases(nodes=layouts, shifted=shifted, coeffs=np.linalg.inv(kt),
+                      moved=np.any(layouts[shifted] != lagrange_layout(k, tris), axis=-1),
                       kt_deviation=kt_deviation)
 
 

@@ -1,18 +1,21 @@
 """Error norms, convergence orders, interpolation, and stability estimates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from shiftfem.analysis import (CSV_HEADER, ConvergenceTable, ErrorReport,
                                chord_node_gap, convergence_orders, error_norms,
                                inf_sup_estimate, interpolate_Ih,
                                kt_perturbation_report, table_to_csv)
-from shiftfem.assembly import assemble, assemble_gram, check_spd
-from shiftfem.errors import (DimensionMismatch, MissingExact,
+from shiftfem.assembly import (ShiftUpdate, assemble, assemble_gram, check_spd,
+                               shift_update)
+from shiftfem.errors import (DimensionMismatch, InconsistentDof, MissingExact,
                              NonDyadicSequence, NotSPD)
 from shiftfem.linsolve import solve
 from shiftfem.mesh import (classify_elements, gen_quarter_annulus_mesh,
@@ -233,73 +236,127 @@ def test_kt_report_scales_with_h():
     assert 1.5 <= devs[8] / devs[16] <= 3.0
 
 
+def _no_shift(n):
+    """The update of a trial space that moves no node (r = 0)."""
+    return ShiftUpdate(N=sp.csc_matrix((n, 0)), L=sp.csc_matrix((n, 0)), Q=np.zeros((0, 0)))
+
+
 def test_inf_sup_polygon_is_one():
     prob = polygon_patch(2)
     mesh, dm, bases, sysm, _ = _solve_problem(prob, gen_unit_square_mesh(4))
-    G = assemble_gram(sysm, bases, "test_space")
-    assert abs(inf_sup_estimate(sysm.A, G, G) - 1.0) <= 1e-10
+    update = shift_update(sysm, bases)
+    assert update.N.shape == (dm.n_unknowns, 0)
+    assert inf_sup_estimate(assemble_gram(sysm, bases, "test_space"),
+                            assemble_gram(sysm, bases, "trial_space"), update) == 1.0
 
 
 def test_inf_sup_frozen_on_curved_domains():
     for J, expected in ELLIPSE_ALPHA.items():
         _, mesh, dm, bases, sysm, _ = _ellipse_case(J)
-        a = inf_sup_estimate(sysm.A,
-                             assemble_gram(sysm, bases, "test_space"),
-                             assemble_gram(sysm, bases, "trial_space"))
+        a = inf_sup_estimate(assemble_gram(sysm, bases, "test_space"),
+                             assemble_gram(sysm, bases, "trial_space"),
+                             shift_update(sysm, bases))
         assert a == pytest.approx(expected, abs=1e-5)
         assert 0.1 <= a <= 1.0
     _, mesh, dm, bases, sysm, _ = _annulus_case(4)
-    a = inf_sup_estimate(sysm.A,
-                         assemble_gram(sysm, bases, "test_space"),
-                         assemble_gram(sysm, bases, "trial_space"))
+    a = inf_sup_estimate(assemble_gram(sysm, bases, "test_space"),
+                         assemble_gram(sysm, bases, "trial_space"),
+                         shift_update(sysm, bases))
     assert a == pytest.approx(ANNULUS_ALPHA[4], abs=1e-5)
 
 
 def _dense_inf_sup(A, G_test, G_trial):
     """Reference: smallest singular value of L_test^-1 A L_trial^-T (Cholesky)."""
-    Lt = np.linalg.cholesky(G_test.toarray())
-    Lw = np.linalg.cholesky(G_trial.toarray())
-    M = solve_triangular(Lt, A.toarray(), lower=True)
+    dense = [M.toarray() if sp.issparse(M) else np.asarray(M) for M in (A, G_test, G_trial)]
+    Lt = np.linalg.cholesky(dense[1])
+    Lw = np.linalg.cholesky(dense[2])
+    M = solve_triangular(Lt, dense[0], lower=True)
     return float(np.linalg.svd(solve_triangular(Lw, M.T, lower=True).T,
                                compute_uv=False).min())
 
 
-def _curved_system(case):
+def _curved_pipeline(case):
     domain, param, k = case
-    if domain == "ellipse":
-        _, mesh, dm, bases, sysm, _ = _ellipse_case(param, k)
-    else:
-        _, mesh, dm, bases, sysm, _ = _annulus_case(param, k)
+    run = _ellipse_case if domain == "ellipse" else _annulus_case
+    _, mesh, dm, bases, sysm, _ = run(param, k)
+    return bases, sysm
+
+
+def _curved_system(case):
+    bases, sysm = _curved_pipeline(case)
     return (sysm.A, assemble_gram(sysm, bases, "test_space"),
-            assemble_gram(sysm, bases, "trial_space"))
+            assemble_gram(sysm, bases, "trial_space"), shift_update(sysm, bases))
+
+
+@pytest.mark.parametrize("case", [("ellipse", 8, 2), ("ellipse", 8, 3),
+                                  ("annulus", 8, 2), ("annulus", 8, 3)])
+def test_shift_update_reproduces_a_and_the_trial_gram(case):
+    # A wrong set of moved locals leaves errors of order kt_dev, not rounding.
+    bases, sysm = _curved_pipeline(case)
+    A, G_test, G_trial = (sysm.A, assemble_gram(sysm, bases, "test_space"),
+                          assemble_gram(sysm, bases, "trial_space"))
+    u = shift_update(sysm, bases)
+    assert u.N.shape[1] == (case[2] - 1) * len(bases.shifted)  # k-1 per curved edge
+    tol = 1e-13 * abs(A).max()
+    NL = u.N @ u.L.T
+    assert abs(A - G_test - NL).max() <= tol
+    assert abs(G_trial - G_test - NL - NL.T - u.L @ sp.csr_matrix(u.Q) @ u.L.T).max() <= tol
+
+
+def test_shift_update_rejects_a_moved_unknown():
+    bases, sysm = _curved_pipeline(("ellipse", 4, 2))
+    dm = sysm.dofmap
+    free = dm.unknown_index[dm.element_to_global[bases.shifted[0]]] >= 0
+    moved = bases.moved.copy()
+    moved[0, np.argmax(free)] = True
+    assert free.any() and not (bases.moved[0] & free).any()
+    with pytest.raises(InconsistentDof, match="moved node is an unknown"):
+        shift_update(sysm, replace(bases, moved=moved))
 
 
 @pytest.mark.parametrize("case", [("ellipse", 8, 2), ("ellipse", 16, 2),
-                                  ("annulus", 8, 3)])
+                                  ("annulus", 8, 3), ("ellipse", 8, 3),
+                                  ("annulus", 16, 3)])
 def test_inf_sup_matches_dense_svd(case):
-    A, G_test, G_trial = _curved_system(case)
-    a = inf_sup_estimate(A, G_test, G_trial)
+    A, G_test, G_trial, update = _curved_system(case)
+    a = inf_sup_estimate(G_test, G_trial, update)
     assert a == pytest.approx(_dense_inf_sup(A, G_test, G_trial), rel=1e-12)
-    assert inf_sup_estimate(A, G_test, G_trial) == a
+    assert inf_sup_estimate(G_test, G_trial, update) == a
+
+
+def test_inf_sup_matches_lanczos_on_the_full_pencil():
+    # Oracle: shift-invert Lanczos on A^T G_test^-1 A w = s G_trial w with a
+    # sparse LU of A, at a size (n = 4,064) where the dense SVD is slow.
+    A, G_test, G_trial, update = _curved_system(("ellipse", 32, 2))
+    assert A.shape[0] == 4064
+    lu = splu(sp.csc_matrix(A))
+    op_inv = LinearOperator(A.shape, dtype=float,
+                            matvec=lambda x: lu.solve(G_test @ lu.solve(x, trans="T")))
+    s2 = eigsh(op_inv, k=1, M=G_trial, sigma=0.0, OPinv=op_inv,
+               v0=np.ones(A.shape[0]), return_eigenvectors=False)[0]
+    assert inf_sup_estimate(G_test, G_trial, update) == pytest.approx(math.sqrt(s2), rel=1e-12)
 
 
 def test_inf_sup_small_systems():
-    assert inf_sup_estimate(np.array([[-3.0]]), np.array([[4.0]]),
-                            np.array([[9.0]])) == pytest.approx(0.5, rel=1e-15)
-    A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
-    G_test = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    G_trial = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    assert inf_sup_estimate(A, G_test, G_trial) == pytest.approx(
-        _dense_inf_sup(A, G_test, G_trial), rel=1e-12)
-    assert inf_sup_estimate(np.diag([1.0, 0.0]), np.eye(2), np.eye(2)) == 0.0
+    # Hand-made updates: [[G_test, N], [N^T, Q]] positive semidefinite, A and
+    # G_trial built from them as the moved nodes build them.
+    def pencil(G, N, L, Q):
+        G, N, L, Q = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (G, N, L, Q))
+        A = G + N @ L.T
+        return A, G, G + N @ L.T + L @ N.T + L @ Q @ L.T, ShiftUpdate(
+            N=sp.csc_matrix(N), L=sp.csc_matrix(L), Q=Q)
 
-
-def test_inf_sup_runs_above_former_dense_limit():
-    n = 6000
-    d = np.linspace(0.5, 3.0, n)
-    d[1234] = -0.25
-    eye = sp.identity(n, format="csr")
-    assert inf_sup_estimate(sp.diags(d, format="csr"), eye, eye) == pytest.approx(0.25, rel=1e-12)
+    A, G, Gw, u = pencil([[4.0]], [[-1.0]], [[2.0]], [[3.0]])
+    assert inf_sup_estimate(G, Gw, u) == pytest.approx(_dense_inf_sup(A, G, Gw), rel=1e-14)
+    A, G, Gw, u = pencil([[2.0, -1.0], [-1.0, 2.0]], [[-1.0], [0.5]], [[0.3], [0.2]], [[1.5]])
+    assert inf_sup_estimate(G, Gw, u) == pytest.approx(_dense_inf_sup(A, G, Gw), rel=1e-12)
+    A, G, Gw, u = pencil(np.eye(3), [[-1.0, 0.0], [0.0, -0.5], [0.5, 0.5]],
+                         [[0.1, 0.0], [0.2, 0.3], [0.0, -0.4]], [[2.0, 0.5], [0.5, 1.0]])
+    assert inf_sup_estimate(G, Gw, u) == pytest.approx(_dense_inf_sup(A, G, Gw), rel=1e-12)
+    # A = 1 - 1 = 0 while G_trial = 1: no inf-sup stability at all
+    A, G, Gw, u = pencil([[1.0]], [[-1.0]], [[1.0]], [[2.0]])
+    assert A[0, 0] == 0.0 and Gw[0, 0] == 1.0
+    assert inf_sup_estimate(G, Gw, u) == 0.0
 
 
 def _neumann_laplacian(n, scale=1.0):
@@ -321,40 +378,52 @@ NOT_SPD = {
 
 @pytest.mark.parametrize("name", list(NOT_SPD))
 def test_sparse_spd_proof_rejects_what_dense_cholesky_rejects(name):
+    # With no moved node (r = 0) alpha_h needs no solve, yet both Grams
+    # must still be proved SPD.
     G = NOT_SPD[name]
-    eye = np.eye(len(G))
+    eye, none = np.eye(len(G)), _no_shift(len(G))
     if name != "nonsymmetric":  # dense Cholesky reads one triangle only
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(G)
     with pytest.raises(NotSPD):
         check_spd(sp.csr_matrix(G))
     with pytest.raises(NotSPD):
-        inf_sup_estimate(eye, G, eye)
+        inf_sup_estimate(G, eye, none)
     with pytest.raises(NotSPD):
-        inf_sup_estimate(eye, eye, G)
+        inf_sup_estimate(eye, G, none)
+    assert inf_sup_estimate(eye, eye, none) == 1.0
+
+
+def test_check_spd_returns_its_factor():
+    _, G, _, _ = _curved_system(("ellipse", 4, 2))
+    b = np.arange(G.shape[0], dtype=float)
+    assert np.abs(G @ check_spd(G).solve(b) - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_inf_sup_rejects_indefinite_gram():
-    A = sp.identity(3, format="csr")
-    G_bad = -np.eye(3)
+    _, G_test, G_trial, update = _curved_system(("ellipse", 4, 2))
+    assert update.N.shape[1] > 0
     with pytest.raises(NotSPD):
-        inf_sup_estimate(A, G_bad, np.eye(3))
+        inf_sup_estimate(-G_test, G_trial, update)
+    with pytest.raises(NotSPD):
+        inf_sup_estimate(G_test, -G_trial, update)
 
 
 def test_inf_sup_rejects_shape_mismatch():
-    A = sp.identity(3, format="csr")
     with pytest.raises(DimensionMismatch):
-        inf_sup_estimate(A, np.eye(4), np.eye(3))
+        inf_sup_estimate(np.eye(4), np.eye(3), _no_shift(3))
+    with pytest.raises(DimensionMismatch):
+        inf_sup_estimate(np.eye(3), np.eye(3), _no_shift(4))
 
 
 def test_check_spd_accepts_an_empty_matrix():
-    check_spd(sp.csr_matrix((0, 0)))
+    assert check_spd(sp.csr_matrix((0, 0))) is None
 
 
 def test_inf_sup_rejects_zero_unknowns():
     empty = sp.csr_matrix((0, 0))
     with pytest.raises(DimensionMismatch, match="at least one unknown"):
-        inf_sup_estimate(empty, empty, empty)
+        inf_sup_estimate(empty, empty, _no_shift(0))
 
 
 def test_csv_serialization_golden():

@@ -2,9 +2,12 @@
 
 The files under ``tests/golden/`` were written by ``shiftfem run`` with the
 arguments below, before dof numbering moved from coordinate matching to the
-mesh topology. Any change meant to keep results bit for bit (reordering
-work, batching a loop, renumbering) must reproduce them byte for byte;
-a change that moves a table cell on purpose must refreeze them and say why.
+mesh topology. Their ``alpha_h`` cells were refrozen when the inf-sup
+estimate became an exact low-rank reduction, which moved them by at most
+2.1e-15 relative (the polygon's to exactly 1.0). Any change meant to keep
+results bit for bit (reordering work, batching a loop, renumbering) must
+reproduce them byte for byte; a change that moves a table cell on purpose
+must refreeze them and say why.
 """
 
 from pathlib import Path

@@ -1,12 +1,12 @@
 """Experiment configuration, runner artifacts, and command-line behavior."""
 
+import json
 import math
+import re
 
-import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
-from shiftfem import analysis, assembly, linsolve
+from shiftfem import assembly, cli, linsolve
 from shiftfem.analysis import CSV_HEADER
 from shiftfem.cli import (DIAG_HEADER, ENV_OUT_DIR, ExperimentConfig,
                           build_parser, config_from_args, main, markdown_table,
@@ -160,6 +160,21 @@ def test_cli_exit_config_error(tmp_path, capsys):
     assert main(["run", "--problem", "polygon_patch", "--sweep", "4,a"]) == 1
 
 
+@pytest.mark.parametrize("key,value", [
+    ("k", 2.0), ("k", True), ("e", "0.5"), ("e", False), ("sweep", [True, 2]),
+    ("sweep", [4, 8.0]), ("deterministic", "no"), ("dump_meshes", 1),
+    ("stiffness_degree", 2.5), ("load_degree", True), ("out_dir", 5),
+    ("problem", ["ellipse_test1"]), ("extension_mode", None), ("angular_range", 0.5),
+])
+def test_cli_rejects_mistyped_config_values(tmp_path, capsys, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"out_dir": str(tmp_path), key: value}))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and re.search(rf"\b{key}\b", err)
+    assert "Traceback" not in err
+
+
 def test_cli_exit_numerical_failure(tmp_path, capsys):
     # A one-point stiffness rule under-integrates P2 and the system is
     # singular; the failing sweep entry is named.
@@ -182,21 +197,25 @@ def test_ray_failure_names_stage_and_element(tmp_path, capsys):
             "no sign change of g in bracket (0.5, 2.0)") in err
 
 
-def test_cli_exit_inf_sup_no_convergence(tmp_path, capsys, monkeypatch):
-    def stalled(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+def test_cli_exit_non_spd_gram(tmp_path, capsys, monkeypatch):
+    # A trial Gram that is not positive definite (as a broken dof map would
+    # give) is a numerical failure naming the sweep entry.
+    def negated(system, bases, choice="test_space"):
+        G = assembly.assemble_gram(system, bases, choice)
+        return -G if choice == "trial_space" else G
 
-    monkeypatch.setattr(analysis, "eigsh", stalled)
-    rc = main(["run", "--problem", "polygon_patch", "--sweep", "2,4",
+    monkeypatch.setattr(cli, "assemble_gram", negated)
+    rc = main(["run", "--problem", "ellipse_test1", "--sweep", "4,8",
                "--out", str(tmp_path)])
     assert rc == 2
-    assert "param=2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "param=4" in err and "not positive definite" in err
 
 
 def test_work_per_sweep_entry(tmp_path, monkeypatch):
     """Per entry that reports alpha_h: one element-block kernel, shared by A and
-    both Grams, and four sparse LUs (the solve, one SPD proof per Gram, and
-    the inf-sup factor of A)."""
+    both Grams, and three sparse LUs (the solve and one SPD proof per Gram,
+    whose factor the inf-sup estimate solves with)."""
     calls = {"splu": 0, "blocks": 0}
 
     def counted(key, fn):
@@ -205,7 +224,7 @@ def test_work_per_sweep_entry(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (linsolve, assembly, analysis):
+    for module in (linsolve, assembly):
         monkeypatch.setattr(module, "splu", counted("splu", module.splu))
     monkeypatch.setattr(assembly, "_stiffness_blocks",
                         counted("blocks", assembly._stiffness_blocks))
@@ -215,7 +234,7 @@ def test_work_per_sweep_entry(tmp_path, monkeypatch):
     rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
     with_alpha = sum(1 for row in rows if row.split(",")[4])
     assert with_alpha == 2
-    assert calls == {"splu": 4 * with_alpha, "blocks": with_alpha}
+    assert calls == {"splu": 3 * with_alpha, "blocks": with_alpha}
 
 
 def test_cli_config_file_with_override(tmp_path):
