@@ -8,9 +8,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import ExactSolution, ShiftUpdate, check_spd, element_geometry
-from .errors import DimensionMismatch, MissingExact, NonDyadicSequence
-from .mesh import INTERIOR, TriMesh
+from .assembly import (ExactSolution, ShiftUpdate, bordered_schur, element_geometry,
+                       fill_order)
+from .errors import DimensionMismatch, InconsistentDof, MissingExact, NonDyadicSequence
+from .mesh import TriMesh
 from .quadrature import rule_for_degree
 from .spaces import (DofMap, LocalBases, degree_of, eval_basis_bary,
                      eval_basis_bary_grad, lagrange_layout)
@@ -128,7 +129,7 @@ def interpolate_Ih(u: Callable, dofmap: DofMap) -> np.ndarray:
                       dtype=float)
 
 
-def chord_node_gap(mesh: TriMesh, dofmap: DofMap, u: Callable, k: int) -> float:
+def chord_node_gap(mesh: TriMesh, local_bases: LocalBases, u: Callable) -> float:
     """Max |u(M) - u(P)| over relocated nodes: M the straight-edge lattice
     position, P its boundary replacement carrying the imposed value.
 
@@ -136,12 +137,10 @@ def chord_node_gap(mesh: TriMesh, dofmap: DofMap, u: Callable, k: int) -> float:
     constrained dof; it decays as O(h^2) while unknown-node errors
     superconverge, so the two diagnostics are reported separately.
     """
-    elems = (np.arange(mesh.num_triangles) if mesh.element_class is None
-             else np.flatnonzero(mesh.element_class != INTERIOR))
-    plain = lagrange_layout(k, mesh.vertices[mesh.triangles[elems]])
-    shifted = dofmap.node_coords[dofmap.element_to_global[elems]]
-    moved = np.linalg.norm(shifted - plain, axis=-1) > 0.0
-    plain, shifted = plain[moved], shifted[moved]
+    s, moved = local_bases.shifted, local_bases.moved
+    k = degree_of(local_bases.nodes.shape[1])
+    plain = lagrange_layout(k, mesh.vertices[mesh.triangles[s]])[moved]
+    shifted = local_bases.nodes[s][moved]
     gap = np.abs(u(plain[:, 0], plain[:, 1]) - u(shifted[:, 0], shifted[:, 1]))
     return float(np.max(gap, initial=0.0))
 
@@ -163,19 +162,6 @@ def kt_perturbation_report(local_bases: LocalBases) -> KtReport:
                     dev_vs_h=tuple(zip(h.tolist(), dev[moved].tolist())))
 
 
-# Right-hand sides per Gram solve: r columns at once would hold an n x r
-# dense block, as large as a Gram factor on fine meshes.
-SOLVE_BLOCK = 8
-
-
-def _inner(lu, X) -> np.ndarray:
-    """X^T G^-1 X for the factor ``lu`` of G and sparse X (n, r)."""
-    out = np.empty((X.shape[1], X.shape[1]))
-    for j in range(0, X.shape[1], SOLVE_BLOCK):
-        out[:, j:j + SOLVE_BLOCK] = X.T @ lu.solve(X[:, j:j + SOLVE_BLOCK].toarray())
-    return out
-
-
 def inf_sup_estimate(G_test, G_trial, update: ShiftUpdate) -> float:
     """Discrete inf over trial w of sup over test v of a_h(w, v) / (|w|_1 |v|_1).
 
@@ -187,19 +173,29 @@ def inf_sup_estimate(G_test, G_trial, update: ShiftUpdate) -> float:
         A^T G_test^-1 A - G_trial = L R L^T,    R = N^T G_test^-1 N - Q.
 
     The plain stiffness over the unknowns and the moved nodes is
-    [[G_test, N], [N^T, Q]], positive semidefinite like every stiffness, and
-    -R is its Schur complement with respect to G_test, so R <= 0. Hence
+    K_N = [[G_test, N], [N^T, Q]], positive semidefinite like every stiffness,
+    and -R is its Schur complement with respect to G_test, so R <= 0. Hence
     A^T G_test^-1 A <= G_trial: every s is at most 1, and alpha_h <= 1. The
     eigenvalues s - 1 of G_trial^-1 L R L^T other than 0 are those of
-    Z^T R Z, where Z Z^T = L^T G_trial^-1 L, so
+    Z^T R Z, where Z Z^T = W = L^T G_trial^-1 L, so
 
         alpha_h^2 = 1 + min(0, lambda_min(Z^T R Z)).
 
-    That takes r solves with each Gram's factor, one at a time, and two
-    r x r symmetric eigenproblems: no factor of A and no iteration. This is
-    the one place the Grams are proved symmetric positive definite, by the
-    :func:`check_spd` that builds those factors; both are proved even when
-    r = 0, where alpha_h is exactly 1.
+    Both r x r matrices are trailing Schur complements: block elimination of
+    K_N leaves -R in the trailing block of its L U, and of
+    K_L = [[G_trial, L], [L^T, 0]] leaves -W. :func:`bordered_schur` factors
+    each once, in the ``MMD_AT_PLUS_A`` order of G_test (:func:`fill_order`;
+    G_trial has the same pattern) with the border last. Eliminating the Gram
+    first leaves its pivots untouched by the border, so the same factor
+    proves each Gram symmetric positive definite; this is the one place the
+    Grams are proved so, also when r = 0, where alpha_h is exactly 1. Then
+    come two r x r symmetric eigenproblems: no factor of A, no solve and no
+    iteration.
+
+    L must have full column rank, as it does when every moved node is listed
+    once (cond(W) <= 54 on the built-in meshes): then W is positive definite
+    and K_L's trailing pivots are all negative. Dependent columns of L raise
+    InconsistentDof.
     """
     N, L, Q = update.N, update.L, update.Q
     n, r = N.shape
@@ -208,11 +204,22 @@ def inf_sup_estimate(G_test, G_trial, update: ShiftUpdate) -> float:
         raise DimensionMismatch("both Gram matrices must be n x n, N and L n x r, Q r x r")
     if n == 0:
         raise DimensionMismatch("the inf-sup estimate needs at least one unknown")
-    R = _inner(check_spd(G_test), N) - Q
-    W = _inner(check_spd(G_trial), L)
+    tol = (n + r) * np.finfo(float).eps
+    # before any factor: a singular K_L cannot tell G_trial (NotSPD) from L
+    if r:
+        g = np.linalg.eigvalsh((L.T @ L).toarray())
+        if not g[0] > tol * g[-1]:
+            raise InconsistentDof("the moved nodes' rows of the coefficient maps are "
+                                  "linearly dependent; is a moved node listed twice?")
+    order = fill_order(G_test)
+    R = -bordered_schur(G_test, N, Q, order)[0]
+    S, pivots = bordered_schur(G_trial, L, None, order)
+    if not np.all(pivots < -tol * np.abs(S).max(initial=0.0)):
+        raise InconsistentDof("L^T G_trial^-1 L is not positive definite "
+                              f"(largest trailing pivot {pivots.max()})")
     if r == 0:
         return 1.0
-    w, V = np.linalg.eigh(W)
+    w, V = np.linalg.eigh(-S)
     Z = V * np.sqrt(np.maximum(w, 0.0))
     lam = float(np.linalg.eigvalsh(Z.T @ R @ Z)[0])
     return math.sqrt(max(1.0 + min(lam, 0.0), 0.0))

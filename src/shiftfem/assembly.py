@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from .errors import InconsistentDof, InvalidParam, NotSPD
 from .geometry import DEFAULT_TOL, BoundaryGeometry
@@ -185,8 +185,8 @@ def assemble_gram(system: AssembledSystem, local_bases: LocalBases,
     test Gram takes A's blocks with the shifted elements' plain blocks
     restored, the trial Gram ``C^T B C`` on the shifted elements. The result
     is not checked here; :func:`shiftfem.analysis.inf_sup_estimate` proves
-    both Grams symmetric positive definite with :func:`check_spd` and solves
-    with the factors that proof builds (failure signals a broken dof map).
+    both Grams symmetric positive definite with the bordered factors
+    :func:`bordered_schur` builds (failure signals a broken dof map).
     """
     if basis_choice not in BASIS_CHOICES:
         raise InvalidParam(f"unknown basis_choice {basis_choice!r}")
@@ -237,29 +237,59 @@ def shift_update(system: AssembledSystem, local_bases: LocalBases) -> ShiftUpdat
     return ShiftUpdate(N=N, L=L, Q=Q)
 
 
-def check_spd(G):
-    """Prove the sparse matrix G symmetric positive definite, or raise NotSPD.
+def fill_order(G) -> np.ndarray:
+    """SuperLU's ``MMD_AT_PLUS_A`` column order of the square sparse G, as the
+    ``perm_c`` of a factor of G: column j goes to position ``perm_c[j]``.
 
-    A sparse LU that took only diagonal pivots (perm_r == perm_c) is
-    P G P^T = L D L^T with D = diag(U), so G is SPD iff every pivot is
-    positive. Pivots must clear n * eps * max|G|, as rounding can leave a
-    singular G's last pivot just above zero; an SPD G's pivots are >= lambda_min.
-    Returns that factor (a ``SuperLU``) for solves with G, or None for a
-    0 x 0 G, which is vacuously SPD.
+    Read off an incomplete LU that keeps almost no fill, which orders like the
+    complete one at a fraction of its cost. Raises NotSPD if that LU breaks
+    down, as it does on an exactly singular G.
     """
-    G = sp.csc_matrix(G)
-    if G.shape[0] == 0:
-        return None
+    try:
+        return spilu(sp.csc_matrix(G), permc_spec="MMD_AT_PLUS_A", drop_tol=1.0,
+                     fill_factor=1, diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True}).perm_c
+    except RuntimeError as exc:
+        raise NotSPD(f"gram matrix is singular: {exc}") from exc
+
+
+def bordered_schur(G, X, C, order) -> tuple[np.ndarray, np.ndarray]:
+    """Prove the sparse n x n G symmetric positive definite, or raise NotSPD,
+    and return S = C - X^T G^-1 X with its pivots, from one sparse LU of the
+    bordered matrix K = [[G, X], [X^T, C]].
+
+    ``X`` is sparse n x r, ``C`` dense r x r or None for a zero block, and
+    ``order`` a column order of G from :func:`fill_order`. K is factored in
+    that order with its r border rows and columns last, taking only diagonal
+    pivots, so P K P^T = L D L^T with D = diag(U). Its leading n pivots are
+    then those of P G P^T alone: G is SPD iff perm_r == perm_c there and every
+    one of them is positive. They must clear n * eps * max|G|, as rounding can
+    leave a singular G's last pivot just above zero; an SPD G's pivots are
+    >= lambda_min. Block elimination leaves S in the trailing r x r block of
+    L U, and its pivots as the last r of D. A trailing pivot off the diagonal
+    means a leading block of S is exactly singular, so S is not definite as
+    the inf-sup estimate needs: InconsistentDof.
+    """
+    n, r = X.shape
     g_max = float(abs(G).max())
     if float(abs(G - G.T).max()) > 1e-12 * max(1.0, g_max):
         raise NotSPD("gram matrix is not symmetric")
+    p = np.r_[np.argsort(order), n + np.arange(r)]
+    K = sp.bmat([[G, X], [X.T, C]], format="csc")[p][:, p]
     try:
-        lu = splu(G, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise NotSPD(f"gram matrix is singular: {exc}") from exc
-    pivots = lu.U.diagonal()
-    if not (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.all(pivots > G.shape[0] * np.finfo(float).eps * g_max)):
-        raise NotSPD(f"gram matrix is not positive definite (smallest pivot {pivots.min()})")
-    return lu
+    del K
+    # SymmetricMode skips SuperLU's etree postorder, so NATURAL keeps K's order
+    assert np.array_equal(lu.perm_c[n:], n + np.arange(r)), "SuperLU moved the border"
+    pivots = lu.U.diagonal()  # builds and caches CSC copies of both L and U
+    if not (np.array_equal(lu.perm_r[:n], lu.perm_c[:n])
+            and np.all(pivots[:n] > n * np.finfo(float).eps * g_max)):
+        raise NotSPD("gram matrix is not positive definite "
+                     f"(smallest pivot {pivots[:n].min()})")
+    if not np.array_equal(lu.perm_r[n:], lu.perm_c[n:]):
+        raise InconsistentDof("the Schur complement of a bordered Gram matrix is not "
+                              "definite (off-diagonal pivot)")
+    return lu.L[n:, n:].toarray() @ lu.U[n:, n:].toarray(), pivots[n:]

@@ -248,7 +248,7 @@ def run_experiment(cfg: ExperimentConfig,
             entry = EntryResult(
                 param=param, n_unknowns=dm.n_unknowns, h=rep.h,
                 kt_dev=kt_perturbation_report(bases).max_dev, alpha_h=alpha,
-                chord_gap=chord_node_gap(mesh, dm, problem.exact.value, cfg.k),
+                chord_gap=chord_node_gap(mesh, bases, problem.exact.value),
                 residual=srep.residual_norm,
                 runtime_s=time.perf_counter() - t0)
             if cfg.dump_meshes:

@@ -57,7 +57,7 @@ def _sweep(problem_name, params, k=2, extension_mode="analytic",
         x = solve(sysm.A, sysm.rhs).x
         out["reports"].append(error_norms(mesh, dm, bases, x, prob.exact, param=p))
         out["kt"].append(kt_perturbation_report(bases).max_dev)
-        out["gap"].append(chord_node_gap(mesh, dm, prob.exact.value, k))
+        out["gap"].append(chord_node_gap(mesh, bases, prob.exact.value))
         if with_interp:
             coeffs = interpolate_Ih(prob.exact.value, dm)
             out["interp"].append(

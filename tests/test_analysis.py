@@ -1,6 +1,7 @@
 """Error norms, convergence orders, interpolation, and stability estimates."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,20 +10,21 @@ import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
+from shiftfem import assembly
 from shiftfem.analysis import (CSV_HEADER, ConvergenceTable, ErrorReport,
                                chord_node_gap, convergence_orders, error_norms,
                                inf_sup_estimate, interpolate_Ih,
                                kt_perturbation_report, table_to_csv)
-from shiftfem.assembly import (ShiftUpdate, assemble, assemble_gram, check_spd,
-                               shift_update)
+from shiftfem.assembly import (ShiftUpdate, assemble, assemble_gram, bordered_schur,
+                               fill_order, shift_update)
 from shiftfem.errors import (DimensionMismatch, InconsistentDof, MissingExact,
                              NonDyadicSequence, NotSPD)
 from shiftfem.linsolve import solve
-from shiftfem.mesh import (classify_elements, gen_quarter_annulus_mesh,
+from shiftfem.mesh import (INTERIOR, classify_elements, gen_quarter_annulus_mesh,
                            gen_quarter_ellipse_mesh, gen_unit_square_mesh)
 from shiftfem.problems import annulus_test2, ellipse_test1, polygon_patch
 from shiftfem.spaces import (build_dof_map, build_local_bases,
-                             element_node_layouts, eval_uh)
+                             element_node_layouts, eval_uh, lagrange_layout)
 
 # Frozen outputs of this pipeline (splu solve, default quadrature). These
 # pin regressions: any change to mesh generation, node relocation, assembly,
@@ -192,21 +194,43 @@ def test_interpolant_gradient_converges_at_order_two():
 @pytest.mark.parametrize("J", [4, 8])
 def test_chord_gap_frozen_ellipse(J):
     prob, mesh, dm, bases, _, _ = _ellipse_case(J)
-    gap = chord_node_gap(mesh, dm, prob.exact.value, 2)
+    gap = chord_node_gap(mesh, bases, prob.exact.value)
     assert gap == pytest.approx(ELLIPSE_CHORD_GAP[J], rel=1e-6)
 
 
 @pytest.mark.parametrize("I", [4, 8])
 def test_chord_gap_frozen_annulus(I):
     prob, mesh, dm, bases, _, _ = _annulus_case(I)
-    gap = chord_node_gap(mesh, dm, prob.exact.value, 2)
+    gap = chord_node_gap(mesh, bases, prob.exact.value)
     assert gap == pytest.approx(ANNULUS_CHORD_GAP[I], rel=1e-6)
 
 
 def test_chord_gap_zero_on_polygon():
     prob = polygon_patch(2)
     mesh, dm, bases, _, _ = _solve_problem(prob, gen_unit_square_mesh(3))
-    assert chord_node_gap(mesh, dm, prob.exact.value, 2) == 0.0
+    assert chord_node_gap(mesh, bases, prob.exact.value) == 0.0
+
+
+def _lattice_chord_gap(mesh, dm, u, k):
+    """The gap found from every non-interior element's plain lattice and the
+    dof map's node positions, as before ``LocalBases.moved`` held the mask."""
+    elems = np.flatnonzero(mesh.element_class != INTERIOR)
+    plain = lagrange_layout(k, mesh.vertices[mesh.triangles[elems]])
+    shifted = dm.node_coords[dm.element_to_global[elems]]
+    moved = np.linalg.norm(shifted - plain, axis=-1) > 0.0
+    plain, shifted = plain[moved], shifted[moved]
+    gap = np.abs(u(plain[:, 0], plain[:, 1]) - u(shifted[:, 0], shifted[:, 1]))
+    return float(np.max(gap, initial=0.0))
+
+
+def test_chord_gap_matches_the_lattice_oracle():
+    for prob, mesh, k in ((ellipse_test1(), gen_quarter_ellipse_mesh(8, 0.5), 2),
+                          (annulus_test2(extension_mode="zero_outside"),
+                           gen_quarter_annulus_mesh(8, 4, 0.5), 3)):
+        mesh, dm, bases, _, _ = _solve_problem(prob, mesh, k)
+        gap = chord_node_gap(mesh, bases, prob.exact.value)
+        assert gap > 0.0
+        assert gap == _lattice_chord_gap(mesh, dm, prob.exact.value, k)
 
 
 def test_chord_gap_second_order():
@@ -373,31 +397,151 @@ NOT_SPD = {
     "singular_neumann": _neumann_laplacian(6),
     "singular_neumann_scaled": _neumann_laplacian(20, 7.3),
     "nonsymmetric": np.array([[2.0, 1.0], [0.0, 2.0]]),
+    "zero_diagonal": np.array([[0.0, 1.0], [1.0, 0.0]]),  # needs an off-diagonal pivot
 }
+
+
+def _beside(G, M):
+    """block_diag(G, M) in CSR: a small matrix set beside a mesh's Gram."""
+    return sp.block_diag((sp.csr_matrix(G), M), format="csr")
 
 
 @pytest.mark.parametrize("name", list(NOT_SPD))
 def test_sparse_spd_proof_rejects_what_dense_cholesky_rejects(name):
-    # With no moved node (r = 0) alpha_h needs no solve, yet both Grams
-    # must still be proved SPD.
+    # Both Grams must be proved SPD through either slot: with no moved node
+    # (r = 0), where alpha_h needs no Schur complement, and beside a real
+    # ellipse mesh's Grams and update (r > 0), out of reach of the border.
     G = NOT_SPD[name]
-    eye, none = np.eye(len(G)), _no_shift(len(G))
+    m = len(G)
+    eye, none = np.eye(m), _no_shift(m)
     if name != "nonsymmetric":  # dense Cholesky reads one triangle only
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(G)
-    with pytest.raises(NotSPD):
-        check_spd(sp.csr_matrix(G))
-    with pytest.raises(NotSPD):
-        inf_sup_estimate(G, eye, none)
-    with pytest.raises(NotSPD):
-        inf_sup_estimate(eye, G, none)
+    _, G_test, G_trial, u = _curved_system(("ellipse", 4, 2))
+
+    def pad(X):
+        return sp.vstack((sp.csc_matrix((m, X.shape[1])), X), format="csc")
+
+    real = replace(u, N=pad(u.N), L=pad(u.L))
+    assert real.N.shape[1] > 0
+    for bad_test_slot, bad_trial_slot, update in (
+            ((G, eye), (eye, G), none),
+            ((_beside(G, G_test), _beside(eye, G_trial)),
+             (_beside(eye, G_test), _beside(G, G_trial)), real)):
+        with pytest.raises(NotSPD):
+            inf_sup_estimate(*bad_test_slot, update)
+        with pytest.raises(NotSPD):
+            inf_sup_estimate(*bad_trial_slot, update)
     assert inf_sup_estimate(eye, eye, none) == 1.0
+    assert inf_sup_estimate(_beside(eye, G_test), _beside(eye, G_trial), real) \
+        == pytest.approx(inf_sup_estimate(G_test, G_trial, u), rel=1e-14)
 
 
-def test_check_spd_returns_its_factor():
-    _, G, _, _ = _curved_system(("ellipse", 4, 2))
-    b = np.arange(G.shape[0], dtype=float)
-    assert np.abs(G @ check_spd(G).solve(b) - b).max() <= 1e-12 * np.abs(b).max()
+def test_fill_order_failure_is_not_spd():
+    # The incomplete LU that orders the bordered factors breaks down on the
+    # exactly singular Neumann Laplacian before any bordered factor is built.
+    with pytest.raises(NotSPD, match="singular"):
+        fill_order(sp.csc_matrix(NOT_SPD["singular_neumann"]))
+
+
+@pytest.mark.parametrize("case", [("ellipse", 8, 2), ("annulus", 16, 3)])
+def test_fill_order_is_the_complete_lu_order(case):
+    _, G_test, _, _ = _curved_system(case)
+    lu = splu(sp.csc_matrix(G_test), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    assert np.array_equal(fill_order(G_test), lu.perm_c)
+
+
+def test_bordered_schur_matches_dense_oracles():
+    # The trailing blocks of K_N and K_L are Q - N^T G_test^-1 N and
+    # -L^T G_trial^-1 L, and their pivots those of the blocks' LDL^T:
+    # positive for the plain stiffness, negative for K_L.
+    for case in (("ellipse", 8, 2), ("ellipse", 8, 3), ("annulus", 8, 2), ("annulus", 8, 3)):
+        _, G_test, G_trial, u = _curved_system(case)
+        order = fill_order(G_test)
+        for G, X, C, sign in ((G_test, u.N, u.Q, 1.0), (G_trial, u.L, None, -1.0)):
+            Xd = X.toarray()
+            want = (0.0 if C is None else C) - Xd.T @ np.linalg.solve(G.toarray(), Xd)
+            S, pivots = bordered_schur(G, X, C, order)
+            assert np.abs(S - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.all(sign * pivots > 0.0)
+            d = np.diagonal(np.linalg.cholesky(sign * want)) ** 2
+            assert np.abs(sign * pivots - d).max() <= 1e-12 * d.max()
+
+
+def test_bordered_schur_rejects_an_off_diagonal_trailing_pivot():
+    # K = [[1, 1, 0], [1, 1, 1], [0, 1, 0]]: eliminating G leaves
+    # S = [[0, 1], [1, 0]], whose first pivot is exactly zero. A row swap
+    # there would make the trailing block of L U a row permutation of S.
+    with pytest.raises(InconsistentDof, match="off-diagonal pivot"):
+        bordered_schur(sp.csr_matrix([[1.0]]), sp.csc_matrix([[1.0, 0.0]]),
+                       np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([0]))
+
+
+def test_inf_sup_solves_nothing(monkeypatch):
+    # R and W are read off the bordered factors: no factor is solved with.
+    factors, solves = [], []
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def solve(self, *args, **kwargs):
+            solves.append(args)
+            return self.lu.solve(*args, **kwargs)
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            factors.append(fn.__name__)
+            return Counted(fn(*args, **kwargs))
+        return wrapper
+
+    _, G_test, G_trial, update = _curved_system(("ellipse", 8, 2))
+    expected = inf_sup_estimate(G_test, G_trial, update)
+    monkeypatch.setattr(assembly, "splu", counted(assembly.splu))
+    monkeypatch.setattr(assembly, "spilu", counted(assembly.spilu))
+    assert inf_sup_estimate(G_test, G_trial, update) == expected
+    assert factors == ["spilu", "splu", "splu"] and solves == []
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, -1), (2, 3)])
+def test_inf_sup_rejects_dependent_moved_node_rows(pair):
+    # A moved node listed twice gives L two equal columns and K_L a singular
+    # trailing block; SuperLU may then raise, pivot off the diagonal or leave
+    # a rounding-sized pivot of either sign, so the rank is checked first.
+    _, G_test, G_trial, u = _curved_system(("ellipse", 8, 2))
+    cols = np.arange(u.L.shape[1])
+    cols[pair[1]] = pair[0]
+    with pytest.raises(InconsistentDof, match="linearly dependent"):
+        inf_sup_estimate(G_test, G_trial, replace(u, L=u.L[:, cols]))
+
+
+def test_inf_sup_rejects_a_trailing_pivot_at_rounding_size():
+    # L has full rank (cond(L^T L) ~ 1e12), but G^-1 stretches its common
+    # direction so far that K_L's last pivot, -3.6e-12, is rounding next to
+    # max|W| = 1e4: W is not numerically positive definite.
+    G = sp.csr_matrix(np.diag([1e-4, 1.0]))
+    update = ShiftUpdate(N=sp.csc_matrix((2, 2)), L=sp.csc_matrix([[1.0, 1.0], [0.0, 2e-6]]),
+                         Q=np.eye(2))
+    with pytest.raises(InconsistentDof, match="not positive definite"):
+        inf_sup_estimate(G, G, update)
+
+
+def test_inf_sup_memory_is_bounded():
+    # Peak of Python-heap allocations of one estimate at n = 4,559, r = 128:
+    # 5.1 MiB. Densifying the factors' border columns before taking their
+    # trailing rows would hold (n + r) x r arrays and reach 14.6 MiB.
+    _, G_test, G_trial, update = _curved_system(("annulus", 32, 3))
+    tracemalloc.start()
+    try:
+        inf_sup_estimate(G_test, G_trial, update)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 def test_inf_sup_rejects_indefinite_gram():
@@ -414,10 +558,6 @@ def test_inf_sup_rejects_shape_mismatch():
         inf_sup_estimate(np.eye(4), np.eye(3), _no_shift(3))
     with pytest.raises(DimensionMismatch):
         inf_sup_estimate(np.eye(3), np.eye(3), _no_shift(4))
-
-
-def test_check_spd_accepts_an_empty_matrix():
-    assert check_spd(sp.csr_matrix((0, 0))) is None
 
 
 def test_inf_sup_rejects_zero_unknowns():

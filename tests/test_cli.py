@@ -214,9 +214,10 @@ def test_cli_exit_non_spd_gram(tmp_path, capsys, monkeypatch):
 
 def test_work_per_sweep_entry(tmp_path, monkeypatch):
     """Per entry that reports alpha_h: one element-block kernel, shared by A and
-    both Grams, and three sparse LUs (the solve and one SPD proof per Gram,
-    whose factor the inf-sup estimate solves with)."""
-    calls = {"splu": 0, "blocks": 0}
+    both Grams, three sparse LUs (the solve, and one bordered factor per Gram
+    that proves it SPD and holds its Schur complement) and one incomplete LU
+    that orders both bordered factors."""
+    calls = {"splu": 0, "spilu": 0, "blocks": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -226,6 +227,7 @@ def test_work_per_sweep_entry(tmp_path, monkeypatch):
 
     for module in (linsolve, assembly):
         monkeypatch.setattr(module, "splu", counted("splu", module.splu))
+    monkeypatch.setattr(assembly, "spilu", counted("spilu", assembly.spilu))
     monkeypatch.setattr(assembly, "_stiffness_blocks",
                         counted("blocks", assembly._stiffness_blocks))
     cfg = ExperimentConfig(problem="ellipse_test1", k=2, sweep=(4, 8),
@@ -234,7 +236,7 @@ def test_work_per_sweep_entry(tmp_path, monkeypatch):
     rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
     with_alpha = sum(1 for row in rows if row.split(",")[4])
     assert with_alpha == 2
-    assert calls == {"splu": 3 * with_alpha, "blocks": with_alpha}
+    assert calls == {"splu": 3 * with_alpha, "spilu": with_alpha, "blocks": with_alpha}
 
 
 def test_cli_config_file_with_override(tmp_path):
