@@ -54,20 +54,21 @@ def _full_coefficients(dofmap: DofMap, x: np.ndarray) -> np.ndarray:
 
 def error_norms(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
                 x: np.ndarray, exact: ExactSolution | None,
-                rule=None, param: int = 0) -> ErrorReport:
+                param: int = 0) -> ErrorReport:
     """Gradient and L2 error over the mesh polygon plus the unknown-node max.
 
-    ``x`` may be the reduced unknown vector or the full nodal vector. The
-    nodal maximum uses the coefficients directly (they are nodal values),
-    over unknown nodes only: constrained nodes sit on the true boundary
-    where the imposed datum is exact.
+    The integrals take a degree-(2k+4) rule, so the smooth exact solution
+    is sampled well beyond the degree of the discrete one. ``x`` may be the
+    reduced unknown vector or the full nodal vector. The nodal maximum uses
+    the coefficients directly (they are nodal values), over unknown nodes
+    only: constrained nodes sit on the true boundary where the imposed
+    datum is exact.
     """
     if exact is None:
         raise MissingExact("error norms require a manufactured solution")
     full = _full_coefficients(dofmap, x)
     k = degree_of(dofmap.element_to_global.shape[1])
-    if rule is None:
-        rule = rule_for_degree(2 * k + 4)
+    rule = rule_for_degree(2 * k + 4)
     tris, grads, area = element_geometry(mesh)
     a = full[dofmap.element_to_global]
     s = local_bases.shifted

@@ -18,7 +18,7 @@ from scipy.sparse.linalg import spilu, splu
 from .errors import InconsistentDof, InvalidParam, NotSPD
 from .geometry import DEFAULT_TOL, BoundaryGeometry
 from .mesh import TriMesh
-from .quadrature import TriangleRule, rule_for_degree, triangle_area
+from .quadrature import rule_for_degree, triangle_area
 from .spaces import (DofMap, LocalBases, barycentric_gradients, degree_of,
                      eval_basis_bary, eval_basis_bary_grad)
 
@@ -64,18 +64,6 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class QuadratureRules:
-    stiffness: TriangleRule
-    load: TriangleRule
-
-
-def default_rules(k: int) -> QuadratureRules:
-    """Exact-degree stiffness rule and a degree-(2k+2) load rule."""
-    return QuadratureRules(stiffness=rule_for_degree(2 * (k - 1)),
-                           load=rule_for_degree(2 * k + 2))
-
-
-@dataclass(frozen=True)
 class AssembledSystem:
     """A, the load and the dof map of one mesh, plus the element stiffness
     blocks :func:`assemble_gram` builds both Gram matrices from.
@@ -112,12 +100,16 @@ def element_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return tris, barycentric_gradients(tris), np.abs(triangle_area(tris))
 
 
-def _stiffness_blocks(mesh: TriMesh, k: int, rules: QuadratureRules):
-    """Vertices, areas and standard-basis stiffness blocks B (T, n_k, n_k)."""
+def _stiffness_blocks(mesh: TriMesh, k: int):
+    """Vertices, areas and standard-basis stiffness blocks B (T, n_k, n_k).
+
+    The gradients are of degree k-1 on a straight triangle, so a rule exact
+    for degree 2(k-1) integrates every block exactly.
+    """
     tris, grads, area = element_geometry(mesh)
-    dphi = eval_basis_bary_grad(k, rules.stiffness.points)[None] @ grads[:, None]
-    B = area[:, None, None] * np.einsum("tqid,tqjd,q->tij", dphi, dphi,
-                                        rules.stiffness.weights)
+    rule = rule_for_degree(2 * (k - 1))
+    dphi = eval_basis_bary_grad(k, rule.points)[None] @ grads[:, None]
+    B = area[:, None, None] * np.einsum("tqid,tqjd,q->tij", dphi, dphi, rule.weights)
     return tris, area, B
 
 
@@ -141,11 +133,12 @@ def _scatter(ui: np.ndarray, blocks: np.ndarray, n: int,
 
 
 def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
-             problem: ProblemSpec, rules: QuadratureRules | None = None) -> AssembledSystem:
+             problem: ProblemSpec) -> AssembledSystem:
     """Assemble A_ij = a_h(w_j, v_i) and the load with Dirichlet lift.
 
     Rows are standard Lagrange test functions, columns are modified trial
     functions; Dirichlet columns are eliminated into the right-hand side.
+    The load takes a degree-(2k+2) rule, exact for a source of degree k+2.
     """
     n_local = dofmap.element_to_global.shape[1]
     k = degree_of(n_local)
@@ -153,17 +146,16 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
         raise InconsistentDof("one local basis per element required")
     if local_bases.nodes.shape[1] != n_local:
         raise InconsistentDof("local basis size disagrees with dof map")
-    if rules is None:
-        rules = default_rules(k)
 
-    tris, area, B = _stiffness_blocks(mesh, k, rules)
+    tris, area, B = _stiffness_blocks(mesh, k)
     s = local_bases.shifted
     plain_shifted = B[s]
     B[s] = plain_shifted @ local_bases.coeffs
-    pts = rules.load.physical_points(tris)
+    load = rule_for_degree(2 * k + 2)
+    pts = load.physical_points(tris)
     f = source_values(problem, pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    phi_load = eval_basis_bary(k, rules.load.points)
-    F = area[:, None] * (phi_load.T[None] @ (rules.load.weights * f)[:, :, None])[..., 0]
+    phi_load = eval_basis_bary(k, load.points)
+    F = area[:, None] * (phi_load.T[None] @ (load.weights * f)[:, :, None])[..., 0]
     lift = (B @ dofmap.dirichlet_values[dofmap.element_to_global][:, :, None])[..., 0]
     # Element by element, rhs[free] += F and then rhs[free] -= lift; bincount
     # adds its weights in order, so interleaving the two keeps that order.

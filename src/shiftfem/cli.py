@@ -16,15 +16,15 @@ from typing import Callable, Sequence
 from .analysis import (ConvergenceTable, chord_node_gap, convergence_orders,
                        error_norms, inf_sup_estimate, kt_perturbation_report,
                        table_to_csv)
-from .assembly import (EXTENSION_MODES, ProblemSpec, QuadratureRules, assemble,
-                       assemble_gram, default_rules, shift_update)
-from .errors import ConfigError, ShiftFEMError, UnsupportedDegree
+from .assembly import (EXTENSION_MODES, ProblemSpec, assemble, assemble_gram,
+                       shift_update)
+from .errors import ConfigError, ShiftFEMError
 from .linsolve import solve
 from .mesh import (TriMesh, classify_elements, gen_quarter_annulus_mesh,
                    gen_quarter_ellipse_mesh, gen_unit_square_mesh, save_mesh)
 from .problems import PROBLEM_NAMES, by_name
-from .quadrature import rule_for_degree
-from .spaces import build_dof_map, build_local_bases, element_node_layouts
+from .spaces import (SUPPORTED_DEGREES, build_dof_map, build_local_bases,
+                     element_node_layouts)
 
 ENV_OUT_DIR = "SHIFTFEM_OUT_DIR"
 ANGULAR_RANGES = {"half_pi": 0.5 * math.pi, "quarter_pi": 0.25 * math.pi}
@@ -46,8 +46,6 @@ class ExperimentConfig:
     sweep: tuple[int, ...] = (4, 8, 16, 32, 64)
     extension_mode: str = "analytic"
     angular_range: str = "half_pi"
-    stiffness_degree: int | None = None
-    load_degree: int | None = None
     out_dir: str = "results"
     deterministic: bool = True
     dump_meshes: bool = False
@@ -61,8 +59,8 @@ class ExperimentConfig:
                                   f"got {getattr(self, name)!r}")
         if self.problem not in CONFIG_PROBLEMS:
             raise ConfigError(f"problem must be one of {CONFIG_PROBLEMS}, got {self.problem!r}")
-        if not _is_int(self.k) or self.k not in (2, 3):
-            raise ConfigError(f"degree k must be 2 or 3, got {self.k!r}")
+        if not _is_int(self.k) or self.k not in SUPPORTED_DEGREES:
+            raise ConfigError(f"degree k must be one of {SUPPORTED_DEGREES}, got {self.k!r}")
         if isinstance(self.e, bool) or not isinstance(self.e, numbers.Real) \
                 or not 0.0 < self.e < 1.0:
             raise ConfigError(f"geometry parameter e must be a number in (0, 1), got {self.e!r}")
@@ -70,8 +68,8 @@ class ExperimentConfig:
             raise ConfigError("sweep must contain at least one mesh parameter")
         if any(not _is_int(p) or p < 1 for p in self.sweep):
             raise ConfigError(f"sweep entries must be positive integers, got {self.sweep}")
-        if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
-            raise ConfigError(f"sweep must be strictly increasing, got {self.sweep}")
+        if any(b != 2 * a for a, b in zip(self.sweep, self.sweep[1:])):
+            raise ConfigError(f"sweep entries must each double the last, got {self.sweep}")
         if self.problem == "annulus_test2" and any(p % 2 for p in self.sweep):
             raise ConfigError("annulus sweep entries are angular counts I = 2J; they must be even")
         if self.extension_mode not in EXTENSION_MODES:
@@ -83,16 +81,6 @@ class ExperimentConfig:
             raise ConfigError(f"angular_range must be one of {tuple(ANGULAR_RANGES)}")
         if self.angular_range != "half_pi" and self.problem != "annulus_test2":
             raise ConfigError("angular_range quarter_pi applies only to annulus_test2")
-        for name in ("stiffness_degree", "load_degree"):
-            deg = getattr(self, name)
-            if deg is None:
-                continue
-            if not _is_int(deg):
-                raise ConfigError(f"{name} must be an integer, got {deg!r}")
-            try:
-                rule_for_degree(deg)
-            except UnsupportedDegree as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -141,13 +129,6 @@ def _mesh_generator(cfg: ExperimentConfig) -> Callable[[int], TriMesh]:
     if cfg.problem == "polygon_patch":
         return gen_unit_square_mesh
     raise ConfigError("custom problems need an explicit mesh generator")
-
-
-def _quadrature(cfg: ExperimentConfig) -> QuadratureRules:
-    rules = default_rules(cfg.k)
-    stiff = rules.stiffness if cfg.stiffness_degree is None else rule_for_degree(cfg.stiffness_degree)
-    load = rules.load if cfg.load_degree is None else rule_for_degree(cfg.load_degree)
-    return QuadratureRules(stiffness=stiff, load=load)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -218,9 +199,11 @@ def run_experiment(cfg: ExperimentConfig,
         raise ConfigError("experiments need a manufactured solution for error norms")
     if mesh_for is None:
         mesh_for = _mesh_generator(cfg)
-    rules = _quadrature(cfg)
     out = resolve_out_dir(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
 
     reports, entries = [], []
     for param in cfg.sweep:
@@ -230,7 +213,7 @@ def run_experiment(cfg: ExperimentConfig,
             lay = element_node_layouts(mesh, problem.geom, cfg.k)
             bases = build_local_bases(mesh, cfg.k, lay)
             dm = build_dof_map(mesh, cfg.k, lay, dirichlet_data=problem.d)
-            sysm = assemble(mesh, dm, bases, problem, rules)
+            sysm = assemble(mesh, dm, bases, problem)
             infsup = None
             if 0 < dm.n_unknowns <= INFSUP_LIMIT:
                 infsup = (assemble_gram(sysm, bases, "test_space"),
@@ -261,8 +244,7 @@ def run_experiment(cfg: ExperimentConfig,
             print(f"param={param}: n={entry.n_unknowns} grad={rep.grad_err:.6e} "
                   f"l2={rep.l2_err:.6e} max={rep.max_nodal_err:.6e}", file=log)
 
-    if len(reports) >= 2 and all(b.param == 2 * a.param
-                                 for a, b in zip(reports, reports[1:])):
+    if len(reports) >= 2:
         table = convergence_orders(reports)
     else:
         table = ConvergenceTable(reports=tuple(reports), grad_orders=(),
@@ -326,9 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--config", help="JSON config file")
     src.add_argument("--problem", choices=PROBLEM_NAMES,
                      help="named problem with default settings")
-    run_p.add_argument("--k", type=int, help="polynomial degree (2 or 3)")
+    run_p.add_argument("--k", type=int,
+                       help=f"polynomial degree, one of {SUPPORTED_DEGREES}")
     run_p.add_argument("--e", type=float, help="geometry parameter in (0, 1)")
-    run_p.add_argument("--sweep", help="comma-separated mesh parameters, e.g. 4,8,16,32,64")
+    run_p.add_argument("--sweep", help="comma-separated mesh parameters, each double "
+                                       "the last, e.g. 4,8,16,32,64")
     run_p.add_argument("--extension", choices=("analytic", "zero", "zero_outside"),
                        help="source extension outside the domain")
     run_p.add_argument("--out", help=f"output directory (overridden by ${ENV_OUT_DIR})")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidParam, MeshAssumptionViolated
 from .geometry import BoundaryGeometry
+from .quadrature import triangle_area
 
 TAG_DIRICHLET = "D"
 TAG_SYMMETRY = "S"
@@ -24,6 +25,8 @@ INTERIOR = -1
 # Vertices closer than this fraction of the bounding-box diameter coincide,
 # and triangles with a smaller inradius are slivers.
 MESH_REL_TOL = 1e-10
+# A Dirichlet edge endpoint with a larger |g| is off the curved boundary.
+BOUNDARY_TOL = 1e-10
 
 BoundaryEdge = tuple[int, int, str]
 
@@ -62,11 +65,6 @@ class TriMesh:
             raise MeshAssumptionViolated("mesh has not been classified")
         idx = int(self.element_class[t])
         return None if idx == INTERIOR else self.boundary_edges[idx]
-
-
-def _signed_area(p0, p1, p2):
-    return 0.5 * ((p1[0] - p0[0]) * (p2[1] - p0[1])
-                  - (p2[0] - p0[0]) * (p1[1] - p0[1]))
 
 
 def edge_codes(triangles: np.ndarray, nv: int) -> np.ndarray:
@@ -117,8 +115,8 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
     if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
         raise InvalidParam("triangle vertex index out of range")
 
+    area = triangle_area(verts[tris])
     p0, p1, p2 = (verts[tris[:, m]] for m in range(3))
-    area = _signed_area(p0.T, p1.T, p2.T)
     nv = max(len(verts), 1)
     codes = edge_codes(tris, nv).ravel()
     by_code = np.argsort(codes, kind="stable")
@@ -172,7 +170,7 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
 def _orient_ccw(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Triangles as an (n, 3) array, clockwise ones with vertices 1 and 2 swapped."""
     tris = np.array(tris, dtype=int).reshape(-1, 3)
-    cw = _signed_area(*(verts[tris[:, m]].T for m in range(3))) < 0.0
+    cw = triangle_area(verts[tris]) < 0.0
     tris[cw, 1:] = tris[cw, :0:-1]
     return tris
 
@@ -276,17 +274,17 @@ def dirichlet_edges(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     return np.array(idx, dtype=int), np.array(ends, dtype=int).reshape(-1, 2)
 
 
-def classify_elements(mesh: TriMesh, geom: BoundaryGeometry,
-                      tol: float = 1e-10) -> TriMesh:
+def classify_elements(mesh: TriMesh, geom: BoundaryGeometry) -> TriMesh:
     """Fill element_class: each triangle is interior or owns one "D" edge.
 
     A geometry with no curved pieces leaves every element interior (the mesh
     boundary is the true boundary, nothing is shifted). Otherwise every "D"
-    edge endpoint must lie on the boundary within tol and no triangle may
-    own more than one "D" edge; violations raise MeshAssumptionViolated,
-    naming the first offending endpoint in boundary-edge order, else the
-    first offending triangle. One array pass: the "D" edges are matched to
-    triangle edges by their sorted vertex-pair codes (:func:`edge_codes`).
+    edge endpoint must lie on the boundary within BOUNDARY_TOL and no
+    triangle may own more than one "D" edge; violations raise
+    MeshAssumptionViolated, naming the first offending endpoint in
+    boundary-edge order, else the first offending triangle. One array pass:
+    the "D" edges are matched to triangle edges by their sorted vertex-pair
+    codes (:func:`edge_codes`).
     """
     classes = np.full(mesh.num_triangles, INTERIOR, dtype=int)
     if not geom.pieces:
@@ -294,12 +292,12 @@ def classify_elements(mesh: TriMesh, geom: BoundaryGeometry,
 
     owner, ends = dirichlet_edges(mesh)
     g = np.abs(geom.value_many(mesh.vertices[ends.ravel()]))
-    off = np.flatnonzero(g > tol)
+    off = np.flatnonzero(g > BOUNDARY_TOL)
     if len(off):
         (i1, i2), v = ends[off[0] // 2], ends.flat[off[0]]
         raise MeshAssumptionViolated(
             f"Dirichlet edge ({i1}, {i2}) endpoint {v} is off the "
-            f"boundary: |g| = {g[off[0]]:.3e} > {tol}")
+            f"boundary: |g| = {g[off[0]]:.3e} > {BOUNDARY_TOL}")
     if not len(owner):
         return replace(mesh, element_class=classes)
 

@@ -23,29 +23,12 @@ SUPPORTED_DEGREES = (2, 3)
 COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
-    """Degree and local dimensions of the polynomial spaces."""
-
-    k: int
-    n_k: int
-    m_k: int
-
-    @classmethod
-    def for_degree(cls, k: int) -> "SpaceSpec":
-        if k not in SUPPORTED_DEGREES:
-            raise UnsupportedDegree(f"degree {k} not supported; choose from {SUPPORTED_DEGREES}")
-        n_k = (k + 2) * (k + 1) // 2
-        m_k = (k + 1) * k // 2
-        return cls(k=k, n_k=n_k, m_k=m_k)
-
-
 def degree_of(n_local: int) -> int:
     """Degree of the Lagrange element with ``n_local`` nodes."""
-    try:
-        return {6: 2, 10: 3}[n_local]
-    except KeyError:
-        raise InconsistentDof(f"local node count {n_local} matches no degree") from None
+    for k in SUPPORTED_DEGREES:
+        if (k + 1) * (k + 2) // 2 == n_local:
+            return k
+    raise InconsistentDof(f"local node count {n_local} matches no degree")
 
 
 def _multi_indices(k: int) -> np.ndarray:
@@ -227,11 +210,11 @@ def build_local_bases(mesh: TriMesh, k: int, layouts: np.ndarray) -> LocalBases:
     condition estimate beyond 1e12 signals the perturbation is too large
     (mesh too coarse) and names the first such element.
     """
-    spec = SpaceSpec.for_degree(k)
+    n_k = len(_multi_indices(k))
     layouts = np.asarray(layouts, dtype=float)
-    if layouts.shape != (mesh.num_triangles, spec.n_k, 2):
+    if layouts.shape != (mesh.num_triangles, n_k, 2):
         raise InconsistentDof(f"expected layouts of shape "
-                              f"{(mesh.num_triangles, spec.n_k, 2)}, got {layouts.shape}")
+                              f"{(mesh.num_triangles, n_k, 2)}, got {layouts.shape}")
     shifted = _shifted_elements(mesh)
     tris = mesh.vertices[mesh.triangles[shifted]]
     kt = eval_basis_bary(k, barycentric_coords(tris, layouts[shifted]))
@@ -242,7 +225,7 @@ def build_local_bases(mesh: TriMesh, k: int, layouts: np.ndarray) -> LocalBases:
             f"node-evaluation matrix of element {int(shifted[bad[0]])} has condition "
             f"estimate {cond[bad[0]]:.3e} > {COND_LIMIT:.0e}")
     kt_deviation = np.zeros(mesh.num_triangles)
-    kt_deviation[shifted] = np.abs(kt - np.eye(spec.n_k)).max(axis=(1, 2), initial=0.0)
+    kt_deviation[shifted] = np.abs(kt - np.eye(n_k)).max(axis=(1, 2), initial=0.0)
     return LocalBases(nodes=layouts, shifted=shifted, coeffs=np.linalg.inv(kt),
                       moved=np.any(layouts[shifted] != lagrange_layout(k, tris), axis=-1),
                       kt_deviation=kt_deviation)
@@ -291,12 +274,12 @@ def build_dof_map(mesh: TriMesh, k: int, layouts: np.ndarray,
     unknowns. ``dirichlet_data``, if given, is called once with the x and y
     arrays of the Dirichlet nodes.
     """
-    spec = SpaceSpec.for_degree(k)
+    n_k = len(_multi_indices(k))
     T, nv, per_edge = mesh.num_triangles, mesh.num_vertices, k - 1
-    if np.shape(layouts) != (T, spec.n_k, 2):
-        raise InconsistentDof(f"expected layouts of shape {(T, spec.n_k, 2)}, "
+    if np.shape(layouts) != (T, n_k, 2):
+        raise InconsistentDof(f"expected layouts of shape {(T, n_k, 2)}, "
                               f"got {np.shape(layouts)}")
-    per_cell = spec.n_k - 3 - 3 * per_edge
+    per_cell = n_k - 3 - 3 * per_edge
 
     codes = edge_codes(mesh.triangles, nv)
     edge_ids, edge_of = np.unique(codes, return_inverse=True)
@@ -314,7 +297,7 @@ def build_dof_map(mesh: TriMesh, k: int, layouts: np.ndarray,
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    elem_to_global = rank[inverse].reshape(T, spec.n_k)
+    elem_to_global = rank[inverse].reshape(T, n_k)
     node_coords = np.asarray(layouts, dtype=float).reshape(-1, 2)[first[order]]
 
     _, ends = dirichlet_edges(mesh)

@@ -8,9 +8,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from shiftfem.assembly import (ProblemSpec, QuadratureRules, assemble,
-                               assemble_gram, bordered_schur, default_rules,
-                               fill_order)
+from shiftfem.assembly import (ProblemSpec, assemble, assemble_gram,
+                               bordered_schur, element_geometry, fill_order)
 from shiftfem.errors import InconsistentDof, InvalidParam
 from shiftfem.geometry import annulus, ellipse, unit_square
 from shiftfem.linsolve import solve
@@ -20,7 +19,8 @@ from shiftfem.mesh import (INTERIOR, classify_elements,
 from shiftfem.problems import annulus_test2, ellipse_test1, polygon_patch
 from shiftfem.quadrature import rule_for_degree, triangle_area
 from shiftfem.spaces import (build_dof_map, build_local_bases,
-                             element_node_layouts, eval_basis_bary)
+                             element_node_layouts, eval_basis_bary,
+                             eval_basis_bary_grad)
 
 
 def _pipeline(mesh, geom, k, problem):
@@ -156,19 +156,15 @@ def test_extension_modes_identical_on_convex_domain():
 
 
 def test_zero_extension_touches_only_inner_ring_rows():
-    # The default load rule has no points within ~5% of an edge, so it never
-    # samples the sliver between an inner chord and the arc; a rule with
-    # near-edge points (degree 8) does on the coarse mesh.
+    # The k=2 load rule (degree 6) has no points within ~5% of an edge, so it
+    # never samples the sliver between an inner chord and the arc; the k=3
+    # load rule (degree 8) has near-edge points and does on the coarse mesh.
     geom = annulus(0.5)
     mesh = classify_elements(gen_quarter_annulus_mesh(4, 2, 0.5), geom)
-    layouts = element_node_layouts(mesh, geom, 2)
-    bases = build_local_bases(mesh, 2, layouts)
-    dm = build_dof_map(mesh, 2, layouts)
-    rules = QuadratureRules(stiffness=rule_for_degree(2), load=rule_for_degree(8))
-    s1 = assemble(mesh, dm, bases, annulus_test2(extension_mode="analytic"), rules)
-    s2 = assemble(mesh, dm, bases, annulus_test2(extension_mode="zero_outside"), rules)
+    dm, _, s1 = _pipeline(mesh, geom, 3, annulus_test2(extension_mode="analytic"))
+    _, _, s2 = _pipeline(mesh, geom, 3, annulus_test2(extension_mode="zero_outside"))
     changed = set(np.nonzero(s1.rhs != s2.rhs)[0])
-    assert changed
+    assert len(changed) == 24
     inner_rows = set()
     for t in range(mesh.num_triangles):
         edge = mesh.dirichlet_edge_of(t)
@@ -252,11 +248,23 @@ def test_invalid_inputs_rejected():
         assemble_gram(assemble(mesh, dm, bases2, polygon_patch(2)), bases2, "both_spaces")
 
 
-def test_default_rule_degrees():
-    r2 = default_rules(2)
-    assert r2.stiffness.degree >= 2
-    assert r2.load.degree >= 6
-    r3 = default_rules(3)
-    assert r3.stiffness.degree >= 4
-    assert r3.load.degree >= 8
+@pytest.mark.parametrize("k", [2, 3])
+def test_builtin_rules_are_exact_for_their_integrands(k):
+    # The stiffness integrand has degree 2(k-1), and the load's, for a source
+    # of degree k+2, degree 2k+2: both must match the degree-10 rule.
+    geom = unit_square()
+    mesh = classify_elements(gen_unit_square_mesh(2), geom)
+    prob = ProblemSpec(geom=geom, f=lambda x, y: x ** (k + 2) - 3.0 * x * y ** (k + 1))
+    dm, _, sys = _pipeline(mesh, geom, k, prob)
+    fine = rule_for_degree(10)
+    tris, grads, area = element_geometry(mesh)
+    dphi = eval_basis_bary_grad(k, fine.points)[None] @ grads[:, None]
+    B = area[:, None, None] * np.einsum("tqid,tqjd,q->tij", dphi, dphi, fine.weights)
+    assert np.allclose(sys.blocks, B, rtol=0.0, atol=1e-13)
+    pts = fine.physical_points(tris)
+    F = area[:, None] * np.einsum("qj,q,tq->tj", eval_basis_bary(k, fine.points),
+                                  fine.weights, prob.f(pts[..., 0], pts[..., 1]))
+    ui = dm.unknown_index[dm.element_to_global]
+    rhs = np.bincount(ui[ui >= 0], F[ui >= 0], minlength=dm.n_unknowns)
+    assert np.allclose(sys.rhs, rhs, rtol=1e-13, atol=1e-15)
 

@@ -14,8 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from shiftfem.analysis import error_norms, kt_perturbation_report
-from shiftfem.assembly import (assemble, assemble_gram, default_rules,
-                               source_values)
+from shiftfem.assembly import assemble, assemble_gram, source_values
 from shiftfem.errors import InvalidParam, MeshAssumptionViolated
 from shiftfem.linsolve import solve
 from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY, _orient_ccw,
@@ -95,9 +94,10 @@ def _loop_local_bases(mesh, k, layouts):
     return coeffs, dev
 
 
-def _loop_blocks(mesh, k, rules):
-    dphi_bary = eval_basis_bary_grad(k, rules.stiffness.points)
-    w_s = rules.stiffness.weights
+def _loop_blocks(mesh, k):
+    rule = rule_for_degree(2 * (k - 1))
+    dphi_bary = eval_basis_bary_grad(k, rule.points)
+    w_s = rule.weights
     for t in range(mesh.num_triangles):
         tri = mesh.triangle_coords(t)
         area = _area(tri)
@@ -115,14 +115,14 @@ def _loop_scatter(blocks, n):
 
 
 def _loop_assemble(mesh, dm, coeffs, dev, problem, k):
-    rules = default_rules(k)
-    phi_load = eval_basis_bary(k, rules.load.points)
+    load = rule_for_degree(2 * k + 2)
+    phi_load = eval_basis_bary(k, load.points)
     blocks, rhs = [], np.zeros(dm.n_unknowns)
-    for t, tri, area, B in _loop_blocks(mesh, k, rules):
+    for t, tri, area, B in _loop_blocks(mesh, k):
         if dev[t] != 0.0:
             B = B @ coeffs[t]
-        pts = rules.load.physical_points(tri)
-        F = area * (phi_load.T @ (rules.load.weights * source_values(problem, pts)))
+        pts = load.physical_points(tri)
+        F = area * (phi_load.T @ (load.weights * source_values(problem, pts)))
         g = dm.element_to_global[t]
         ui = dm.unknown_index[g]
         free, fixed = np.nonzero(ui >= 0)[0], np.nonzero(ui < 0)[0]
@@ -136,7 +136,7 @@ def _loop_assemble(mesh, dm, coeffs, dev, problem, k):
 
 def _loop_gram(mesh, dm, coeffs, dev, choice, k):
     blocks = []
-    for t, _tri, _area, B in _loop_blocks(mesh, k, default_rules(k)):
+    for t, _tri, _area, B in _loop_blocks(mesh, k):
         if choice == "trial_space" and dev[t] != 0.0:
             B = coeffs[t].T @ B @ coeffs[t]
         ui = dm.unknown_index[dm.element_to_global[t]]

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +27,7 @@ def test_config_round_trip():
     for cfg in (ExperimentConfig(),
                 ExperimentConfig(problem="annulus_test2", e=0.3, k=3,
                                  sweep=(4, 8), extension_mode="zero_outside",
-                                 angular_range="quarter_pi", load_degree=8,
+                                 angular_range="quarter_pi",
                                  out_dir="elsewhere", deterministic=False,
                                  dump_meshes=True)):
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
@@ -53,7 +54,7 @@ def test_config_defaults_match_reference_experiment():
     {"extension_mode": "extrapolate"},
     {"angular_range": "full_pi"},
     {"angular_range": "quarter_pi"},  # only annulus supports it
-    {"stiffness_degree": 17},
+    {"sweep": (4, 6)},
     {"problem": "polygon_patch", "extension_mode": "zero_outside"},
 ])
 def test_config_validation_rejects(kw):
@@ -163,7 +164,7 @@ def test_cli_exit_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [
     ("k", 2.0), ("k", True), ("e", "0.5"), ("e", False), ("sweep", [True, 2]),
     ("sweep", [4, 8.0]), ("deterministic", "no"), ("dump_meshes", 1),
-    ("stiffness_degree", 2.5), ("load_degree", True), ("out_dir", 5),
+    ("k", "2"), ("sweep", "4,8"), ("out_dir", 5),
     ("problem", ["ellipse_test1"]), ("extension_mode", None), ("angular_range", 0.5),
 ])
 def test_cli_rejects_mistyped_config_values(tmp_path, capsys, key, value):
@@ -175,15 +176,45 @@ def test_cli_rejects_mistyped_config_values(tmp_path, capsys, key, value):
     assert "Traceback" not in err
 
 
-def test_cli_exit_numerical_failure(tmp_path, capsys):
-    # A one-point stiffness rule under-integrates P2 and the system is
-    # singular; the failing sweep entry is named.
-    cfg = _patch_cfg(tmp_path, stiffness_degree=1)
+@pytest.mark.parametrize("key", ["stiffness_degree", "load_degree"])
+def test_cli_rejects_removed_quadrature_keys(tmp_path, capsys, key):
+    # The method fixes every rule from k; a config may not pick one.
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps({"out_dir": str(tmp_path), key: 8}))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown config keys") and key in err
+    assert "Traceback" not in err
+
+
+def test_cli_exit_numerical_failure(tmp_path, capsys, monkeypatch):
+    # A zero system matrix makes the sparse LU fail; the failing sweep entry
+    # is named.
+    monkeypatch.setattr(cli, "solve", lambda A, b: linsolve.solve(0 * A, b))
+    path = tmp_path / "cfg.json"
+    path.write_text(_patch_cfg(tmp_path).to_json())
     rc = main(["run", "--config", str(path)])
     assert rc == 2
-    assert "param=2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "param=2: sparse LU factorization failed" in err
+
+
+def test_cli_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    rc = main(["run", "--problem", "polygon_patch", "--sweep", "2", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(out) in err
+    assert "Traceback" not in err
+
+
+def test_readme_config_block_matches_the_config_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"mirrors `shiftfem\.cli\.ExperimentConfig`.*?```json\n(.*?)```",
+                      readme, re.S)
+    assert block is not None
+    assert json.loads(block.group(1)) == json.loads(ExperimentConfig().to_json())
 
 
 def test_ray_failure_names_stage_and_element(tmp_path, capsys):

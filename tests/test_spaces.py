@@ -14,8 +14,8 @@ from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY,
                            classify_elements,
                            gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh,
                            gen_unit_square_mesh, make_mesh)
-from shiftfem.spaces import (DofMap, SpaceSpec, build_dof_map,
-                             build_local_bases,
+from shiftfem.spaces import (SUPPORTED_DEGREES, build_dof_map,
+                             build_local_bases, degree_of,
                              edge_interior_locals, element_node_layouts,
                              eval_basis_physical, eval_uh, lagrange_layout)
 
@@ -34,16 +34,18 @@ def _random_triangle(rng):
             return tri
 
 
-def test_space_spec_dimensions():
-    s2 = SpaceSpec.for_degree(2)
-    assert (s2.n_k, s2.m_k) == (6, 3)
-    s3 = SpaceSpec.for_degree(3)
-    assert (s3.n_k, s3.m_k) == (10, 6)
-    for s in (s2, s3):
-        assert s.n_k == s.m_k + s.k + 1
+def test_local_dimensions_and_unsupported_degrees():
+    assert [len(lagrange_layout(k, REF_TRI)) for k in SUPPORTED_DEGREES] == [6, 10]
+    assert [degree_of(n) for n in (6, 10)] == list(SUPPORTED_DEGREES)
+    with pytest.raises(InconsistentDof):
+        degree_of(15)
+    mesh = classify_elements(gen_unit_square_mesh(2), unit_square())
     for bad in (1, 4, 0):
+        layouts = np.zeros((mesh.num_triangles, (bad + 1) * (bad + 2) // 2, 2))
         with pytest.raises(UnsupportedDegree):
-            SpaceSpec.for_degree(bad)
+            build_local_bases(mesh, bad, layouts)
+        with pytest.raises(UnsupportedDegree):
+            build_dof_map(mesh, bad, layouts)
 
 
 def test_layout_reference_triangle():
