@@ -13,7 +13,7 @@ from .assembly import (ExactSolution, ShiftUpdate, bordered_schur, element_geome
 from .errors import DimensionMismatch, InconsistentDof, MissingExact, NonDyadicSequence
 from .mesh import TriMesh
 from .quadrature import rule_for_degree
-from .spaces import (DofMap, LocalBases, degree_of, eval_basis_bary,
+from .spaces import (DofMap, LocalBases, check_compatible, eval_basis_bary,
                      eval_basis_bary_grad, lagrange_layout)
 
 CSV_HEADER = "param,h,grad_err,grad_order,l2_err,l2_order,max_err,max_order,alpha_h,kt_dev"
@@ -66,8 +66,9 @@ def error_norms(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     """
     if exact is None:
         raise MissingExact("error norms require a manufactured solution")
+    check_compatible(mesh, dofmap, local_bases)
     full = _full_coefficients(dofmap, x)
-    k = degree_of(dofmap.element_to_global.shape[1])
+    k = local_bases.k
     rule = rule_for_degree(2 * k + 4)
     tris, grads, area = element_geometry(mesh)
     a = full[dofmap.element_to_global]
@@ -139,28 +140,10 @@ def chord_node_gap(mesh: TriMesh, local_bases: LocalBases, u: Callable) -> float
     superconverge, so the two diagnostics are reported separately.
     """
     s, moved = local_bases.shifted, local_bases.moved
-    k = degree_of(local_bases.nodes.shape[1])
-    plain = lagrange_layout(k, mesh.vertices[mesh.triangles[s]])[moved]
+    plain = lagrange_layout(local_bases.k, mesh.vertices[mesh.triangles[s]])[moved]
     shifted = local_bases.nodes[s][moved]
     gap = np.abs(u(plain[:, 0], plain[:, 1]) - u(shifted[:, 0], shifted[:, 1]))
     return float(np.max(gap, initial=0.0))
-
-
-@dataclass(frozen=True)
-class KtReport:
-    max_dev: float
-    dev_vs_h: tuple[tuple[float, float], ...]
-
-
-def kt_perturbation_report(local_bases: LocalBases) -> KtReport:
-    """Max node-shift system deviation and (h_T, deviation) pairs for regression."""
-    dev = local_bases.kt_deviation
-    moved = np.flatnonzero(dev > 0.0)
-    tri = local_bases.nodes[moved, :3]
-    d = tri - np.roll(tri, -1, axis=1)
-    h = np.sqrt(np.vecdot(d, d)).max(axis=1, initial=0.0)
-    return KtReport(max_dev=float(dev.max(initial=0.0)),
-                    dev_vs_h=tuple(zip(h.tolist(), dev[moved].tolist())))
 
 
 def inf_sup_estimate(G_test, G_trial, update: ShiftUpdate) -> float:

@@ -19,7 +19,7 @@ from .errors import InconsistentDof, InvalidParam, NotSPD
 from .geometry import DEFAULT_TOL, BoundaryGeometry
 from .mesh import TriMesh
 from .quadrature import rule_for_degree, triangle_area
-from .spaces import (DofMap, LocalBases, barycentric_gradients, degree_of,
+from .spaces import (DofMap, LocalBases, barycentric_gradients, check_compatible,
                      eval_basis_bary, eval_basis_bary_grad)
 
 EXTENSION_MODES = ("analytic", "zero_outside")
@@ -140,13 +140,8 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     functions; Dirichlet columns are eliminated into the right-hand side.
     The load takes a degree-(2k+2) rule, exact for a source of degree k+2.
     """
-    n_local = dofmap.element_to_global.shape[1]
-    k = degree_of(n_local)
-    if len(local_bases.nodes) != mesh.num_triangles:
-        raise InconsistentDof("one local basis per element required")
-    if local_bases.nodes.shape[1] != n_local:
-        raise InconsistentDof("local basis size disagrees with dof map")
-
+    check_compatible(mesh, dofmap, local_bases)
+    k = local_bases.k
     tris, area, B = _stiffness_blocks(mesh, k)
     s = local_bases.shifted
     plain_shifted = B[s]

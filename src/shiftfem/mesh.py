@@ -35,6 +35,9 @@ BoundaryEdge = tuple[int, int, str]
 class TriMesh:
     """Conforming triangle mesh with tagged boundary edges.
 
+    Edges are numbered once, by :func:`make_mesh`: ``edge_of`` (T, 3) holds
+    the numbers of edges (i, j), (j, k), (k, i) of every triangle (i, j, k),
+    and ``boundary_edge_ids`` (B,) the number of each of ``boundary_edges``.
     ``element_class`` is filled by :func:`classify_elements`: entry t is
     ``INTERIOR`` or the index into ``boundary_edges`` of the single
     Dirichlet edge of triangle t.
@@ -45,6 +48,8 @@ class TriMesh:
     boundary_edges: tuple[BoundaryEdge, ...]
     h_per_element: np.ndarray
     rho_per_element: np.ndarray
+    edge_of: np.ndarray
+    boundary_edge_ids: np.ndarray
     element_class: np.ndarray | None = None
 
     @property
@@ -67,7 +72,7 @@ class TriMesh:
         return None if idx == INTERIOR else self.boundary_edges[idx]
 
 
-def edge_codes(triangles: np.ndarray, nv: int) -> np.ndarray:
+def _edge_codes(triangles: np.ndarray, nv: int) -> np.ndarray:
     """(T, 3) codes lo * nv + hi of the sorted vertex pairs of edges
     (i, j), (j, k), (k, i) of every triangle; equal codes, same edge."""
     ends = np.sort(np.stack((triangles, np.roll(triangles, -1, axis=1)), axis=-1), axis=-1)
@@ -118,7 +123,7 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
     area = triangle_area(verts[tris])
     p0, p1, p2 = (verts[tris[:, m]] for m in range(3))
     nv = max(len(verts), 1)
-    codes = edge_codes(tris, nv).ravel()
+    codes = _edge_codes(tris, nv).ravel()
     by_code = np.argsort(codes, kind="stable")
     third = np.sort(by_code[2:][codes[by_code[2:]] == codes[by_code[:-2]]])
     bad_area = np.flatnonzero(area <= 0.0)
@@ -147,8 +152,13 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
 
     bedges = tuple((int(i1), int(i2), tag) for i1, i2, tag in boundary_edges)
     lo, hi = np.sort(np.array([e[:2] for e in bedges], dtype=int).reshape(-1, 2), axis=1).T
-    uniq, counts = np.unique(codes, return_counts=True)
-    single = (lo >= 0) & (hi < len(verts)) & np.isin(lo * nv + hi, uniq[counts == 1])
+    # edge numbers: the ranks of the distinct codes
+    uniq, edge_of, counts = np.unique(codes, return_inverse=True, return_counts=True)
+    bcodes = lo * nv + hi
+    bids = np.searchsorted(uniq, bcodes)
+    # the codes of edges of exactly one triangle, -1 for the rest and past the end
+    once = np.append(np.where(counts == 1, uniq, -1), -1)
+    single = (lo >= 0) & (hi < len(verts)) & (once[bids] == bcodes)
     bad_tag = np.array([e[2] not in (TAG_DIRICHLET, TAG_SYMMETRY) for e in bedges], dtype=bool)
     bad = np.flatnonzero(bad_tag | ~single)
     if len(bad):
@@ -156,15 +166,14 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
         if bad_tag[bad[0]]:
             raise InvalidParam(f"unknown boundary tag {tag!r}")
         raise InvalidParam(f"boundary edge ({i1}, {i2}) is not an edge of exactly one triangle")
-    bcodes = lo * nv + hi
-    order = np.argsort(bcodes, kind="stable")
-    again = np.flatnonzero(bcodes[order[1:]] == bcodes[order[:-1]])
+    order = np.argsort(bids, kind="stable")
+    again = np.flatnonzero(bids[order[1:]] == bids[order[:-1]])
     if len(again):
         n = again[np.argmin(order[again + 1])]
         first, second = order[n], order[n + 1]
         raise InvalidParam(f"boundary edge {bedges[second]} (listing {second}) repeats "
                            f"{bedges[first]} (listing {first})")
-    return TriMesh(verts, tris, bedges, h, rho)
+    return TriMesh(verts, tris, bedges, h, rho, edge_of.reshape(-1, 3), bids)
 
 
 def _orient_ccw(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -283,8 +292,7 @@ def classify_elements(mesh: TriMesh, geom: BoundaryGeometry) -> TriMesh:
     triangle may own more than one "D" edge; violations raise
     MeshAssumptionViolated, naming the first offending endpoint in
     boundary-edge order, else the first offending triangle. One array pass:
-    the "D" edges are matched to triangle edges by their sorted vertex-pair
-    codes (:func:`edge_codes`).
+    the "D" edges reach their triangles through the mesh's edge numbers.
     """
     classes = np.full(mesh.num_triangles, INTERIOR, dtype=int)
     if not geom.pieces:
@@ -301,21 +309,16 @@ def classify_elements(mesh: TriMesh, geom: BoundaryGeometry) -> TriMesh:
     if not len(owner):
         return replace(mesh, element_class=classes)
 
-    dcodes = np.sort(ends, axis=1) @ [mesh.num_vertices, 1]
-    order = np.argsort(dcodes)
-    dcodes, owner = dcodes[order], owner[order]
-    codes = edge_codes(mesh.triangles, mesh.num_vertices)
-    pos = np.minimum(np.searchsorted(dcodes, codes), len(dcodes) - 1)
-    hit = dcodes[pos] == codes
-    count = hit.sum(axis=1)
+    by_edge = np.full(mesh.edge_of.max() + 1, INTERIOR)
+    by_edge[mesh.boundary_edge_ids[owner]] = owner
+    hit = by_edge[mesh.edge_of]
+    count = (hit != INTERIOR).sum(axis=1)
     multi = np.flatnonzero(count > 1)
     if len(multi):
         t = multi[0]
         raise MeshAssumptionViolated(
             f"triangle {t} has {count[t]} Dirichlet edges; at most one is allowed")
-    one = np.flatnonzero(count)
-    classes[one] = owner[pos[one, hit[one].argmax(axis=1)]]
-    return replace(mesh, element_class=classes)
+    return replace(mesh, element_class=hit.max(axis=1, initial=INTERIOR))
 
 
 @dataclass(frozen=True)

@@ -16,19 +16,11 @@ import numpy as np
 from .errors import (InconsistentDof, MeshAssumptionViolated, NoConvergence,
                      NoRootInBracket, SingularLocalSystem, UnsupportedDegree)
 from .geometry import BoundaryGeometry, ray_boundary_intersection
-from .mesh import INTERIOR, TriMesh, dirichlet_edges, edge_codes
+from .mesh import INTERIOR, TriMesh, dirichlet_edges
 from .quadrature import triangle_area
 
 SUPPORTED_DEGREES = (2, 3)
 COND_LIMIT = 1e12
-
-
-def degree_of(n_local: int) -> int:
-    """Degree of the Lagrange element with ``n_local`` nodes."""
-    for k in SUPPORTED_DEGREES:
-        if (k + 1) * (k + 2) // 2 == n_local:
-            return k
-    raise InconsistentDof(f"local node count {n_local} matches no degree")
 
 
 def _multi_indices(k: int) -> np.ndarray:
@@ -137,7 +129,7 @@ def eval_basis_physical(k: int, tri: np.ndarray, pts: np.ndarray):
 
 @dataclass(frozen=True)
 class LocalBases:
-    """Stacked basis data of the trial space on T elements.
+    """Stacked basis data of the degree-``k`` trial space on T elements.
 
     ``nodes`` (T, n_k, 2) are the node layouts. ``shifted`` lists, sorted,
     the elements owning a Dirichlet edge; ``coeffs[i]`` maps nodal values at
@@ -149,6 +141,7 @@ class LocalBases:
     interior elements).
     """
 
+    k: int
     nodes: np.ndarray
     shifted: np.ndarray
     coeffs: np.ndarray
@@ -161,13 +154,6 @@ class LocalBases:
         if i < len(self.shifted) and self.shifted[i] == t:
             return self.coeffs[i]
         return np.eye(self.nodes.shape[1])
-
-
-def _local_dirichlet_edges(mesh: TriMesh, shifted: np.ndarray) -> np.ndarray:
-    """Local edge index (0..2) of the Dirichlet edge of each shifted element."""
-    ends = [mesh.boundary_edges[i][:2] for i in mesh.element_class[shifted]]
-    want = np.sort(np.array(ends, dtype=int).reshape(-1, 2), axis=1) @ [mesh.num_vertices, 1]
-    return np.argmax(edge_codes(mesh.triangles[shifted], mesh.num_vertices) == want[:, None], axis=1)
 
 
 def _shifted_elements(mesh: TriMesh) -> np.ndarray:
@@ -183,22 +169,30 @@ def element_node_layouts(mesh: TriMesh, geom: BoundaryGeometry, k: int) -> np.nd
     Dirichlet edge m, each of the edge's k-1 interior nodes then moves onto
     the curved piece through the edge's ends, along the ray from the
     opposite vertex. A geometry with no curved pieces moves nothing. A ray
-    failure is re-raised naming the element and its local edge.
+    failure is re-raised naming the element and its local edge; a ray that
+    misses the curve (the element is too coarse for the curved boundary)
+    raises MeshAssumptionViolated.
     """
     shifted = _shifted_elements(mesh)
     tris = mesh.vertices[mesh.triangles]
     layouts = lagrange_layout(k, tris)
     if not geom.pieces:
         return layouts
-    for t, m in zip(shifted, _local_dirichlet_edges(mesh, shifted)):
+    # the local edge whose number is that of the element's Dirichlet edge
+    dirichlet = mesh.boundary_edge_ids[mesh.element_class[shifted]]
+    for t, m in zip(shifted, np.argmax(mesh.edge_of[shifted] == dirichlet[:, None], axis=1)):
         tri = tris[t]
         piece = geom.piece_for_edge(tri[m], tri[(m + 1) % 3])
+        where = f"node layouts: element {t}, edge {m}"
         try:
             for loc in edge_interior_locals(k, m):
                 layouts[t, loc] = ray_boundary_intersection(piece, tri[(m + 2) % 3],
                                                             layouts[t, loc])
-        except (NoRootInBracket, NoConvergence) as exc:
-            raise type(exc)(f"node layouts: element {t}, edge {m}: {exc}") from exc
+        except NoRootInBracket as exc:
+            raise MeshAssumptionViolated(f"{where}: {exc}; the mesh is too coarse for "
+                                         "the curved boundary, refine it") from exc
+        except NoConvergence as exc:
+            raise NoConvergence(f"{where}: {exc}") from exc
     return layouts
 
 
@@ -226,7 +220,7 @@ def build_local_bases(mesh: TriMesh, k: int, layouts: np.ndarray) -> LocalBases:
             f"estimate {cond[bad[0]]:.3e} > {COND_LIMIT:.0e}")
     kt_deviation = np.zeros(mesh.num_triangles)
     kt_deviation[shifted] = np.abs(kt - np.eye(n_k)).max(axis=(1, 2), initial=0.0)
-    return LocalBases(nodes=layouts, shifted=shifted, coeffs=np.linalg.inv(kt),
+    return LocalBases(k=k, nodes=layouts, shifted=shifted, coeffs=np.linalg.inv(kt),
                       moved=np.any(layouts[shifted] != lagrange_layout(k, tris), axis=-1),
                       kt_deviation=kt_deviation)
 
@@ -264,8 +258,8 @@ def build_dof_map(mesh: TriMesh, k: int, layouts: np.ndarray,
     """Number the element nodes globally from the mesh topology; mark Dirichlet.
 
     Each node is owned by a mesh entity: a vertex (its id), an edge (its
-    unique edge id and the node's position counted from the edge's lower
-    vertex id), or a cell (its id and the interior index). Global numbers
+    number ``mesh.edge_of`` and the node's position counted from the edge's
+    lower vertex id), or a cell (its id and the interior index). Global numbers
     follow first appearance in element-major order, and ``node_coords`` are
     the layouts at those first appearances, so the numbering needs no
     coordinate matching and no tolerance. A node is Dirichlet iff it lies on
@@ -281,8 +275,6 @@ def build_dof_map(mesh: TriMesh, k: int, layouts: np.ndarray,
                               f"got {np.shape(layouts)}")
     per_cell = n_k - 3 - 3 * per_edge
 
-    codes = edge_codes(mesh.triangles, nv)
-    edge_ids, edge_of = np.unique(codes, return_inverse=True)
     # Edge m runs from local vertex m to m+1, so its t-th node (from 0) is at
     # position t from the lower vertex id if that is vertex m, else k-2-t.
     forward = mesh.triangles < np.roll(mesh.triangles, -1, axis=1)
@@ -290,9 +282,9 @@ def build_dof_map(mesh: TriMesh, k: int, layouts: np.ndarray,
     pos = np.where(forward[..., None], step, per_edge - 1 - step)
     keys = np.concatenate((
         mesh.triangles,
-        (nv + edge_of.reshape(T, 3)[..., None] * per_edge + pos).reshape(T, -1),
-        nv + len(edge_ids) * per_edge
-        + np.arange(T * per_cell).reshape(T, per_cell)), axis=1)
+        (nv + mesh.edge_of[..., None] * per_edge + pos).reshape(T, -1),
+        # 3T edge slots leave room for every edge number
+        nv + 3 * T * per_edge + np.arange(T * per_cell).reshape(T, per_cell)), axis=1)
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -300,10 +292,9 @@ def build_dof_map(mesh: TriMesh, k: int, layouts: np.ndarray,
     elem_to_global = rank[inverse].reshape(T, n_k)
     node_coords = np.asarray(layouts, dtype=float).reshape(-1, 2)[first[order]]
 
-    _, ends = dirichlet_edges(mesh)
-    lo, hi = np.sort(ends, axis=1).T
-    edge = np.searchsorted(edge_ids, lo * nv + hi)
-    dkeys = np.concatenate((lo, hi, (nv + edge[:, None] * per_edge + step).ravel()))
+    owner, ends = dirichlet_edges(mesh)
+    edge = nv + mesh.boundary_edge_ids[owner][:, None] * per_edge + step
+    dkeys = np.concatenate((ends.ravel(), edge.ravel()))
     mask = np.zeros(len(uniq), dtype=bool)
     mask[rank[np.searchsorted(uniq, dkeys)]] = True
     values = np.zeros(len(uniq))
@@ -315,6 +306,15 @@ def build_dof_map(mesh: TriMesh, k: int, layouts: np.ndarray,
     return DofMap(node_coords=node_coords, dirichlet_mask=mask,
                   dirichlet_values=values, element_to_global=elem_to_global,
                   unknown_index=unknown_index, n_unknowns=int(np.sum(~mask)))
+
+
+def check_compatible(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases) -> None:
+    """Raise InconsistentDof unless the local bases cover every element of
+    ``mesh`` with the dof map's local node count."""
+    if len(local_bases.nodes) != mesh.num_triangles:
+        raise InconsistentDof("one local basis per element required")
+    if local_bases.nodes.shape[1] != dofmap.element_to_global.shape[1]:
+        raise InconsistentDof("local basis size disagrees with dof map")
 
 
 @dataclass(frozen=True)
@@ -333,6 +333,5 @@ def eval_uh(dofmap: DofMap, local_bases: LocalBases,
     nodes = local_bases.nodes[element_id]
     c_local = coefficients[dofmap.element_to_global[element_id]]
     a = local_bases.element_coeffs(element_id) @ c_local
-    k = degree_of(len(nodes))
-    vals, grads = eval_basis_physical(k, nodes[:3], np.asarray(p, dtype=float))
+    vals, grads = eval_basis_physical(local_bases.k, nodes[:3], np.asarray(p, dtype=float))
     return EvalResult(value=float(vals[0] @ a), gradient=grads[0].T @ a)

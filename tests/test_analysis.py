@@ -13,8 +13,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from shiftfem import assembly
 from shiftfem.analysis import (CSV_HEADER, ConvergenceTable, ErrorReport,
                                chord_node_gap, convergence_orders, error_norms,
-                               inf_sup_estimate, interpolate_Ih,
-                               kt_perturbation_report, table_to_csv)
+                               inf_sup_estimate, interpolate_Ih, table_to_csv)
 from shiftfem.assembly import (ShiftUpdate, assemble, assemble_gram, bordered_schur,
                                fill_order, shift_update)
 from shiftfem.errors import (DimensionMismatch, InconsistentDof, MissingExact,
@@ -86,6 +85,16 @@ def test_error_norms_requires_exact():
     mesh, dm, bases, _, x = _solve_problem(prob, gen_unit_square_mesh(2))
     with pytest.raises(MissingExact):
         error_norms(mesh, dm, bases, x, None)
+
+
+def test_error_norms_rejects_bases_of_another_degree():
+    # a k=3 dof map with k=2 local bases, as assemble already rejects
+    prob, mesh, dm3, _, _, x = _ellipse_case(4, k=3)
+    bases2 = build_local_bases(mesh, 2, element_node_layouts(mesh, prob.geom, 2))
+    with pytest.raises(InconsistentDof, match="disagrees with dof map"):
+        error_norms(mesh, dm3, bases2, x, prob.exact)
+    with pytest.raises(InconsistentDof, match="disagrees with dof map"):
+        assemble(mesh, dm3, bases2, prob)
 
 
 def test_full_and_reduced_vectors_agree():
@@ -244,19 +253,18 @@ def test_chord_gap_second_order():
 def test_kt_report_polygon_zero():
     prob = polygon_patch(2)
     mesh, dm, bases, _, _ = _solve_problem(prob, gen_unit_square_mesh(3))
-    rep = kt_perturbation_report(bases)
-    assert rep.max_dev == 0.0
-    assert rep.dev_vs_h == ()
+    assert bases.kt_deviation.max(initial=0.0) == 0.0
+    assert len(bases.shifted) == 0
 
 
 def test_kt_report_scales_with_h():
     devs = {}
     for J in (8, 16):
         _, mesh, dm, bases, _, _ = _ellipse_case(J)
-        rep = kt_perturbation_report(bases)
-        devs[J] = rep.max_dev
-        assert rep.dev_vs_h
-        assert all(d > 0.0 and d <= h for h, d in rep.dev_vs_h)
+        dev = bases.kt_deviation[bases.shifted]
+        devs[J] = dev.max()
+        assert len(dev)
+        assert np.all((dev > 0.0) & (dev <= mesh.h_per_element[bases.shifted]))
     assert 1.5 <= devs[8] / devs[16] <= 3.0
 
 

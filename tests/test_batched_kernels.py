@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from shiftfem.analysis import error_norms, kt_perturbation_report
+from shiftfem.analysis import error_norms
 from shiftfem.assembly import assemble, assemble_gram, source_values
 from shiftfem.errors import InvalidParam, MeshAssumptionViolated
+from shiftfem.geometry import annulus, ellipse, unit_square
 from shiftfem.linsolve import solve
 from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY, _orient_ccw,
                            classify_elements, gen_quarter_annulus_mesh,
@@ -236,7 +237,7 @@ def test_stacked_kernels_reproduce_the_element_loops(name):
     assert np.array_equal(bases.coeffs, np.array([coeffs[t] for t in bases.shifted])
                           .reshape(bases.coeffs.shape))
     assert np.array_equal(bases.kt_deviation, dev)
-    assert kt_perturbation_report(bases).max_dev == max(dev)
+    assert bases.kt_deviation.max(initial=0.0) == max(dev)
 
     dm = build_dof_map(mesh, k, lay, dirichlet_data=prob.d)
     sysm = assemble(mesh, dm, bases, prob)
@@ -300,6 +301,64 @@ def test_classification_names_the_first_offender():
                        match=r"Dirichlet edge \(3, 0\) endpoint 3 is off the boundary: "
                              r"\|g\| = 3\.586e-01 > 1e-10"):
         classify_elements(off, geom)
+
+
+def _code_edge_numbers(mesh):
+    """Edge numbers as the dof map derived them, from the codes lo * nv + hi
+    of the sorted vertex pairs: the codes (T, 3), the number of each edge of
+    each triangle (T, 3) and the numbers of the boundary edges (B,)."""
+    nv = max(mesh.num_vertices, 1)
+    ends = np.sort(np.stack((mesh.triangles, np.roll(mesh.triangles, -1, axis=1)), axis=-1),
+                   axis=-1)
+    codes = ends[..., 0] * nv + ends[..., 1]
+    edge_ids, edge_of = np.unique(codes, return_inverse=True)
+    lo, hi = np.sort(np.array([e[:2] for e in mesh.boundary_edges], dtype=int)
+                     .reshape(-1, 2), axis=1).T
+    return codes, edge_of.reshape(codes.shape), np.searchsorted(edge_ids, lo * nv + hi)
+
+
+def _code_local_dirichlet_edges(mesh, shifted, codes):
+    """Local edge index (0..2) of the Dirichlet edge of each shifted element,
+    found by matching its code among the element's three."""
+    ends = [mesh.boundary_edges[i][:2] for i in mesh.element_class[shifted]]
+    want = np.sort(np.array(ends, dtype=int).reshape(-1, 2), axis=1) @ [mesh.num_vertices, 1]
+    return np.argmax(codes[shifted] == want[:, None], axis=1)
+
+
+@pytest.mark.parametrize("case", (
+    [("ellipse", J) for J in (1, 4, 64)]
+    + [("annulus", I, theta) for I in (8, 32) for theta in (0.5 * math.pi, 0.25 * math.pi)]
+    + [("square", 6)]))
+def test_mesh_edge_numbers_reproduce_the_code_numbering(case):
+    kind, n, *theta = case
+    raw, geom = {
+        "ellipse": lambda: (gen_quarter_ellipse_mesh(n, 0.5), ellipse(0.5)),
+        "annulus": lambda: (gen_quarter_annulus_mesh(n, n // 2, 0.5, *theta), annulus(0.5)),
+        "square": lambda: (gen_unit_square_mesh(n), unit_square()),
+    }[kind]()
+    codes, edge_of, boundary_ids = _code_edge_numbers(raw)
+    assert np.array_equal(raw.edge_of, edge_of)
+    assert np.array_equal(raw.boundary_edge_ids, boundary_ids)
+    uses = np.bincount(raw.edge_of.ravel())
+    assert np.all(uses[raw.boundary_edge_ids] == 1)
+    assert np.all(np.delete(uses, raw.boundary_edge_ids) == 2)
+
+    mesh = classify_elements(raw, geom)
+    shifted = np.flatnonzero(mesh.element_class != INTERIOR)
+    assert len(shifted) == (0 if kind == "square" else n * (1 + (kind == "annulus")))
+    want = _code_local_dirichlet_edges(mesh, shifted, codes)
+    lay = element_node_layouts(mesh, geom, 2)
+    moved = lay[shifted] != lagrange_layout(2, mesh.vertices[mesh.triangles[shifted]])
+    # the one moved node of each shifted element is the midpoint of that local edge
+    assert np.array_equal(np.flatnonzero(moved.any(axis=-1)) % 6, 3 + want)
+
+
+def test_make_mesh_without_triangles_rejects_a_boundary_edge():
+    verts, none = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], np.zeros((0, 3), dtype=int)
+    with pytest.raises(InvalidParam, match=r"boundary edge \(0, 1\) is not an edge"):
+        make_mesh(verts, none, [(0, 1, "D")])
+    mesh = make_mesh(verts, none, [])
+    assert mesh.edge_of.shape == (0, 3) and mesh.boundary_edge_ids.shape == (0,)
 
 
 def test_make_mesh_names_the_first_offender_in_element_order():

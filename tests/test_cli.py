@@ -12,7 +12,7 @@ from shiftfem.analysis import CSV_HEADER
 from shiftfem.cli import (DIAG_HEADER, ENV_OUT_DIR, ExperimentConfig,
                           build_parser, config_from_args, main, markdown_table,
                           run_experiment)
-from shiftfem.errors import ConfigError
+from shiftfem.errors import ConfigError, MeshAssumptionViolated
 from shiftfem.mesh import gen_unit_square_mesh, load_mesh
 from shiftfem.problems import polygon_patch
 
@@ -209,6 +209,17 @@ def test_cli_out_naming_a_file_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_readme_python_api_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Python API\n\n```python\n(.*?)```", readme, re.S)
+    assert block is not None
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    report, kt_dev = capsys.readouterr().out.splitlines()
+    # the J=16 row of the golden ellipse k=2 run
+    assert "grad_err=0.000806115712628422," in report
+    assert kt_dev == "16 0.03932345404301459"
+
+
 def test_readme_config_block_matches_the_config_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"mirrors `shiftfem\.cli\.ExperimentConfig`.*?```json\n(.*?)```",
@@ -220,12 +231,23 @@ def test_readme_config_block_matches_the_config_defaults():
 def test_ray_failure_names_stage_and_element(tmp_path, capsys):
     # e = 0.95 leaves the I=4 annulus mesh too coarse: a ray from the outer
     # arc's opposite vertex misses the outer circle inside its bracket
+    cfg = ExperimentConfig(problem="annulus_test2", e=0.95, sweep=(4,), out_dir=str(tmp_path))
+    with pytest.raises(MeshAssumptionViolated, match="too coarse for the curved boundary"):
+        run_experiment(cfg)
     rc = main(["run", "--problem", "annulus_test2", "--e", "0.95", "--sweep", "4",
                "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert ("sweep entry param=4: node layouts: element 0, edge 2: "
             "no sign change of g in bracket (0.5, 2.0)") in err
+    assert "the mesh is too coarse for the curved boundary, refine it" in err
+
+
+@pytest.mark.parametrize("k, sweep", [(3, "4"), (2, "8")])
+def test_thin_annulus_runs_where_the_mesh_resolves_it(k, sweep, tmp_path):
+    # the coarse-mesh rejection above must not reach well-posed neighbours
+    assert main(["run", "--problem", "annulus_test2", "--e", "0.95", "--k", str(k),
+                 "--sweep", sweep, "--out", str(tmp_path)]) == 0
 
 
 def test_cli_exit_non_spd_gram(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY,
                            gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh,
                            gen_unit_square_mesh, make_mesh)
 from shiftfem.spaces import (SUPPORTED_DEGREES, build_dof_map,
-                             build_local_bases, degree_of,
+                             build_local_bases,
                              edge_interior_locals, element_node_layouts,
                              eval_basis_physical, eval_uh, lagrange_layout)
 
@@ -36,10 +36,10 @@ def _random_triangle(rng):
 
 def test_local_dimensions_and_unsupported_degrees():
     assert [len(lagrange_layout(k, REF_TRI)) for k in SUPPORTED_DEGREES] == [6, 10]
-    assert [degree_of(n) for n in (6, 10)] == list(SUPPORTED_DEGREES)
-    with pytest.raises(InconsistentDof):
-        degree_of(15)
     mesh = classify_elements(gen_unit_square_mesh(2), unit_square())
+    for k in SUPPORTED_DEGREES:
+        bases = build_local_bases(mesh, k, element_node_layouts(mesh, unit_square(), k))
+        assert bases.k == k and bases.nodes.shape[1] == (k + 1) * (k + 2) // 2
     for bad in (1, 4, 0):
         layouts = np.zeros((mesh.num_triangles, (bad + 1) * (bad + 2) // 2, 2))
         with pytest.raises(UnsupportedDegree):
