@@ -8,9 +8,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import (ExactSolution, ShiftUpdate, bordered_schur, element_geometry,
-                       fill_order)
+from .assembly import ExactSolution, ShiftUpdate, element_geometry
 from .errors import DimensionMismatch, InconsistentDof, MissingExact, NonDyadicSequence
+from .linsolve import bordered_schur, fill_order
 from .mesh import TriMesh
 from .quadrature import rule_for_degree
 from .spaces import (DofMap, LocalBases, check_compatible, eval_basis_bary,
@@ -173,13 +173,13 @@ def inf_sup_estimate(G_test, G_trial, update: ShiftUpdate) -> float:
     first leaves its pivots untouched by the border, so the same factor
     proves each Gram symmetric positive definite; this is the one place the
     Grams are proved so, also when r = 0, where alpha_h is exactly 1. Then
-    come two r x r symmetric eigenproblems: no factor of A, no solve and no
-    iteration.
+    Z is the dense Cholesky factor of W and Z^T R Z one r x r symmetric
+    eigenproblem: no factor of A, no solve and no iteration.
 
     L must have full column rank, as it does when every moved node is listed
     once (cond(W) <= 54 on the built-in meshes): then W is positive definite
-    and K_L's trailing pivots are all negative. Dependent columns of L raise
-    InconsistentDof.
+    and K_L's trailing pivots are all negative, which is checked before Z is
+    taken. Dependent columns of L raise InconsistentDof.
     """
     N, L, Q = update.N, update.L, update.Q
     n, r = N.shape
@@ -203,8 +203,7 @@ def inf_sup_estimate(G_test, G_trial, update: ShiftUpdate) -> float:
                               f"(largest trailing pivot {pivots.max()})")
     if r == 0:
         return 1.0
-    w, V = np.linalg.eigh(-S)
-    Z = V * np.sqrt(np.maximum(w, 0.0))
+    Z = np.linalg.cholesky(-S)
     lam = float(np.linalg.eigvalsh(Z.T @ R @ Z)[0])
     return math.sqrt(max(1.0 + min(lam, 0.0), 0.0))
 

@@ -10,15 +10,14 @@ import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from shiftfem import assembly
+from shiftfem import linsolve
 from shiftfem.analysis import (CSV_HEADER, ConvergenceTable, ErrorReport,
                                chord_node_gap, convergence_orders, error_norms,
                                inf_sup_estimate, interpolate_Ih, table_to_csv)
-from shiftfem.assembly import (ShiftUpdate, assemble, assemble_gram, bordered_schur,
-                               fill_order, shift_update)
+from shiftfem.assembly import ShiftUpdate, assemble, assemble_gram, shift_update
 from shiftfem.errors import (DimensionMismatch, InconsistentDof, MissingExact,
                              NonDyadicSequence, NotSPD)
-from shiftfem.linsolve import solve
+from shiftfem.linsolve import bordered_schur, fill_order, solve
 from shiftfem.mesh import (INTERIOR, classify_elements, gen_quarter_annulus_mesh,
                            gen_quarter_ellipse_mesh, gen_unit_square_mesh)
 from shiftfem.problems import annulus_test2, ellipse_test1, polygon_patch
@@ -509,10 +508,23 @@ def test_inf_sup_solves_nothing(monkeypatch):
 
     _, G_test, G_trial, update = _curved_system(("ellipse", 8, 2))
     expected = inf_sup_estimate(G_test, G_trial, update)
-    monkeypatch.setattr(assembly, "splu", counted(assembly.splu))
-    monkeypatch.setattr(assembly, "spilu", counted(assembly.spilu))
+    monkeypatch.setattr(linsolve, "splu", counted(linsolve.splu))
+    monkeypatch.setattr(linsolve, "spilu", counted(linsolve.spilu))
     assert inf_sup_estimate(G_test, G_trial, update) == expected
     assert factors == ["spilu", "splu", "splu"] and solves == []
+
+
+@pytest.mark.parametrize("case", [("ellipse", 8, 2), ("annulus", 8, 3)])
+def test_inf_sup_needs_no_symmetric_eigendecomposition(case, monkeypatch):
+    # W's factor Z is a Cholesky factor; no eigh of W is taken
+    A, G_test, G_trial, update = _curved_system(case)
+    want = _dense_inf_sup(A, G_test, G_trial)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert inf_sup_estimate(G_test, G_trial, update) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, -1), (2, 3)])

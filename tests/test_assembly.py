@@ -8,11 +8,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from shiftfem.assembly import (ProblemSpec, assemble, assemble_gram,
-                               bordered_schur, element_geometry, fill_order)
+from shiftfem.assembly import ProblemSpec, assemble, assemble_gram, element_geometry
 from shiftfem.errors import InconsistentDof, InvalidParam
 from shiftfem.geometry import annulus, ellipse, unit_square
-from shiftfem.linsolve import solve
+from shiftfem.linsolve import bordered_schur, fill_order, solve
 from shiftfem.mesh import (INTERIOR, classify_elements,
                            gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh,
                            gen_unit_square_mesh)

@@ -278,9 +278,8 @@ def test_work_per_sweep_entry(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (linsolve, assembly):
-        monkeypatch.setattr(module, "splu", counted("splu", module.splu))
-    monkeypatch.setattr(assembly, "spilu", counted("spilu", assembly.spilu))
+    monkeypatch.setattr(linsolve, "splu", counted("splu", linsolve.splu))
+    monkeypatch.setattr(linsolve, "spilu", counted("spilu", linsolve.spilu))
     monkeypatch.setattr(assembly, "_stiffness_blocks",
                         counted("blocks", assembly._stiffness_blocks))
     cfg = ExperimentConfig(problem="ellipse_test1", k=2, sweep=(4, 8),

@@ -1,0 +1,23 @@
+"""Module layering: one module owns the sparse factorizations."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "shiftfem"
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_only_linsolve_imports_sparse_linalg():
+    importers = sorted(
+        path.name for path in SRC.glob("*.py")
+        if any(m == "scipy.sparse.linalg" or m.startswith("scipy.sparse.linalg.")
+               for m in _imported_modules(ast.parse(path.read_text()))))
+    assert importers == ["linsolve.py"]

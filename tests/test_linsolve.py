@@ -1,11 +1,16 @@
-"""Direct solver contract: residual, failure modes, determinism."""
+"""Direct solver contract: accuracy gate, failure modes, determinism."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from shiftfem import linsolve
+from shiftfem.assembly import assemble
 from shiftfem.errors import DimensionMismatch, SingularMatrix
 from shiftfem.linsolve import solve
+from shiftfem.mesh import classify_elements, gen_quarter_ellipse_mesh
+from shiftfem.problems import ellipse_test1
+from shiftfem.spaces import build_dof_map, build_local_bases, element_node_layouts
 
 
 def test_identity_system():
@@ -59,3 +64,70 @@ def test_nonsymmetric_system_solves():
     rep = solve(A, b)
     assert rep.residual_norm <= 1e-12
     assert np.max(np.abs(A @ rep.x - b)) <= 1e-12
+
+
+def test_zero_rhs_gives_zero_solution():
+    rep = solve(sp.eye(3, format="csr") * 2.0, np.zeros(3))
+    assert np.array_equal(rep.x, np.zeros(3))
+    assert rep.residual_norm == 0.0 and rep.backward_error == 0.0
+
+
+def test_fine_ellipse_solve_passes_the_gate():
+    # ellipse k=2, e=0.6, J=128: n = 65,408. A fixed 1e-10 bound on the
+    # relative residual rejected this solve, though it is backward stable.
+    prob = ellipse_test1(e=0.6)
+    mesh = classify_elements(gen_quarter_ellipse_mesh(128, 0.6), prob.geom)
+    lay = element_node_layouts(mesh, prob.geom, 2)
+    bases = build_local_bases(mesh, 2, lay)
+    dm = build_dof_map(mesh, 2, lay, dirichlet_data=prob.d)
+    system = assemble(mesh, dm, bases, prob)
+    del bases, lay
+    rep = solve(system.A, system.rhs)
+    assert dm.n_unknowns == 65408
+    assert rep.residual_norm > 1e-10
+    assert rep.backward_error <= 1e-14
+
+
+@pytest.mark.parametrize("spoil, message", [(lambda x: x * (1.0 + 1e-6), "backward error"),
+                                            (lambda x: x / 0.0, "non-finite")])
+def test_inaccurate_solutions_are_rejected(monkeypatch, spoil, message):
+    # a factor whose solve returns a spoiled x: the gate, not SuperLU, rejects it
+    class Spoiled:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, b):
+            return spoil(self.lu.solve(b))
+
+    splu = linsolve.splu
+    monkeypatch.setattr(linsolve, "splu", lambda A: Spoiled(splu(A)))
+    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    with np.errstate(divide="ignore"), pytest.raises(SingularMatrix, match=message):
+        solve(A, np.array([3.0, 5.0]))
+
+
+def _shifted_neumann(d, n=2000):
+    """1-D Neumann Laplacian plus d I: cond(A) ~ 4 / d, so near singular for small d."""
+    main = np.r_[1.0, 2.0 * np.ones(n - 2), 1.0] + d
+    return sp.diags([-np.ones(n - 1), main, -np.ones(n - 1)], [-1, 0, 1], format="csc")
+
+
+@pytest.mark.parametrize("d", [1e-15, 1e-13, 1e-10])
+def test_near_singular_systems_are_rejected(d):
+    # LU solves them backward stably (eta ~ 1e-16), so only the growth
+    # |A| |x| / |b| (3e13, 3e11, 3e8 here) rejects them.
+    A = _shifted_neumann(d)
+    with pytest.raises(SingularMatrix, match="nearly singular"):
+        solve(A, np.random.default_rng(0).standard_normal(A.shape[0]))
+
+
+@pytest.mark.parametrize("d", [1e-8, 1e-6])
+def test_ill_conditioned_but_accurate_solves_pass(d):
+    # At d = 1e-8 the relative residual is 4.4e-10, yet one step of iterative
+    # refinement moves x by 7.6e-10 of its size: the solution is accurate.
+    A = _shifted_neumann(d)
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    rep = solve(A, b)
+    assert rep.backward_error <= 1e-15
+    dx = solve(A, b - A @ rep.x).x
+    assert np.abs(dx).max() <= 1e-8 * np.abs(rep.x).max()
