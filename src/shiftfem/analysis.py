@@ -16,8 +16,6 @@ from .quadrature import rule_for_degree
 from .spaces import (DofMap, LocalBases, check_compatible, eval_basis_bary,
                      eval_basis_bary_grad, lagrange_layout)
 
-CSV_HEADER = "param,h,grad_err,grad_order,l2_err,l2_order,max_err,max_order,alpha_h,kt_dev"
-
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -103,9 +101,10 @@ def _pair_order(coarse: float, fine: float) -> float:
 
 
 def convergence_orders(reports: Sequence[ErrorReport]) -> ConvergenceTable:
-    """Pairwise log2 error ratios between consecutive dyadic refinements."""
-    if len(reports) < 2:
-        raise NonDyadicSequence("need at least two reports to compute orders")
+    """Pairwise log2 error ratios between consecutive dyadic refinements;
+    one report has none."""
+    if not reports:
+        raise NonDyadicSequence("need at least one report")
     params = [r.param for r in reports]
     for a, b in zip(params, params[1:]):
         if b != 2 * a:
@@ -206,38 +205,3 @@ def inf_sup_estimate(G_test, G_trial, update: ShiftUpdate) -> float:
     Z = np.linalg.cholesky(-S)
     lam = float(np.linalg.eigvalsh(Z.T @ R @ Z)[0])
     return math.sqrt(max(1.0 + min(lam, 0.0), 0.0))
-
-
-def _csv_num(v) -> str:
-    if v is None:
-        return ""
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    return repr(v)
-
-
-def table_to_csv(table: ConvergenceTable,
-                 alpha_h: Sequence[float | None] | None = None,
-                 kt_dev: Sequence[float | None] | None = None) -> str:
-    """Serialize with one row per mesh; first-row orders are empty fields."""
-    n = len(table.reports)
-    alpha_h = list(alpha_h) if alpha_h is not None else [None] * n
-    kt_dev = list(kt_dev) if kt_dev is not None else [None] * n
-    if len(alpha_h) != n or len(kt_dev) != n:
-        raise DimensionMismatch("alpha_h/kt_dev must have one entry per report")
-    lines = [CSV_HEADER]
-    for i, r in enumerate(table.reports):
-        orders = ["", "", ""] if i == 0 else [
-            _csv_num(table.grad_orders[i - 1]),
-            _csv_num(table.l2_orders[i - 1]),
-            _csv_num(table.max_orders[i - 1]),
-        ]
-        lines.append(",".join([
-            str(r.param), _csv_num(r.h),
-            _csv_num(r.grad_err), orders[0],
-            _csv_num(r.l2_err), orders[1],
-            _csv_num(r.max_nodal_err), orders[2],
-            _csv_num(alpha_h[i]), _csv_num(kt_dev[i]),
-        ]))
-    return "\n".join(lines) + "\n"

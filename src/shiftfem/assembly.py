@@ -56,7 +56,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.extension_mode not in EXTENSION_MODES:
-            raise InvalidParam(f"unknown extension_mode {self.extension_mode!r}")
+            raise InvalidParam(f"unknown extension_mode {self.extension_mode!r}; "
+                               f"choose from {EXTENSION_MODES}")
         if self.extension_mode == "zero_outside" and not self.geom.pieces:
             raise InvalidParam(f"extension_mode 'zero_outside' needs a curved boundary; "
                                f"{self.geom.kind} geometry has none")

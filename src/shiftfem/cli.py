@@ -13,11 +13,10 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .analysis import (ConvergenceTable, chord_node_gap, convergence_orders,
-                       error_norms, inf_sup_estimate, table_to_csv)
-from .assembly import (EXTENSION_MODES, ProblemSpec, assemble, assemble_gram,
-                       shift_update)
-from .errors import ConfigError, ShiftFEMError
+from .analysis import (ConvergenceTable, ErrorReport, chord_node_gap,
+                       convergence_orders, error_norms, inf_sup_estimate)
+from .assembly import assemble, assemble_gram, shift_update
+from .errors import ConfigError, InvalidParam, ShiftFEMError
 from .linsolve import solve
 from .mesh import (TriMesh, classify_elements, gen_quarter_annulus_mesh,
                    gen_quarter_ellipse_mesh, gen_unit_square_mesh, save_mesh)
@@ -27,7 +26,7 @@ from .spaces import (SUPPORTED_DEGREES, build_dof_map, build_local_bases,
 
 ENV_OUT_DIR = "SHIFTFEM_OUT_DIR"
 ANGULAR_RANGES = {"half_pi": 0.5 * math.pi, "quarter_pi": 0.25 * math.pi}
-CONFIG_PROBLEMS = PROBLEM_NAMES + ("custom",)
+TABLE_HEADER = "param,h,grad_err,grad_order,l2_err,l2_order,max_err,max_order,alpha_h,kt_dev"
 DIAG_HEADER = "param,n_unknowns,h,kt_dev,alpha_h,chord_gap,residual"
 INFSUP_LIMIT = 5000  # larger entries leave alpha_h empty, as perfbench/reference does
 _ORDER_DASH = "--"
@@ -56,13 +55,15 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, "
                                   f"got {getattr(self, name)!r}")
-        if self.problem not in CONFIG_PROBLEMS:
-            raise ConfigError(f"problem must be one of {CONFIG_PROBLEMS}, got {self.problem!r}")
         if not _is_int(self.k) or self.k not in SUPPORTED_DEGREES:
             raise ConfigError(f"degree k must be one of {SUPPORTED_DEGREES}, got {self.k!r}")
         if isinstance(self.e, bool) or not isinstance(self.e, numbers.Real) \
                 or not 0.0 < self.e < 1.0:
             raise ConfigError(f"geometry parameter e must be a number in (0, 1), got {self.e!r}")
+        try:  # the problem's own checks: its name and its extension mode
+            by_name(self.problem, e=self.e, k=self.k, extension_mode=self.extension_mode)
+        except InvalidParam as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.sweep:
             raise ConfigError("sweep must contain at least one mesh parameter")
         if any(not _is_int(p) or p < 1 for p in self.sweep):
@@ -71,11 +72,6 @@ class ExperimentConfig:
             raise ConfigError(f"sweep entries must each double the last, got {self.sweep}")
         if self.problem == "annulus_test2" and any(p % 2 for p in self.sweep):
             raise ConfigError("annulus sweep entries are angular counts I = 2J; they must be even")
-        if self.extension_mode not in EXTENSION_MODES:
-            raise ConfigError(f"extension_mode must be one of {EXTENSION_MODES}")
-        if self.extension_mode == "zero_outside" and self.problem == "polygon_patch":
-            raise ConfigError("extension_mode zero_outside needs a curved boundary; "
-                              "polygon_patch has none")
         if self.angular_range not in ANGULAR_RANGES:
             raise ConfigError(f"angular_range must be one of {tuple(ANGULAR_RANGES)}")
         if self.angular_range != "half_pi" and self.problem != "annulus_test2":
@@ -109,9 +105,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class EntryResult:
-    param: int
+    """One sweep entry: the row that table.csv, table.md and diagnostics.csv
+    are all written from."""
+
+    report: ErrorReport
     n_unknowns: int
-    h: float
     kt_dev: float
     alpha_h: float | None
     chord_gap: float
@@ -125,9 +123,7 @@ def _mesh_generator(cfg: ExperimentConfig) -> Callable[[int], TriMesh]:
     if cfg.problem == "annulus_test2":
         theta = ANGULAR_RANGES[cfg.angular_range]
         return lambda I: gen_quarter_annulus_mesh(I, I // 2, cfg.e, theta_max=theta)
-    if cfg.problem == "polygon_patch":
-        return gen_unit_square_mesh
-    raise ConfigError("custom problems need an explicit mesh generator")
+    return gen_unit_square_mesh
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -136,41 +132,53 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _fmt_err(v: float) -> str:
-    return f"{v:.6E}"
+def _row_orders(table: ConvergenceTable) -> list:
+    """Each row's (grad, L2, max) orders; None for the first row."""
+    return [None, *zip(table.grad_orders, table.l2_orders, table.max_orders)]
+
+
+def _num(v: float | None) -> str:
+    return "" if v is None else repr(float(v))
+
+
+def table_csv(rows: Sequence[EntryResult], table: ConvergenceTable) -> str:
+    """One line per entry; the first row's orders are empty fields."""
+    lines = [TABLE_HEADER]
+    for row, orders in zip(rows, _row_orders(table)):
+        r = row.report
+        go, lo, mo = ("", "", "") if orders is None else map(_num, orders)
+        lines.append(",".join([str(r.param), _num(r.h), _num(r.grad_err), go,
+                               _num(r.l2_err), lo, _num(r.max_nodal_err), mo,
+                               _num(row.alpha_h), _num(row.kt_dev)]))
+    return "\n".join(lines) + "\n"
 
 
 def _fmt_order(v: float) -> str:
     return _ORDER_DASH if math.isnan(v) else f"{v:.3f}"
 
 
-def markdown_table(table: ConvergenceTable, param_label: str) -> str:
+def markdown_table(rows: Sequence[EntryResult], table: ConvergenceTable,
+                   param_label: str) -> str:
     lines = [
         f"| {param_label} | grad err | order | L2 err | order | max err | order |",
         "|---:|---:|---:|---:|---:|---:|---:|",
     ]
-    for i, r in enumerate(table.reports):
-        if i == 0:
-            go = lo = mo = _ORDER_DASH
-        else:
-            go = _fmt_order(table.grad_orders[i - 1])
-            lo = _fmt_order(table.l2_orders[i - 1])
-            mo = _fmt_order(table.max_orders[i - 1])
-        lines.append(f"| {r.param} | {_fmt_err(r.grad_err)} | {go} "
-                     f"| {_fmt_err(r.l2_err)} | {lo} "
-                     f"| {_fmt_err(r.max_nodal_err)} | {mo} |")
+    for row, orders in zip(rows, _row_orders(table)):
+        r = row.report
+        go, lo, mo = (_ORDER_DASH,) * 3 if orders is None else map(_fmt_order, orders)
+        lines.append(f"| {r.param} | {r.grad_err:.6E} | {go} | {r.l2_err:.6E} | {lo} "
+                     f"| {r.max_nodal_err:.6E} | {mo} |")
     return "\n".join(lines) + "\n"
 
 
-def _diagnostics_csv(entries: Sequence[EntryResult], deterministic: bool) -> str:
-    header = DIAG_HEADER if deterministic else DIAG_HEADER + ",runtime_s"
-    lines = [header]
-    for en in entries:
-        cells = [str(en.param), str(en.n_unknowns), repr(en.h), repr(en.kt_dev),
-                 "" if en.alpha_h is None else repr(en.alpha_h),
-                 repr(en.chord_gap), repr(en.residual)]
+def diagnostics_csv(rows: Sequence[EntryResult], deterministic: bool) -> str:
+    lines = [DIAG_HEADER if deterministic else DIAG_HEADER + ",runtime_s"]
+    for row in rows:
+        cells = [str(row.report.param), str(row.n_unknowns), _num(row.report.h),
+                 _num(row.kt_dev), _num(row.alpha_h), _num(row.chord_gap),
+                 _num(row.residual)]
         if not deterministic:
-            cells.append(f"{en.runtime_s:.3f}")
+            cells.append(f"{row.runtime_s:.3f}")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -179,32 +187,18 @@ def resolve_out_dir(cfg: ExperimentConfig) -> Path:
     return Path(os.environ.get(ENV_OUT_DIR) or cfg.out_dir)
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   problem: ProblemSpec | None = None,
-                   mesh_for: Callable[[int], TriMesh] | None = None,
-                   log=None) -> ConvergenceTable:
-    """Sweep the mesh parameter, solve, and write table/diagnostics files.
-
-    ``problem`` and ``mesh_for`` override the named constructions; both are
-    required when ``cfg.problem == "custom"``.
-    """
+def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
+    """Sweep the mesh parameter, solve, and write table/diagnostics files."""
     cfg.validate()
-    if problem is None:
-        if cfg.problem == "custom":
-            raise ConfigError("custom problems need an explicit ProblemSpec")
-        problem = by_name(cfg.problem, e=cfg.e, k=cfg.k,
-                          extension_mode=cfg.extension_mode)
-    if problem.exact is None:
-        raise ConfigError("experiments need a manufactured solution for error norms")
-    if mesh_for is None:
-        mesh_for = _mesh_generator(cfg)
+    problem = by_name(cfg.problem, e=cfg.e, k=cfg.k, extension_mode=cfg.extension_mode)
+    mesh_for = _mesh_generator(cfg)
     out = resolve_out_dir(cfg)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
 
-    reports, entries = [], []
+    rows = []
     for param in cfg.sweep:
         try:
             t0 = time.perf_counter()
@@ -227,8 +221,8 @@ def run_experiment(cfg: ExperimentConfig,
             alpha = None if infsup is None else inf_sup_estimate(*infsup)
             del infsup
             rep = error_norms(mesh, dm, bases, srep.x, problem.exact, param=param)
-            entry = EntryResult(
-                param=param, n_unknowns=dm.n_unknowns, h=rep.h,
+            row = EntryResult(
+                report=rep, n_unknowns=dm.n_unknowns,
                 kt_dev=float(bases.kt_deviation.max(initial=0.0)), alpha_h=alpha,
                 chord_gap=chord_node_gap(mesh, bases, problem.exact.value),
                 residual=srep.residual_norm,
@@ -237,25 +231,16 @@ def run_experiment(cfg: ExperimentConfig,
                 save_mesh(mesh, out / f"mesh_{param}.txt")
         except ShiftFEMError as exc:
             raise type(exc)(f"sweep entry param={param}: {exc}") from exc
-        reports.append(rep)
-        entries.append(entry)
+        rows.append(row)
         if log is not None:
-            print(f"param={param}: n={entry.n_unknowns} grad={rep.grad_err:.6e} "
+            print(f"param={param}: n={row.n_unknowns} grad={rep.grad_err:.6e} "
                   f"l2={rep.l2_err:.6e} max={rep.max_nodal_err:.6e}", file=log)
 
-    if len(reports) >= 2:
-        table = convergence_orders(reports)
-    else:
-        table = ConvergenceTable(reports=tuple(reports), grad_orders=(),
-                                 l2_orders=(), max_orders=())
-
+    table = convergence_orders([row.report for row in rows])
     label = "I" if cfg.problem == "annulus_test2" else "J"
-    _write_atomic(out / "table.csv",
-                  table_to_csv(table, alpha_h=[e.alpha_h for e in entries],
-                               kt_dev=[e.kt_dev for e in entries]))
-    _write_atomic(out / "table.md", markdown_table(table, label))
-    _write_atomic(out / "diagnostics.csv",
-                  _diagnostics_csv(entries, cfg.deterministic))
+    _write_atomic(out / "table.csv", table_csv(rows, table))
+    _write_atomic(out / "table.md", markdown_table(rows, table, label))
+    _write_atomic(out / "diagnostics.csv", diagnostics_csv(rows, cfg.deterministic))
     if log is not None:
         print(f"wrote {out / 'table.csv'}, table.md, diagnostics.csv", file=log)
     return table

@@ -100,8 +100,9 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
 
     Raises InvalidParam on non-finite coordinates, inverted/degenerate
     triangles, out-of-range indices, nonconforming edges (shared by more
-    than two triangles), sliver triangles, coincident vertices, bad tags,
-    boundary edges that are not edges of exactly one triangle, or a boundary
+    than two triangles), sliver triangles, coincident vertices, boundary
+    listings that are not (i, j, tag) triples, bad tags, boundary edges
+    that are not edges of exactly one triangle, or a boundary
     edge listed twice (in either orientation, with any tags). Slivers
     (inradius) and coincident vertices (distance) are measured against
     MESH_REL_TOL times the bounding-box diameter, so the check does not
@@ -150,7 +151,7 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
         raise InvalidParam(f"vertices {pair[0]} and {pair[1]} coincide within {tol:.3e} "
                            f"({MESH_REL_TOL:.0e} of the mesh diameter)")
 
-    bedges = tuple((int(i1), int(i2), tag) for i1, i2, tag in boundary_edges)
+    bedges = tuple(_edge_triple(n, edge) for n, edge in enumerate(boundary_edges))
     lo, hi = np.sort(np.array([e[:2] for e in bedges], dtype=int).reshape(-1, 2), axis=1).T
     # edge numbers: the ranks of the distinct codes
     uniq, edge_of, counts = np.unique(codes, return_inverse=True, return_counts=True)
@@ -174,6 +175,15 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
         raise InvalidParam(f"boundary edge {bedges[second]} (listing {second}) repeats "
                            f"{bedges[first]} (listing {first})")
     return TriMesh(verts, tris, bedges, h, rho, edge_of.reshape(-1, 3), bids)
+
+
+def _edge_triple(n: int, edge) -> BoundaryEdge:
+    try:
+        i1, i2, tag = edge
+        return int(i1), int(i2), tag
+    except (TypeError, ValueError):
+        raise InvalidParam(f"boundary edge {edge!r} (listing {n}) is not "
+                           "an (i, j, tag) triple") from None
 
 
 def _orient_ccw(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .assembly import ExactSolution, ProblemSpec
@@ -103,5 +105,5 @@ def by_name(name: str, *, e: float = 0.5, k: int = 2,
     if name == "annulus_test2":
         return annulus_test2(e, extension_mode)
     if name == "polygon_patch":
-        return polygon_patch(k)
+        return replace(polygon_patch(k), extension_mode=extension_mode)
     raise InvalidParam(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")

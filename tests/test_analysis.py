@@ -11,9 +11,9 @@ from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from shiftfem import linsolve
-from shiftfem.analysis import (CSV_HEADER, ConvergenceTable, ErrorReport,
-                               chord_node_gap, convergence_orders, error_norms,
-                               inf_sup_estimate, interpolate_Ih, table_to_csv)
+from shiftfem.analysis import (ConvergenceTable, ErrorReport, chord_node_gap,
+                               convergence_orders, error_norms, inf_sup_estimate,
+                               interpolate_Ih)
 from shiftfem.assembly import ShiftUpdate, assemble, assemble_gram, shift_update
 from shiftfem.errors import (DimensionMismatch, InconsistentDof, MissingExact,
                              NonDyadicSequence, NotSPD)
@@ -163,7 +163,9 @@ def test_non_dyadic_sequence_rejected():
     with pytest.raises(NonDyadicSequence):
         convergence_orders([r4, r6])
     with pytest.raises(NonDyadicSequence):
-        convergence_orders([r4])
+        convergence_orders([])
+    # one report has no pair, hence no orders
+    assert convergence_orders([r4]) == ConvergenceTable((r4,), (), (), ())
 
 
 def test_error_report_rejects_bad_values():
@@ -585,27 +587,3 @@ def test_inf_sup_rejects_zero_unknowns():
     with pytest.raises(DimensionMismatch, match="at least one unknown"):
         inf_sup_estimate(empty, empty, _no_shift(0))
 
-
-def test_csv_serialization_golden():
-    reps = [ErrorReport(0.5, 0.25, 0.125, 0.5, 4),
-            ErrorReport(0.125, 0.03125, 0.03125, 0.25, 8)]
-    tab = convergence_orders(reps)
-    out = table_to_csv(tab, alpha_h=[0.5, None], kt_dev=[0.25, 0.125])
-    expected = (
-        CSV_HEADER + "\n"
-        "4,0.5,0.5,,0.25,,0.125,,0.5,0.25\n"
-        "8,0.25,0.125,2.0,0.03125,3.0,0.03125,2.0,,0.125\n"
-    )
-    assert out == expected
-    assert table_to_csv(tab, alpha_h=[0.5, None], kt_dev=[0.25, 0.125]) == out
-
-
-def test_csv_defaults_and_validation():
-    reps = [ErrorReport(1.0, 1.0, 1.0, 0.5, 4),
-            ErrorReport(0.5, 0.5, 0.5, 0.25, 8)]
-    tab = convergence_orders(reps)
-    lines = table_to_csv(tab).strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    assert lines[1].endswith(",,")
-    with pytest.raises(DimensionMismatch):
-        table_to_csv(tab, alpha_h=[1.0])

@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 from shiftfem import assembly, cli, linsolve
-from shiftfem.analysis import CSV_HEADER
-from shiftfem.cli import (DIAG_HEADER, ENV_OUT_DIR, ExperimentConfig,
-                          build_parser, config_from_args, main, markdown_table,
-                          run_experiment)
+from shiftfem.analysis import ErrorReport, convergence_orders
+from shiftfem.cli import (DIAG_HEADER, ENV_OUT_DIR, TABLE_HEADER, EntryResult,
+                          ExperimentConfig, build_parser, config_from_args, main,
+                          markdown_table, run_experiment, table_csv)
 from shiftfem.errors import ConfigError, MeshAssumptionViolated
 from shiftfem.mesh import gen_unit_square_mesh, load_mesh
-from shiftfem.problems import polygon_patch
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _patch_cfg(tmp_path, **kw):
@@ -44,6 +45,7 @@ def test_config_defaults_match_reference_experiment():
 
 @pytest.mark.parametrize("kw", [
     {"problem": "torus_test"},
+    {"problem": "custom"},  # a name no runner can build
     {"k": 4},
     {"e": 1.5},
     {"sweep": ()},
@@ -80,7 +82,7 @@ def test_patch_run_errors_vanish_orders_sentinel(tmp_path):
         assert max(r.grad_err, r.l2_err, r.max_nodal_err) <= 1e-10
     assert all(math.isnan(o) for o in table.grad_orders)
     csv = (tmp_path / "table.csv").read_text()
-    assert csv.splitlines()[0] == CSV_HEADER
+    assert csv.splitlines()[0] == TABLE_HEADER
     assert ",nan," in csv.splitlines()[2]
 
 
@@ -126,14 +128,13 @@ def test_non_deterministic_records_runtime(tmp_path):
     assert header == DIAG_HEADER + ",runtime_s"
 
 
-def test_custom_problem_requires_injection(tmp_path):
-    cfg = _patch_cfg(tmp_path, problem="custom")
-    with pytest.raises(ConfigError):
-        run_experiment(cfg)
-    table = run_experiment(cfg, problem=polygon_patch(2),
-                           mesh_for=gen_unit_square_mesh)
-    assert len(table.reports) == 2
-    assert table.reports[0].grad_err <= 1e-10
+def test_one_entry_run_matches_the_first_golden_row(tmp_path):
+    # a one-entry sweep has no orders; its row is the first of the longer run
+    run_experiment(ExperimentConfig(problem="ellipse_test1", k=2, sweep=(4,),
+                                    out_dir=str(tmp_path)))
+    for name, lines in (("table.csv", 2), ("diagnostics.csv", 2), ("table.md", 3)):
+        golden = (GOLDEN / "ellipse_k2" / name).read_text().splitlines(keepends=True)
+        assert (tmp_path / name).read_text() == "".join(golden[:lines]), name
 
 
 def test_extension_flag_shorthand(tmp_path):
@@ -305,12 +306,29 @@ def test_config_and_problem_mutually_exclusive():
                                    "--problem", "ellipse_test1"])
 
 
+def _rows(*reports, alpha_h=(None, None), kt_dev=(0.0, 0.0)):
+    return [EntryResult(report=r, n_unknowns=1, kt_dev=kt, alpha_h=a, chord_gap=0.0,
+                        residual=0.0, runtime_s=0.0)
+            for r, a, kt in zip(reports, alpha_h, kt_dev)]
+
+
 def test_markdown_layout_mirrors_reference_tables():
-    from shiftfem.analysis import ConvergenceTable, ErrorReport
     reps = (ErrorReport(0.5, 0.25, 0.125, 0.5, 4),
             ErrorReport(0.125, 0.03125, 0.03125, 0.25, 8))
-    tab = ConvergenceTable(reps, (2.0,), (3.0,), (2.0,))
-    md = markdown_table(tab, "J").splitlines()
+    md = markdown_table(_rows(*reps), convergence_orders(reps), "J").splitlines()
     assert md[0].split("|")[1].strip() == "J"
     assert "5.000000E-01" in md[2] and "--" in md[2]
     assert "2.000" in md[3] and "3.000" in md[3]
+
+
+def test_csv_serialization_golden():
+    reps = (ErrorReport(0.5, 0.25, 0.125, 0.5, 4),
+            ErrorReport(0.125, 0.03125, 0.03125, 0.25, 8))
+    rows = _rows(*reps, alpha_h=(0.5, None), kt_dev=(0.25, 0.125))
+    out = table_csv(rows, convergence_orders(reps))
+    expected = (
+        TABLE_HEADER + "\n"
+        "4,0.5,0.5,,0.25,,0.125,,0.5,0.25\n"
+        "8,0.25,0.125,2.0,0.03125,3.0,0.03125,2.0,,0.125\n"
+    )
+    assert out == expected

@@ -1,7 +1,10 @@
-"""Module layering: one module owns the sparse factorizations."""
+"""Module layering: one module owns the sparse factorizations, and one the
+formats of the run's artifacts."""
 
 import ast
 from pathlib import Path
+
+from shiftfem.cli import DIAG_HEADER, TABLE_HEADER
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "shiftfem"
 
@@ -21,3 +24,9 @@ def test_only_linsolve_imports_sparse_linalg():
         if any(m == "scipy.sparse.linalg" or m.startswith("scipy.sparse.linalg.")
                for m in _imported_modules(ast.parse(path.read_text()))))
     assert importers == ["linsolve.py"]
+
+
+def test_only_cli_holds_the_artifact_headers():
+    holders = sorted(path.name for path in SRC.glob("*.py")
+                     if any(h in path.read_text() for h in (TABLE_HEADER, DIAG_HEADER)))
+    assert holders == ["cli.py"]

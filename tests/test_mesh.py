@@ -1,6 +1,7 @@
 """Mesh generators, classification, stats, and text-format IO."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,15 @@ def test_boundary_edge_listed_twice_rejected():
         make_mesh(verts, [(0, 1, 2)], [(1, 2, "D"), (0, 1, "S"), (2, 1, "S")])
     with pytest.raises(InvalidParam, match=r"\(0, 1, 'D'\) \(listing 1\) repeats"):
         make_mesh(verts, [(0, 1, 2)], [(0, 1, "D"), (0, 1, "D")])
+
+
+
+@pytest.mark.parametrize("edge", [(0, 1), (0, 1, "D", 5)])
+def test_boundary_listing_that_is_not_a_triple_rejected(edge):
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    with pytest.raises(InvalidParam, match=rf"boundary edge {re.escape(repr(edge))} "
+                                           r"\(listing 1\) is not an \(i, j, tag\) triple"):
+        make_mesh(verts, [(0, 1, 2)], [(1, 2, "D"), edge])
 
 
 def test_unclassified_mesh_rejects_element_queries():

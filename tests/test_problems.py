@@ -105,3 +105,15 @@ def test_zero_extension_needs_a_curved_boundary():
     with pytest.raises(InvalidParam, match="'zero_outside' needs a curved boundary"):
         ProblemSpec(geom=square, f=lambda x, y: 0.0, extension_mode="zero_outside")
     ProblemSpec(geom=square, f=lambda x, y: 0.0)
+
+
+@pytest.mark.parametrize("name", ["ellipse_test1", "annulus_test2", "polygon_patch"])
+def test_by_name_passes_the_extension_mode_to_every_problem(name):
+    assert by_name(name).extension_mode == "analytic"
+    with pytest.raises(InvalidParam, match="unknown extension_mode 'extrapolate'"):
+        by_name(name, extension_mode="extrapolate")
+    if name == "polygon_patch":
+        with pytest.raises(InvalidParam, match="'zero_outside' needs a curved boundary"):
+            by_name(name, extension_mode="zero_outside")
+    else:
+        assert by_name(name, extension_mode="zero_outside").extension_mode == "zero_outside"
