@@ -1,4 +1,4 @@
-"""Error norms, convergence orders, interpolation, and stability diagnostics."""
+"""Error norms, convergence orders, and stability diagnostics."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .assembly import ExactSolution, ShiftUpdate, element_geometry
-from .errors import DimensionMismatch, InconsistentDof, MissingExact, NonDyadicSequence
+from .errors import (DimensionMismatch, InconsistentDof, InvalidParam, MissingExact,
+                     NonDyadicSequence)
 from .linsolve import bordered_schur, fill_order
 from .mesh import TriMesh
 from .quadrature import rule_for_degree
@@ -29,7 +30,7 @@ class ErrorReport:
         for name in ("grad_err", "l2_err", "max_nodal_err", "h"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+                raise InvalidParam(f"{name} must be finite and nonnegative, got {v}")
 
 
 @dataclass(frozen=True)
@@ -118,16 +119,6 @@ def convergence_orders(reports: Sequence[ErrorReport]) -> ConvergenceTable:
         max_orders=tuple(_pair_order(a.max_nodal_err, b.max_nodal_err)
                          for a, b in zip(reports, reports[1:])),
     )
-
-
-def interpolate_Ih(u: Callable, dofmap: DofMap) -> np.ndarray:
-    """Trial-space interpolant: coefficient = u at every global node.
-
-    Nodes of curved-edge elements live on the true boundary, so the
-    interpolant matches u there exactly.
-    """
-    return np.asarray(u(dofmap.node_coords[:, 0], dofmap.node_coords[:, 1]),
-                      dtype=float)
 
 
 def chord_node_gap(mesh: TriMesh, local_bases: LocalBases, u: Callable) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InconsistentDof, InvalidParam
-from .geometry import DEFAULT_TOL, BoundaryGeometry
+from .geometry import BoundaryGeometry
 from .mesh import TriMesh
 from .quadrature import rule_for_degree, triangle_area
 from .spaces import (DofMap, LocalBases, barycentric_gradients, check_compatible,
@@ -23,6 +23,8 @@ from .spaces import (DofMap, LocalBases, barycentric_gradients, check_compatible
 
 EXTENSION_MODES = ("analytic", "zero_outside")
 BASIS_CHOICES = ("test_space", "trial_space")
+# A point with a larger boundary field g is outside the domain.
+OUTSIDE_TOL = 1e-12
 
 
 def _zero(x, y):
@@ -90,7 +92,7 @@ def source_values(problem: ProblemSpec, pts: np.ndarray) -> np.ndarray:
     )
     if problem.extension_mode == "zero_outside":
         g = problem.geom.value_many(pts)
-        vals = np.where(g > DEFAULT_TOL, 0.0, vals)
+        vals = np.where(g > OUTSIDE_TOL, 0.0, vals)
     return vals
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .analysis import (ConvergenceTable, ErrorReport, chord_node_gap,
                        convergence_orders, error_norms, inf_sup_estimate)
-from .assembly import assemble, assemble_gram, shift_update
+from .assembly import EXTENSION_MODES, assemble, assemble_gram, shift_update
 from .errors import ConfigError, InvalidParam, ShiftFEMError
 from .linsolve import solve
 from .mesh import (TriMesh, classify_elements, gen_quarter_annulus_mesh,
@@ -25,7 +25,6 @@ from .spaces import (SUPPORTED_DEGREES, build_dof_map, build_local_bases,
                      element_node_layouts)
 
 ENV_OUT_DIR = "SHIFTFEM_OUT_DIR"
-ANGULAR_RANGES = {"half_pi": 0.5 * math.pi, "quarter_pi": 0.25 * math.pi}
 TABLE_HEADER = "param,h,grad_err,grad_order,l2_err,l2_order,max_err,max_order,alpha_h,kt_dev"
 DIAG_HEADER = "param,n_unknowns,h,kt_dev,alpha_h,chord_gap,residual"
 INFSUP_LIMIT = 5000  # larger entries leave alpha_h empty, as perfbench/reference does
@@ -43,14 +42,12 @@ class ExperimentConfig:
     k: int = 2
     sweep: tuple[int, ...] = (4, 8, 16, 32, 64)
     extension_mode: str = "analytic"
-    angular_range: str = "half_pi"
     out_dir: str = "results"
     deterministic: bool = True
     dump_meshes: bool = False
 
     def validate(self) -> None:
-        for name, kind in (("problem", str), ("extension_mode", str),
-                           ("angular_range", str), ("out_dir", str),
+        for name, kind in (("problem", str), ("extension_mode", str), ("out_dir", str),
                            ("deterministic", bool), ("dump_meshes", bool)):
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, "
@@ -72,15 +69,6 @@ class ExperimentConfig:
             raise ConfigError(f"sweep entries must each double the last, got {self.sweep}")
         if self.problem == "annulus_test2" and any(p % 2 for p in self.sweep):
             raise ConfigError("annulus sweep entries are angular counts I = 2J; they must be even")
-        if self.angular_range not in ANGULAR_RANGES:
-            raise ConfigError(f"angular_range must be one of {tuple(ANGULAR_RANGES)}")
-        if self.angular_range != "half_pi" and self.problem != "annulus_test2":
-            raise ConfigError("angular_range quarter_pi applies only to annulus_test2")
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["sweep"] = list(self.sweep)
-        return json.dumps(d, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -121,8 +109,7 @@ def _mesh_generator(cfg: ExperimentConfig) -> Callable[[int], TriMesh]:
     if cfg.problem == "ellipse_test1":
         return lambda J: gen_quarter_ellipse_mesh(J, cfg.e)
     if cfg.problem == "annulus_test2":
-        theta = ANGULAR_RANGES[cfg.angular_range]
-        return lambda I: gen_quarter_annulus_mesh(I, I // 2, cfg.e, theta_max=theta)
+        return lambda I: gen_quarter_annulus_mesh(I, I // 2, cfg.e)
     return gen_unit_square_mesh
 
 
@@ -269,8 +256,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.sweep is not None:
         updates["sweep"] = _parse_sweep(args.sweep)
     if args.extension is not None:
-        updates["extension_mode"] = ("zero_outside" if args.extension == "zero"
-                                     else args.extension)
+        updates["extension_mode"] = args.extension
     if args.out is not None:
         updates["out_dir"] = args.out
     if args.dump_meshes:
@@ -297,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--e", type=float, help="geometry parameter in (0, 1)")
     run_p.add_argument("--sweep", help="comma-separated mesh parameters, each double "
                                        "the last, e.g. 4,8,16,32,64")
-    run_p.add_argument("--extension", choices=("analytic", "zero", "zero_outside"),
+    run_p.add_argument("--extension", choices=EXTENSION_MODES,
                        help="source extension outside the domain")
     run_p.add_argument("--out", help=f"output directory (overridden by ${ENV_OUT_DIR})")
     run_p.add_argument("--dump-meshes", action="store_true",

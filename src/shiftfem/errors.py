@@ -14,7 +14,7 @@ class NoConvergence(ShiftFEMError):
 
 
 class InvalidParam(ShiftFEMError, ValueError):
-    """Mesh generator called with out-of-range parameters."""
+    """A mesh, geometry or error report built from out-of-range parameters."""
 
 
 class MeshAssumptionViolated(ShiftFEMError):

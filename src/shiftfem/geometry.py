@@ -62,7 +62,7 @@ class BoundaryGeometry:
 def ellipse(e: float) -> BoundaryGeometry:
     """Domain bounded by the curve (x/e)^2 + y^2 = 1."""
     if e <= 0:
-        raise ValueError(f"ellipse semi-axis must be positive, got {e}")
+        raise InvalidParam(f"ellipse semi-axis must be positive, got {e}")
 
     def g(x, y):
         return (x / e) ** 2 + y ** 2 - 1.0
@@ -76,7 +76,7 @@ def ellipse(e: float) -> BoundaryGeometry:
 def annulus(e: float) -> BoundaryGeometry:
     """Domain between the circles r = e and r = 1, for 0 < e < 1."""
     if not 0.0 < e < 1.0:
-        raise ValueError(f"annulus inner radius must lie in (0, 1), got {e}")
+        raise InvalidParam(f"annulus inner radius must lie in (0, 1), got {e}")
 
     def g_inner(x, y):
         return e - math.hypot(x, y)
@@ -101,7 +101,7 @@ def polygon(vertices: Sequence[Sequence[float]]) -> BoundaryGeometry:
     """Polygonal domain, listed counterclockwise: no curved pieces."""
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
-        raise ValueError("polygon needs at least 3 two-dimensional vertices")
+        raise InvalidParam("polygon needs at least 3 two-dimensional vertices")
     return BoundaryGeometry("polygon", (tuple(map(tuple, verts)),))
 
 

@@ -1,4 +1,4 @@
-"""Triangle meshes: structured generators, classification, stats, file IO.
+"""Triangle meshes: structured generators, classification, and a text dump.
 
 Generators produce the structured polar meshes for the quarter-ellipse and
 quarter-annulus domains and a diagonal-split unit-square mesh for polygon
@@ -59,17 +59,6 @@ class TriMesh:
     @property
     def num_triangles(self) -> int:
         return len(self.triangles)
-
-    def triangle_coords(self, t: int) -> np.ndarray:
-        """3x2 vertex coordinate array of triangle t."""
-        return self.vertices[self.triangles[t]]
-
-    def dirichlet_edge_of(self, t: int) -> BoundaryEdge | None:
-        """The Dirichlet edge of triangle t, or None for interior elements."""
-        if self.element_class is None:
-            raise MeshAssumptionViolated("mesh has not been classified")
-        idx = int(self.element_class[t])
-        return None if idx == INTERIOR else self.boundary_edges[idx]
 
 
 def _edge_codes(triangles: np.ndarray, nv: int) -> np.ndarray:
@@ -244,9 +233,8 @@ def gen_quarter_ellipse_mesh(J: int, e: float) -> TriMesh:
     return make_mesh(verts, tris, bedges)
 
 
-def gen_quarter_annulus_mesh(I: int, J: int, e: float,
-                             theta_max: float = 0.5 * math.pi) -> TriMesh:
-    """Structured mesh of the annulus sector e <= r <= 1, 0 <= theta <= theta_max.
+def gen_quarter_annulus_mesh(I: int, J: int, e: float) -> TriMesh:
+    """Structured mesh of the quarter annulus e <= r <= 1, 0 <= theta <= pi/2.
 
     I angular by J radial parameter cells, diagonal from (i, j) to
     (i+1, j+1). Both circular rings are tagged "D", the straight sides "S".
@@ -255,14 +243,11 @@ def gen_quarter_annulus_mesh(I: int, J: int, e: float,
         raise InvalidParam(f"I, J must be >= 1, got I={I}, J={J}")
     if not 0.0 < e < 1.0:
         raise InvalidParam(f"inner radius e must lie in (0, 1), got {e}")
-    if theta_max <= 0:
-        raise InvalidParam(f"theta_max must be positive, got {theta_max}")
 
-    cos_t = np.cos(theta_max * np.arange(I + 1) / I)
-    sin_t = np.sin(theta_max * np.arange(I + 1) / I)
+    cos_t = np.cos(0.5 * math.pi * np.arange(I + 1) / I)
+    sin_t = np.sin(0.5 * math.pi * np.arange(I + 1) / I)
     cos_t[0], sin_t[0] = 1.0, 0.0
-    if theta_max == 0.5 * math.pi:
-        cos_t[I], sin_t[I] = 0.0, 1.0
+    cos_t[I], sin_t[I] = 0.0, 1.0
 
     ids = np.arange((I + 1) * (J + 1)).reshape(J + 1, I + 1)
     r = e + ((1.0 - e) * np.arange(J + 1)) / J
@@ -331,29 +316,11 @@ def classify_elements(mesh: TriMesh, geom: BoundaryGeometry) -> TriMesh:
     return replace(mesh, element_class=hit.max(axis=1, initial=INTERIOR))
 
 
-@dataclass(frozen=True)
-class MeshStats:
-    h: float
-    gamma: float
-    n_elements: int
-    n_vertices: int
-
-
-def mesh_stats(mesh: TriMesh) -> MeshStats:
-    """Mesh size h = max element diameter; gamma = max diameter/inradius."""
-    if mesh.num_triangles == 0:
-        raise InvalidParam("empty mesh")
-    return MeshStats(h=float(np.max(mesh.h_per_element)),
-                     gamma=float(np.max(mesh.h_per_element / mesh.rho_per_element)),
-                     n_elements=mesh.num_triangles,
-                     n_vertices=mesh.num_vertices)
-
-
 def save_mesh(mesh: TriMesh, path) -> None:
     """Write the text format: `nv nt nb`, coordinates, triangles, tagged edges.
 
-    Coordinates use shortest round-trip decimal formatting, so a write/read
-    cycle reproduces them bit-exactly.
+    Coordinates use shortest round-trip decimal formatting, so parsing them
+    as floats reproduces them bit-exactly.
     """
     lines = [f"{mesh.num_vertices} {mesh.num_triangles} {len(mesh.boundary_edges)}"]
     for x, y in mesh.vertices:
@@ -364,25 +331,3 @@ def save_mesh(mesh: TriMesh, path) -> None:
         lines.append(f"{i1} {i2} {tag}")
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def load_mesh(path) -> TriMesh:
-    """Read the text format written by save_mesh and validate the mesh."""
-    tokens = Path(path).read_text().split("\n")
-    rows = [line.split() for line in tokens if line.strip()]
-    try:
-        nv, nt, nb = (int(w) for w in rows[0])
-        if len(rows) != 1 + nv + nt + nb:
-            raise InvalidParam(
-                f"expected {1 + nv + nt + nb} lines for nv={nv} nt={nt} nb={nb}, "
-                f"got {len(rows)}")
-        verts = np.array([[float(w) for w in rows[1 + n]] for n in range(nv)])
-        tris = [[int(w) for w in rows[1 + nv + n]] for n in range(nt)]
-        bedges = []
-        for n in range(nb):
-            i1, i2, tag = rows[1 + nv + nt + n]
-            bedges.append((int(i1), int(i2), tag))
-    except InvalidParam:
-        raise
-    except (ValueError, IndexError) as exc:
-        raise InvalidParam(f"malformed mesh file {path}: {exc}") from exc
-    return make_mesh(verts, tris, bedges)

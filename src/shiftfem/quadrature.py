@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -87,9 +86,6 @@ class TriangleRule:
     points: np.ndarray
     weights: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.weights)
-
     def physical_points(self, tri: np.ndarray) -> np.ndarray:
         """Map the rule points onto physical triangles ((..., 3, 2) vertex array)."""
         return self.points @ np.asarray(tri, dtype=float)
@@ -136,10 +132,3 @@ def triangle_area(tri: np.ndarray):
     (x0, y0), (x1, y1), (x2, y2) = np.moveaxis(np.asarray(tri, dtype=float), (-2, -1), (0, 1))
     return 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
 
-
-def integrate(fn: Callable[[float, float], float], tri: np.ndarray, d: int) -> float:
-    """Integrate ``fn(x, y)`` over a physical triangle with a degree-d rule."""
-    rule = rule_for_degree(d)
-    area = abs(triangle_area(tri))
-    pts = rule.physical_points(tri)
-    return area * float(sum(w * fn(x, y) for (x, y), w in zip(pts, rule.weights)))

@@ -118,15 +118,6 @@ def eval_basis_bary_grad(k: int, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_basis_physical(k: int, tri: np.ndarray, pts: np.ndarray):
-    """Standard basis values (n, n_k) and physical gradients (n, n_k, 2)."""
-    lam = barycentric_coords(tri, pts)
-    vals = eval_basis_bary(k, lam)
-    dlam = eval_basis_bary_grad(k, lam)
-    grads = np.einsum("njm,md->njd", dlam, barycentric_gradients(tri))
-    return vals, grads
-
-
 @dataclass(frozen=True)
 class LocalBases:
     """Stacked basis data of the degree-``k`` trial space on T elements.
@@ -147,13 +138,6 @@ class LocalBases:
     coeffs: np.ndarray
     moved: np.ndarray
     kt_deviation: np.ndarray
-
-    def element_coeffs(self, t: int) -> np.ndarray:
-        """Coefficient map of element t (the identity unless t is shifted)."""
-        i = int(np.searchsorted(self.shifted, t))
-        if i < len(self.shifted) and self.shifted[i] == t:
-            return self.coeffs[i]
-        return np.eye(self.nodes.shape[1])
 
 
 def _shifted_elements(mesh: TriMesh) -> np.ndarray:
@@ -315,23 +299,3 @@ def check_compatible(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases) -> 
         raise InconsistentDof("one local basis per element required")
     if local_bases.nodes.shape[1] != dofmap.element_to_global.shape[1]:
         raise InconsistentDof("local basis size disagrees with dof map")
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    value: float
-    gradient: np.ndarray
-
-
-def eval_uh(dofmap: DofMap, local_bases: LocalBases,
-            coefficients: np.ndarray, element_id: int, p) -> EvalResult:
-    """Evaluate the trial-space function given by full nodal coefficients.
-
-    Valid anywhere the element's polynomial extension is wanted, including
-    the skin beyond a curved edge.
-    """
-    nodes = local_bases.nodes[element_id]
-    c_local = coefficients[dofmap.element_to_global[element_id]]
-    a = local_bases.element_coeffs(element_id) @ c_local
-    vals, grads = eval_basis_physical(local_bases.k, nodes[:3], np.asarray(p, dtype=float))
-    return EvalResult(value=float(vals[0] @ a), gradient=grads[0].T @ a)

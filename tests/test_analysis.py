@@ -12,17 +12,20 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from shiftfem import linsolve
 from shiftfem.analysis import (ConvergenceTable, ErrorReport, chord_node_gap,
-                               convergence_orders, error_norms, inf_sup_estimate,
-                               interpolate_Ih)
-from shiftfem.assembly import ShiftUpdate, assemble, assemble_gram, shift_update
-from shiftfem.errors import (DimensionMismatch, InconsistentDof, MissingExact,
-                             NonDyadicSequence, NotSPD)
+                               convergence_orders, error_norms, inf_sup_estimate)
+from shiftfem.assembly import (ExactSolution, ProblemSpec, ShiftUpdate, assemble,
+                               assemble_gram, shift_update)
+from shiftfem.errors import (DimensionMismatch, InconsistentDof, InvalidParam,
+                             MissingExact, NonDyadicSequence, NotSPD)
 from shiftfem.linsolve import bordered_schur, fill_order, solve
 from shiftfem.mesh import (INTERIOR, classify_elements, gen_quarter_annulus_mesh,
                            gen_quarter_ellipse_mesh, gen_unit_square_mesh)
+from shiftfem.geometry import annulus, ellipse
 from shiftfem.problems import annulus_test2, ellipse_test1, polygon_patch
 from shiftfem.spaces import (build_dof_map, build_local_bases,
-                             element_node_layouts, eval_uh, lagrange_layout)
+                             element_node_layouts, lagrange_layout)
+
+from oracles import eval_uh
 
 # Frozen outputs of this pipeline (splu solve, default quadrature). These
 # pin regressions: any change to mesh generation, node relocation, assembly,
@@ -40,6 +43,11 @@ ELLIPSE_ALPHA = {4: 0.979817, 8: 0.993772}
 ANNULUS_ALPHA = {4: 0.984187}
 ELLIPSE_CHORD_GAP = {4: 6.447559e-03, 8: 1.756879e-03}
 ANNULUS_CHORD_GAP = {4: 9.238154e-03, 8: 2.384450e-03}
+
+
+def _interpolant(prob, dm):
+    """Trial-space interpolant of the exact solution: its value at every node."""
+    return prob.exact.value(dm.node_coords[:, 0], dm.node_coords[:, 1])
 
 
 def _solve_problem(prob, mesh, k=2):
@@ -71,10 +79,48 @@ def test_patch_errors_vanish():
     assert r.max_nodal_err <= 1e-10
 
 
+# Curved patch solutions: both have zero normal derivative on the axes, the
+# natural symmetry edges, so the degree-k trial space holds them exactly.
+QUADRATIC_PATCH = ExactSolution(
+    value=lambda x, y: 1.0 + x * x + 2.0 * y * y,
+    grad=lambda x, y: np.stack((2.0 * x, 4.0 * y), axis=-1))
+CUBIC_PATCH = ExactSolution(
+    value=lambda x, y: 1.0 + x * x + 2.0 * y * y + x ** 3 - y ** 3,
+    grad=lambda x, y: np.stack((2.0 * x + 3.0 * x * x, 4.0 * y - 3.0 * y * y), axis=-1))
+
+
+def _curved_patch_errors(exact, f, geom, param, k):
+    """README pipeline with the exact solution as Dirichlet data on the arcs."""
+    prob = ProblemSpec(geom, f, d=exact.value, exact=exact)
+    raw = (gen_quarter_ellipse_mesh(param, 0.5) if geom.kind == "ellipse"
+           else gen_quarter_annulus_mesh(param, param // 2, 0.5))
+    mesh, dm, bases, _, x = _solve_problem(prob, raw, k)
+    return error_norms(mesh, dm, bases, x, exact, param=param)
+
+
+@pytest.mark.parametrize("geom", [ellipse(0.5), annulus(0.5)], ids=["ellipse", "annulus"])
+@pytest.mark.parametrize("exact, f, k", [
+    (QUADRATIC_PATCH, lambda x, y: -6.0, 2),
+    (QUADRATIC_PATCH, lambda x, y: -6.0, 3),
+    (CUBIC_PATCH, lambda x, y: -6.0 - 6.0 * x + 6.0 * y, 3),
+], ids=["quadratic_k2", "quadratic_k3", "cubic_k3"])
+def test_curved_patch_is_reproduced(geom, exact, f, k):
+    # nonzero Dirichlet data imposed at the moved boundary nodes
+    for param in (4, 8, 16):
+        r = _curved_patch_errors(exact, f, geom, param, k)
+        assert r.grad_err < 1e-11 and r.l2_err < 1e-11, (param, r)
+
+
+@pytest.mark.parametrize("geom", [ellipse(0.5), annulus(0.5)], ids=["ellipse", "annulus"])
+def test_cubic_patch_is_not_reproduced_at_k2(geom):
+    r = _curved_patch_errors(CUBIC_PATCH, lambda x, y: -6.0 - 6.0 * x + 6.0 * y, geom, 16, 2)
+    assert r.grad_err > 1e-4
+
+
 def test_interpolant_of_space_polynomial_exact():
     prob = polygon_patch(3)
     mesh, dm, bases, _, _ = _solve_problem(prob, gen_unit_square_mesh(3), k=3)
-    coeffs = interpolate_Ih(prob.exact.value, dm)
+    coeffs = _interpolant(prob, dm)
     r = error_norms(mesh, dm, bases, coeffs, prob.exact, param=3)
     assert max(r.grad_err, r.l2_err, r.max_nodal_err) <= 1e-10
 
@@ -169,15 +215,15 @@ def test_non_dyadic_sequence_rejected():
 
 
 def test_error_report_rejects_bad_values():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParam):
         ErrorReport(-1.0, 0.0, 0.0, 0.1, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParam):
         ErrorReport(1.0, math.nan, 0.0, 0.1, 4)
 
 
 def test_interpolant_nodal_duality():
     prob, mesh, dm, bases, _, _ = _ellipse_case(8)
-    coeffs = interpolate_Ih(prob.exact.value, dm)
+    coeffs = _interpolant(prob, dm)
     rng = np.random.default_rng(7)
     worst = 0.0
     for t in rng.choice(mesh.num_triangles, size=12, replace=False):
@@ -193,7 +239,7 @@ def test_interpolant_gradient_converges_at_order_two():
     errs = []
     for J in (8, 16, 32):
         mesh, dm, bases, _, _ = _solve_problem(prob, gen_quarter_ellipse_mesh(J, 0.5))
-        coeffs = interpolate_Ih(prob.exact.value, dm)
+        coeffs = _interpolant(prob, dm)
         errs.append(error_norms(mesh, dm, bases, coeffs, prob.exact, param=J))
     assert errs[0].grad_err == pytest.approx(3.192000e-03, rel=1e-6)
     tab = convergence_orders(errs)

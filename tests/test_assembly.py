@@ -78,7 +78,7 @@ def _p2_oracle_solution(mesh, f):
     mids_bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     rows, cols, vals, loads = [], [], [], {}
     for t in range(mesh.num_triangles):
-        tri = mesh.triangle_coords(t)
+        tri = mesh.vertices[mesh.triangles[t]]
         (x0, y0), (x1, y1), (x2, y2) = tri
         twoA = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
         gl = np.array([[y1 - y2, x2 - x1], [y2 - y0, x0 - x2],
@@ -135,7 +135,7 @@ def test_single_element_rhs_against_high_order_rule():
     assert sys.A.shape == (3, 3)
     assert np.all(np.isfinite(sys.A.toarray()))
     rule = rule_for_degree(8)
-    tri = mesh.triangle_coords(0)
+    tri = mesh.vertices[mesh.triangles[0]]
     pts = rule.physical_points(tri)
     F = abs(triangle_area(tri)) * (
         eval_basis_bary(2, rule.points).T @ (rule.weights * prob.f(pts[:, 0], pts[:, 1]))
@@ -165,9 +165,9 @@ def test_zero_extension_touches_only_inner_ring_rows():
     changed = set(np.nonzero(s1.rhs != s2.rhs)[0])
     assert len(changed) == 24
     inner_rows = set()
-    for t in range(mesh.num_triangles):
-        edge = mesh.dirichlet_edge_of(t)
-        if edge is None or abs(math.hypot(*mesh.vertices[edge[0]]) - 0.5) > 1e-9:
+    for t in np.flatnonzero(mesh.element_class != INTERIOR):
+        edge = mesh.boundary_edges[mesh.element_class[t]]
+        if abs(math.hypot(*mesh.vertices[edge[0]]) - 0.5) > 1e-9:
             continue
         ui = dm.unknown_index[dm.element_to_global[t]]
         inner_rows.update(int(i) for i in ui[ui >= 0])

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,9 @@ from shiftfem.cli import (DIAG_HEADER, ENV_OUT_DIR, TABLE_HEADER, EntryResult,
                           ExperimentConfig, build_parser, config_from_args, main,
                           markdown_table, run_experiment, table_csv)
 from shiftfem.errors import ConfigError, MeshAssumptionViolated
-from shiftfem.mesh import gen_unit_square_mesh, load_mesh
+from shiftfem.mesh import gen_unit_square_mesh
+
+from oracles import load_mesh
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -24,14 +27,17 @@ def _patch_cfg(tmp_path, **kw):
     return ExperimentConfig(**base)
 
 
+def _json(cfg):
+    return json.dumps(asdict(cfg))
+
+
 def test_config_round_trip():
     for cfg in (ExperimentConfig(),
                 ExperimentConfig(problem="annulus_test2", e=0.3, k=3,
                                  sweep=(4, 8), extension_mode="zero_outside",
-                                 angular_range="quarter_pi",
                                  out_dir="elsewhere", deterministic=False,
                                  dump_meshes=True)):
-        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+        assert ExperimentConfig.from_json(_json(cfg)) == cfg
 
 
 def test_config_defaults_match_reference_experiment():
@@ -54,19 +60,14 @@ def test_config_defaults_match_reference_experiment():
     {"sweep": (0, 2)},
     {"problem": "annulus_test2", "sweep": (3, 6)},
     {"extension_mode": "extrapolate"},
-    {"angular_range": "full_pi"},
-    {"angular_range": "quarter_pi"},  # only annulus supports it
+    {"extension_mode": "zero"},  # not a mode name
+    {"e": 1.0},
     {"sweep": (4, 6)},
     {"problem": "polygon_patch", "extension_mode": "zero_outside"},
 ])
 def test_config_validation_rejects(kw):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kw).validate()
-
-
-def test_quarter_pi_valid_for_annulus():
-    ExperimentConfig(problem="annulus_test2",
-                     angular_range="quarter_pi").validate()
 
 
 @pytest.mark.parametrize("text", ["not json", "[1,2]", '{"sweep": 4}',
@@ -140,10 +141,14 @@ def test_one_entry_run_matches_the_first_golden_row(tmp_path):
 def test_extension_flag_shorthand(tmp_path):
     args = build_parser().parse_args(
         ["run", "--problem", "annulus_test2", "--sweep", "4,8",
-         "--extension", "zero", "--out", str(tmp_path)])
+         "--extension", "zero_outside", "--out", str(tmp_path)])
     cfg = config_from_args(args)
     assert cfg.extension_mode == "zero_outside"
     assert cfg.sweep == (4, 8)
+    # the flag takes exactly the mode names a config file does
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--problem", "annulus_test2",
+                                   "--extension", "zero"])
 
 
 def test_cli_exit_success(tmp_path, capsys):
@@ -166,7 +171,8 @@ def test_cli_exit_config_error(tmp_path, capsys):
     ("k", 2.0), ("k", True), ("e", "0.5"), ("e", False), ("sweep", [True, 2]),
     ("sweep", [4, 8.0]), ("deterministic", "no"), ("dump_meshes", 1),
     ("k", "2"), ("sweep", "4,8"), ("out_dir", 5),
-    ("problem", ["ellipse_test1"]), ("extension_mode", None), ("angular_range", 0.5),
+    ("problem", ["ellipse_test1"]), ("extension_mode", None),
+    ("angular_range", 0.5),  # a removed key, now unknown
 ])
 def test_cli_rejects_mistyped_config_values(tmp_path, capsys, key, value):
     path = tmp_path / "cfg.json"
@@ -193,11 +199,23 @@ def test_cli_exit_numerical_failure(tmp_path, capsys, monkeypatch):
     # is named.
     monkeypatch.setattr(cli, "solve", lambda A, b: linsolve.solve(0 * A, b))
     path = tmp_path / "cfg.json"
-    path.write_text(_patch_cfg(tmp_path).to_json())
+    path.write_text(_json(_patch_cfg(tmp_path)))
     rc = main(["run", "--config", str(path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "param=2: sparse LU factorization failed" in err
+
+
+def test_cli_exit_non_finite_error_report(tmp_path, capsys, monkeypatch):
+    # an error norm that is not finite fails its sweep entry like any
+    # numerical failure, with no traceback
+    monkeypatch.setattr(cli, "error_norms",
+                        lambda *args, param, **kw: ErrorReport(math.inf, 0.0, 0.0, 0.5, param))
+    rc = main(["run", "--problem", "polygon_patch", "--sweep", "2", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "param=2: grad_err must be finite" in err
+    assert "Traceback" not in err
 
 
 def test_cli_out_naming_a_file_is_a_config_error(tmp_path, capsys):
@@ -226,7 +244,7 @@ def test_readme_config_block_matches_the_config_defaults():
     block = re.search(r"mirrors `shiftfem\.cli\.ExperimentConfig`.*?```json\n(.*?)```",
                       readme, re.S)
     assert block is not None
-    assert json.loads(block.group(1)) == json.loads(ExperimentConfig().to_json())
+    assert json.loads(block.group(1)) == json.loads(_json(ExperimentConfig()))
 
 
 def test_ray_failure_names_stage_and_element(tmp_path, capsys):
@@ -294,7 +312,7 @@ def test_work_per_sweep_entry(tmp_path, monkeypatch):
 
 def test_cli_config_file_with_override(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(_patch_cfg(tmp_path).to_json())
+    path.write_text(_json(_patch_cfg(tmp_path)))
     rc = main(["run", "--config", str(path), "--sweep", "2"])
     assert rc == 0
     assert len((tmp_path / "diagnostics.csv").read_text().splitlines()) == 2

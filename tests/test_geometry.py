@@ -12,13 +12,13 @@ from shiftfem.geometry import (annulus, ellipse, polygon,
 
 
 def test_invalid_parameters_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParam):
         ellipse(-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParam):
         annulus(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParam):
         annulus(1.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParam):
         polygon([(0.0, 0.0), (1.0, 0.0)])
 
 

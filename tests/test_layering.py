@@ -1,5 +1,5 @@
-"""Module layering: one module owns the sparse factorizations, and one the
-formats of the run's artifacts."""
+"""Module layering: one module owns the sparse factorizations, one the
+formats of the run's artifacts, and src/ defines only what src/ uses."""
 
 import ast
 from pathlib import Path
@@ -30,3 +30,30 @@ def test_only_cli_holds_the_artifact_headers():
     holders = sorted(path.name for path in SRC.glob("*.py")
                      if any(h in path.read_text() for h in (TABLE_HEADER, DIAG_HEADER)))
     assert holders == ["cli.py"]
+
+
+def _definitions(tree):
+    """Public functions, classes and methods defined in a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (m.name for m in node.body if isinstance(m, ast.FunctionDef))
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_public_definition_is_used_in_src():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    used = {name for tree in trees for name in _references(tree)}
+    unused = sorted(name for tree in trees for name in _definitions(tree)
+                    if not name.startswith("_") and name not in used)
+    assert unused == []
