@@ -41,32 +41,21 @@ class ConvergenceTable:
     max_orders: tuple[float, ...]
 
 
-def _full_coefficients(dofmap: DofMap, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape == (dofmap.n_nodes,):
-        return x
-    if x.shape == (dofmap.n_unknowns,):
-        return dofmap.full_vector(x)
-    raise DimensionMismatch(
-        f"solution has shape {x.shape}; expected ({dofmap.n_unknowns},) or ({dofmap.n_nodes},)")
-
-
 def error_norms(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
                 x: np.ndarray, exact: ExactSolution | None,
                 param: int = 0) -> ErrorReport:
     """Gradient and L2 error over the mesh polygon plus the unknown-node max.
 
     The integrals take a degree-(2k+4) rule, so the smooth exact solution
-    is sampled well beyond the degree of the discrete one. ``x`` may be the
-    reduced unknown vector or the full nodal vector. The nodal maximum uses
-    the coefficients directly (they are nodal values), over unknown nodes
-    only: constrained nodes sit on the true boundary where the imposed
-    datum is exact.
+    is sampled well beyond the degree of the discrete one. ``x`` is the
+    solve's reduced unknown vector. The nodal maximum uses the coefficients
+    directly (they are nodal values), over unknown nodes only: constrained
+    nodes sit on the true boundary where the imposed datum is exact.
     """
     if exact is None:
         raise MissingExact("error norms require a manufactured solution")
     check_compatible(mesh, dofmap, local_bases)
-    full = _full_coefficients(dofmap, x)
+    full = dofmap.full_vector(x)
     k = local_bases.k
     rule = rule_for_degree(2 * k + 4)
     tris, grads, area = element_geometry(mesh)

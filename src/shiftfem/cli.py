@@ -3,23 +3,24 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import numbers
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .analysis import (ConvergenceTable, ErrorReport, chord_node_gap,
                        convergence_orders, error_norms, inf_sup_estimate)
 from .assembly import EXTENSION_MODES, assemble, assemble_gram, shift_update
 from .errors import ConfigError, InvalidParam, ShiftFEMError
 from .linsolve import solve
-from .mesh import (TriMesh, classify_elements, gen_quarter_annulus_mesh,
-                   gen_quarter_ellipse_mesh, gen_unit_square_mesh, save_mesh)
+from .mesh import (classify_elements, gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh,
+                   gen_unit_square_mesh, save_mesh)
 from .problems import PROBLEM_NAMES, by_name
 from .spaces import (SUPPORTED_DEGREES, build_dof_map, build_local_bases,
                      element_node_layouts)
@@ -29,6 +30,15 @@ TABLE_HEADER = "param,h,grad_err,grad_order,l2_err,l2_order,max_err,max_order,al
 DIAG_HEADER = "param,n_unknowns,h,kt_dev,alpha_h,chord_gap,residual"
 INFSUP_LIMIT = 5000  # larger entries leave alpha_h empty, as perfbench/reference does
 _ORDER_DASH = "--"
+
+# The sweep's mesh family per geometry kind: the parameter's letter, the mesh
+# of (parameter p, e), and whether p must be even (the annulus's p = I = 2J).
+# Each gen_* name is looked up at call time, so rebinding it here takes effect.
+MESH_FAMILIES = {
+    "ellipse": ("J", lambda p, e: gen_quarter_ellipse_mesh(p, e), False),
+    "annulus": ("I", lambda p, e: gen_quarter_annulus_mesh(p, p // 2, e), True),
+    "polygon": ("J", lambda p, e: gen_unit_square_mesh(p), False),
+}
 
 
 def _is_int(v) -> bool:
@@ -58,7 +68,7 @@ class ExperimentConfig:
                 or not 0.0 < self.e < 1.0:
             raise ConfigError(f"geometry parameter e must be a number in (0, 1), got {self.e!r}")
         try:  # the problem's own checks: its name and its extension mode
-            by_name(self.problem, e=self.e, k=self.k, extension_mode=self.extension_mode)
+            spec = by_name(self.problem, e=self.e, k=self.k, extension_mode=self.extension_mode)
         except InvalidParam as exc:
             raise ConfigError(str(exc)) from exc
         if not self.sweep:
@@ -67,8 +77,10 @@ class ExperimentConfig:
             raise ConfigError(f"sweep entries must be positive integers, got {self.sweep}")
         if any(b != 2 * a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError(f"sweep entries must each double the last, got {self.sweep}")
-        if self.problem == "annulus_test2" and any(p % 2 for p in self.sweep):
-            raise ConfigError("annulus sweep entries are angular counts I = 2J; they must be even")
+        label, _, even = MESH_FAMILIES[spec.geom.kind]
+        if even and any(p % 2 for p in self.sweep):
+            raise ConfigError(f"{spec.geom.kind} sweep entries {label} must be even, "
+                              f"got {self.sweep}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -105,18 +117,15 @@ class EntryResult:
     runtime_s: float
 
 
-def _mesh_generator(cfg: ExperimentConfig) -> Callable[[int], TriMesh]:
-    if cfg.problem == "ellipse_test1":
-        return lambda J: gen_quarter_ellipse_mesh(J, cfg.e)
-    if cfg.problem == "annulus_test2":
-        return lambda I: gen_quarter_annulus_mesh(I, I // 2, cfg.e)
-    return gen_unit_square_mesh
-
-
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _row_orders(table: ConvergenceTable) -> list:
@@ -170,16 +179,12 @@ def diagnostics_csv(rows: Sequence[EntryResult], deterministic: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def resolve_out_dir(cfg: ExperimentConfig) -> Path:
-    return Path(os.environ.get(ENV_OUT_DIR) or cfg.out_dir)
-
-
 def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
     """Sweep the mesh parameter, solve, and write table/diagnostics files."""
     cfg.validate()
     problem = by_name(cfg.problem, e=cfg.e, k=cfg.k, extension_mode=cfg.extension_mode)
-    mesh_for = _mesh_generator(cfg)
-    out = resolve_out_dir(cfg)
+    label, mesh_of, _ = MESH_FAMILIES[problem.geom.kind]
+    out = Path(os.environ.get(ENV_OUT_DIR) or cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -189,10 +194,10 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
     for param in cfg.sweep:
         try:
             t0 = time.perf_counter()
-            mesh = classify_elements(mesh_for(param), problem.geom)
-            lay = element_node_layouts(mesh, problem.geom, cfg.k)
-            bases = build_local_bases(mesh, cfg.k, lay)
-            dm = build_dof_map(mesh, cfg.k, lay, dirichlet_data=problem.d)
+            mesh = classify_elements(mesh_of(param, cfg.e), problem.geom)
+            bases = build_local_bases(mesh, cfg.k,
+                                      element_node_layouts(mesh, problem.geom, cfg.k))
+            dm = build_dof_map(mesh, bases, dirichlet_data=problem.d)
             sysm = assemble(mesh, dm, bases, problem)
             infsup = None
             if 0 < dm.n_unknowns <= INFSUP_LIMIT:
@@ -215,7 +220,11 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
                 residual=srep.residual_norm,
                 runtime_s=time.perf_counter() - t0)
             if cfg.dump_meshes:
-                save_mesh(mesh, out / f"mesh_{param}.txt")
+                path = out / f"mesh_{param}.txt"
+                try:
+                    save_mesh(mesh, path)
+                except OSError as exc:
+                    raise ConfigError(f"cannot write {path}: {exc}") from exc
         except ShiftFEMError as exc:
             raise type(exc)(f"sweep entry param={param}: {exc}") from exc
         rows.append(row)
@@ -224,7 +233,6 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
                   f"l2={rep.l2_err:.6e} max={rep.max_nodal_err:.6e}", file=log)
 
     table = convergence_orders([row.report for row in rows])
-    label = "I" if cfg.problem == "annulus_test2" else "J"
     _write_atomic(out / "table.csv", table_csv(rows, table))
     _write_atomic(out / "table.md", markdown_table(rows, table, label))
     _write_atomic(out / "diagnostics.csv", diagnostics_csv(rows, cfg.deterministic))
@@ -241,28 +249,18 @@ def _parse_sweep(text: str) -> tuple[int, ...]:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    cfg = ExperimentConfig()
     if args.config is not None:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        cfg = ExperimentConfig.from_json(path.read_text())
-    else:
-        cfg = ExperimentConfig(problem=args.problem)
-    updates = {}
-    if args.k is not None:
-        updates["k"] = args.k
-    if args.e is not None:
-        updates["e"] = args.e
-    if args.sweep is not None:
-        updates["sweep"] = _parse_sweep(args.sweep)
-    if args.extension is not None:
-        updates["extension_mode"] = args.extension
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.dump_meshes:
-        updates["dump_meshes"] = True
-    if updates:
-        cfg = ExperimentConfig(**{**asdict(cfg), **updates})
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        cfg = ExperimentConfig.from_json(text)
+    given = {name: value for name, value in vars(args).items()
+             if name not in ("command", "config")}
+    if "sweep" in given:
+        given["sweep"] = _parse_sweep(given["sweep"])
+    cfg = replace(cfg, **given)
     cfg.validate()
     return cfg
 
@@ -273,9 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convergence experiments for the boundary-shifted "
                     "Petrov-Galerkin method on curved domains.")
     sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="run a mesh-refinement experiment")
+    # each option's dest is the config field it sets; an option not given is absent
+    run_p = sub.add_parser("run", help="run a mesh-refinement experiment",
+                           argument_default=argparse.SUPPRESS)
     src = run_p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--config", help="JSON config file")
+    src.add_argument("--config", default=None, help="JSON config file")
     src.add_argument("--problem", choices=PROBLEM_NAMES,
                      help="named problem with default settings")
     run_p.add_argument("--k", type=int,
@@ -283,9 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--e", type=float, help="geometry parameter in (0, 1)")
     run_p.add_argument("--sweep", help="comma-separated mesh parameters, each double "
                                        "the last, e.g. 4,8,16,32,64")
-    run_p.add_argument("--extension", choices=EXTENSION_MODES,
+    run_p.add_argument("--extension", dest="extension_mode", choices=EXTENSION_MODES,
                        help="source extension outside the domain")
-    run_p.add_argument("--out", help=f"output directory (overridden by ${ENV_OUT_DIR})")
+    run_p.add_argument("--out", dest="out_dir",
+                       help=f"output directory (overridden by ${ENV_OUT_DIR})")
     run_p.add_argument("--dump-meshes", action="store_true",
                        help="also write mesh_<param>.txt per sweep entry")
     return parser

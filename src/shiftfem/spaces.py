@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InconsistentDof, MeshAssumptionViolated, NoConvergence,
-                     NoRootInBracket, SingularLocalSystem, UnsupportedDegree)
+from .errors import (DimensionMismatch, InconsistentDof, MeshAssumptionViolated,
+                     NoConvergence, NoRootInBracket, SingularLocalSystem,
+                     UnsupportedDegree)
 from .geometry import BoundaryGeometry, ray_boundary_intersection
 from .mesh import INTERIOR, TriMesh, dirichlet_edges
 from .quadrature import triangle_area
@@ -225,39 +226,34 @@ class DofMap:
     unknown_index: np.ndarray
     n_unknowns: int
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_coords)
-
     def full_vector(self, reduced: np.ndarray) -> np.ndarray:
         """Scatter a reduced unknown vector into a full nodal vector with
         Dirichlet values filled in."""
+        if np.shape(reduced) != (self.n_unknowns,):
+            raise DimensionMismatch(f"solution has shape {np.shape(reduced)}; "
+                                    f"expected ({self.n_unknowns},)")
         full = self.dirichlet_values.copy()
         full[~self.dirichlet_mask] = reduced
         return full
 
 
-def build_dof_map(mesh: TriMesh, k: int, layouts: np.ndarray,
-                  dirichlet_data=None) -> DofMap:
-    """Number the element nodes globally from the mesh topology; mark Dirichlet.
+def build_dof_map(mesh: TriMesh, local_bases: LocalBases, dirichlet_data=None) -> DofMap:
+    """Number the nodes of ``local_bases`` globally from the mesh topology;
+    mark Dirichlet.
 
     Each node is owned by a mesh entity: a vertex (its id), an edge (its
     number ``mesh.edge_of`` and the node's position counted from the edge's
     lower vertex id), or a cell (its id and the interior index). Global numbers
     follow first appearance in element-major order, and ``node_coords`` are
-    the layouts at those first appearances, so the numbering needs no
-    coordinate matching and no tolerance. A node is Dirichlet iff it lies on
-    an edge tagged "D": the edge's two vertices and its k-1 edge nodes
+    the ``local_bases.nodes`` at those first appearances, so the numbering
+    needs no coordinate matching and no tolerance. A node is Dirichlet iff it
+    lies on an edge tagged "D": the edge's two vertices and its k-1 edge nodes
     (curved-edge nodes are the relocated ones). Nodes of "S" edges stay
     unknowns. ``dirichlet_data``, if given, is called once with the x and y
     arrays of the Dirichlet nodes.
     """
-    n_k = len(_multi_indices(k))
-    T, nv, per_edge = mesh.num_triangles, mesh.num_vertices, k - 1
-    if np.shape(layouts) != (T, n_k, 2):
-        raise InconsistentDof(f"expected layouts of shape {(T, n_k, 2)}, "
-                              f"got {np.shape(layouts)}")
-    per_cell = n_k - 3 - 3 * per_edge
+    T, nv, per_edge = mesh.num_triangles, mesh.num_vertices, local_bases.k - 1
+    per_cell = local_bases.nodes.shape[1] - 3 - 3 * per_edge
 
     # Edge m runs from local vertex m to m+1, so its t-th node (from 0) is at
     # position t from the lower vertex id if that is vertex m, else k-2-t.
@@ -273,8 +269,8 @@ def build_dof_map(mesh: TriMesh, k: int, layouts: np.ndarray,
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    elem_to_global = rank[inverse].reshape(T, n_k)
-    node_coords = np.asarray(layouts, dtype=float).reshape(-1, 2)[first[order]]
+    elem_to_global = rank[inverse].reshape(T, -1)
+    node_coords = local_bases.nodes.reshape(-1, 2)[first[order]]
 
     owner, ends = dirichlet_edges(mesh)
     edge = nv + mesh.boundary_edge_ids[owner][:, None] * per_edge + step

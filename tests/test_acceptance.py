@@ -51,16 +51,17 @@ def _sweep(problem_name, params, k=2, extension_mode="analytic",
         mesh = classify_elements(_mesh_for(problem_name, p), prob.geom)
         lay = element_node_layouts(mesh, prob.geom, k)
         bases = build_local_bases(mesh, k, lay)
-        dm = build_dof_map(mesh, k, lay, dirichlet_data=prob.d)
+        dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)
         sysm = assemble(mesh, dm, bases, prob)
         x = solve(sysm.A, sysm.rhs).x
         out["reports"].append(error_norms(mesh, dm, bases, x, prob.exact, param=p))
         out["kt"].append(float(bases.kt_deviation.max(initial=0.0)))
         out["gap"].append(chord_node_gap(mesh, bases, prob.exact.value))
         if with_interp:
-            coeffs = prob.exact.value(dm.node_coords[:, 0], dm.node_coords[:, 1])
-            out["interp"].append(
-                error_norms(mesh, dm, bases, coeffs, prob.exact, param=p))
+            # the interpolant's unknown-node values; its Dirichlet ones are the data
+            free = dm.node_coords[~dm.dirichlet_mask]
+            out["interp"].append(error_norms(mesh, dm, bases, prob.exact.value(*free.T),
+                                             prob.exact, param=p))
         if p <= alpha_upto:
             out["alpha"][p] = inf_sup_estimate(
                 assemble_gram(sysm, bases, "test_space"),
@@ -111,7 +112,7 @@ def test_acceptance_01_patch_test():
         mesh = classify_elements(gen_unit_square_mesh(4), prob.geom)
         lay = element_node_layouts(mesh, prob.geom, k)
         bases = build_local_bases(mesh, k, lay)
-        dm = build_dof_map(mesh, k, lay, dirichlet_data=prob.d)
+        dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)
         sysm = assemble(mesh, dm, bases, prob)
         x = solve(sysm.A, sysm.rhs).x
         r = error_norms(mesh, dm, bases, x, prob.exact, param=4)

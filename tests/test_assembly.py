@@ -25,7 +25,7 @@ from shiftfem.spaces import (build_dof_map, build_local_bases,
 def _pipeline(mesh, geom, k, problem):
     layouts = element_node_layouts(mesh, geom, k)
     bases = build_local_bases(mesh, k, layouts)
-    dm = build_dof_map(mesh, k, layouts, dirichlet_data=problem.d)
+    dm = build_dof_map(mesh, bases, dirichlet_data=problem.d)
     return dm, bases, assemble(mesh, dm, bases, problem)
 
 
@@ -235,8 +235,8 @@ def test_gram_spaces_differ_on_curved_mesh():
 def test_invalid_inputs_rejected():
     geom = unit_square()
     mesh = classify_elements(gen_unit_square_mesh(2), geom)
-    dm = build_dof_map(mesh, 2, element_node_layouts(mesh, geom, 2))
     bases2 = build_local_bases(mesh, 2, element_node_layouts(mesh, geom, 2))
+    dm = build_dof_map(mesh, bases2)
     bases3 = build_local_bases(mesh, 3, element_node_layouts(mesh, geom, 3))
     with pytest.raises(InconsistentDof):
         assemble(mesh, dm, bases3, polygon_patch(2))

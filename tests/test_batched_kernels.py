@@ -239,7 +239,7 @@ def test_stacked_kernels_reproduce_the_element_loops(name):
     assert np.array_equal(bases.kt_deviation, dev)
     assert bases.kt_deviation.max(initial=0.0) == max(dev)
 
-    dm = build_dof_map(mesh, k, lay, dirichlet_data=prob.d)
+    dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)
     sysm = assemble(mesh, dm, bases, prob)
     A, rhs = _loop_assemble(mesh, dm, coeffs, dev, prob, k)
     assert _exact_csr(sysm.A, A)
@@ -267,7 +267,7 @@ def test_topological_numbering_reproduces_the_spatial_hash(name):
     prob, raw, k = _case(name)
     mesh = classify_elements(raw, prob.geom)
     lay = element_node_layouts(mesh, prob.geom, k)
-    dm = build_dof_map(mesh, k, lay, dirichlet_data=prob.d)
+    dm = build_dof_map(mesh, build_local_bases(mesh, k, lay), dirichlet_data=prob.d)
     coords, mask, values, e2g, unknown = _hash_dof_map(mesh, prob.geom, k, prob.d, lay)
     assert np.array_equal(dm.element_to_global, e2g)
     assert np.array_equal(dm.node_coords, coords)

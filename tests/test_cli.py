@@ -1,5 +1,6 @@
 """Experiment configuration, runner artifacts, and command-line behavior."""
 
+import argparse
 import json
 import math
 import re
@@ -10,11 +11,12 @@ import pytest
 
 from shiftfem import assembly, cli, linsolve
 from shiftfem.analysis import ErrorReport, convergence_orders
-from shiftfem.cli import (DIAG_HEADER, ENV_OUT_DIR, TABLE_HEADER, EntryResult,
-                          ExperimentConfig, build_parser, config_from_args, main,
-                          markdown_table, run_experiment, table_csv)
+from shiftfem.cli import (DIAG_HEADER, ENV_OUT_DIR, MESH_FAMILIES, TABLE_HEADER,
+                          EntryResult, ExperimentConfig, build_parser, config_from_args,
+                          main, markdown_table, run_experiment, table_csv)
 from shiftfem.errors import ConfigError, MeshAssumptionViolated
 from shiftfem.mesh import gen_unit_square_mesh
+from shiftfem.problems import PROBLEM_NAMES, by_name
 
 from oracles import load_mesh
 
@@ -151,6 +153,19 @@ def test_extension_flag_shorthand(tmp_path):
                                    "--extension", "zero"])
 
 
+def test_every_run_option_sets_the_config_field_named_by_its_dest():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["run"]._actions} - {"help", "config"}
+    assert {"problem", "extension_mode", "out_dir", "dump_meshes"} <= dests
+    assert dests <= set(ExperimentConfig.__dataclass_fields__)
+
+
+def test_every_named_problem_has_a_mesh_family():
+    kinds = {by_name(name).geom.kind for name in PROBLEM_NAMES}
+    assert kinds <= set(MESH_FAMILIES)
+
+
 def test_cli_exit_success(tmp_path, capsys):
     rc = main(["run", "--problem", "polygon_patch", "--sweep", "2,4",
                "--out", str(tmp_path)])
@@ -225,6 +240,34 @@ def test_cli_out_naming_a_file_is_a_config_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(out) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, flags", [("table.csv", []),
+                                         ("mesh_2.txt", ["--dump-meshes"])])
+def test_failed_artifact_write_is_a_config_error_naming_the_file(tmp_path, capsys,
+                                                                 name, flags):
+    # a directory where the file should go fails the write, also as root
+    (tmp_path / name).mkdir()
+    rc = main(["run", "--problem", "ellipse_test1", "--sweep", "2,4", "--out", str(tmp_path),
+               *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"cannot write {tmp_path / name}:" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".tmp") == []
+
+
+@pytest.mark.parametrize("content", [b'\xff\xfe{"k": 2}', None])
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    if content is None:  # a directory cannot be read as a file
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {path}:")
     assert "Traceback" not in err
 
 

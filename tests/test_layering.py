@@ -5,6 +5,7 @@ import ast
 from pathlib import Path
 
 from shiftfem.cli import DIAG_HEADER, TABLE_HEADER
+from shiftfem.problems import PROBLEM_NAMES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "shiftfem"
 
@@ -57,3 +58,26 @@ def test_every_public_definition_is_used_in_src():
     unused = sorted(name for tree in trees for name in _definitions(tree)
                     if not name.startswith("_") and name not in used)
     assert unused == []
+
+
+def _config_problem_default(tree):
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "ExperimentConfig":
+            return next(node.value for node in cls.body if isinstance(node, ast.AnnAssign)
+                        and node.target.id == "problem")
+    return None
+
+
+def test_only_problems_py_names_the_problems():
+    # the runner keys its facts on the problem's geometry, so a new named
+    # problem needs no edit outside problems.py
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "problems.py":
+            continue
+        tree = ast.parse(path.read_text())
+        default = _config_problem_default(tree)
+        stray += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value in PROBLEM_NAMES
+                  and node is not default]
+    assert stray == []

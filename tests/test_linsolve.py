@@ -79,7 +79,7 @@ def test_fine_ellipse_solve_passes_the_gate():
     mesh = classify_elements(gen_quarter_ellipse_mesh(128, 0.6), prob.geom)
     lay = element_node_layouts(mesh, prob.geom, 2)
     bases = build_local_bases(mesh, 2, lay)
-    dm = build_dof_map(mesh, 2, lay, dirichlet_data=prob.d)
+    dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)
     system = assemble(mesh, dm, bases, prob)
     del bases, lay
     rep = solve(system.A, system.rhs)

@@ -24,6 +24,11 @@ from oracles import element_coeffs, eval_basis_physical, eval_uh
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+def _dof_map(mesh, geom, k, dirichlet_data=None):
+    bases = build_local_bases(mesh, k, element_node_layouts(mesh, geom, k))
+    return build_dof_map(mesh, bases, dirichlet_data=dirichlet_data)
+
+
 def _random_triangle(rng):
     while True:
         tri = rng.uniform(-1.0, 1.0, size=(3, 2))
@@ -46,8 +51,6 @@ def test_local_dimensions_and_unsupported_degrees():
         layouts = np.zeros((mesh.num_triangles, (bad + 1) * (bad + 2) // 2, 2))
         with pytest.raises(UnsupportedDegree):
             build_local_bases(mesh, bad, layouts)
-        with pytest.raises(UnsupportedDegree):
-            build_dof_map(mesh, bad, layouts)
 
 
 def test_layout_reference_triangle():
@@ -256,17 +259,13 @@ def test_local_bases_reject_mismatched_layouts():
         build_local_bases(mesh, 3, layouts)
     with pytest.raises(InconsistentDof):
         build_local_bases(mesh, 2, layouts[:-1])
-    with pytest.raises(InconsistentDof):
-        build_dof_map(mesh, 3, layouts)
-    with pytest.raises(InconsistentDof):
-        build_dof_map(mesh, 2, layouts[:-1])
 
 
 def test_dof_map_single_element_ellipse():
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(1, 0.5), geom)
-    dm = build_dof_map(mesh, 2, element_node_layouts(mesh, geom, 2))
-    assert dm.n_nodes == 6
+    dm = _dof_map(mesh, geom, 2)
+    assert len(dm.node_coords) == 6
     assert int(dm.dirichlet_mask.sum()) == 3
     assert dm.n_unknowns == 3
     # the Dirichlet set is the two arc endpoints plus the relocated node
@@ -277,11 +276,10 @@ def test_dof_map_single_element_ellipse():
 def test_dof_map_dirichlet_values():
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(2, 0.5), geom)
-    dm0 = build_dof_map(mesh, 2, element_node_layouts(mesh, geom, 2))
+    dm0 = _dof_map(mesh, geom, 2)
     assert np.all(dm0.dirichlet_values == 0.0)
-    dm = build_dof_map(mesh, 2, element_node_layouts(mesh, geom, 2),
-                       dirichlet_data=lambda x, y: x + 2.0 * y)
-    for i in range(dm.n_nodes):
+    dm = _dof_map(mesh, geom, 2, dirichlet_data=lambda x, y: x + 2.0 * y)
+    for i in range(len(dm.node_coords)):
         if dm.dirichlet_mask[i]:
             x, y = dm.node_coords[i]
             assert dm.dirichlet_values[i] == pytest.approx(x + 2.0 * y)
@@ -293,16 +291,16 @@ def test_dof_map_dirichlet_values():
 def test_square_patch_unknown_counts(J):
     geom = unit_square()
     mesh = classify_elements(gen_unit_square_mesh(J), geom)
-    dm2 = build_dof_map(mesh, 2, element_node_layouts(mesh, geom, 2))
+    dm2 = _dof_map(mesh, geom, 2)
     assert dm2.n_unknowns == (2 * J - 1) ** 2
-    dm3 = build_dof_map(mesh, 3, element_node_layouts(mesh, geom, 3))
+    dm3 = _dof_map(mesh, geom, 3)
     assert dm3.n_unknowns == (3 * J - 1) ** 2
 
 
 def test_symmetry_edge_nodes_stay_unknown():
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(4, 0.5), geom)
-    dm = build_dof_map(mesh, 2, element_node_layouts(mesh, geom, 2))
+    dm = _dof_map(mesh, geom, 2)
     on_axis = (np.abs(dm.node_coords[:, 0]) < 1e-14) | (np.abs(dm.node_coords[:, 1]) < 1e-14)
     axis_unknowns = (~dm.dirichlet_mask) & on_axis
     # all axis nodes except the two arc endpoints are unknowns
@@ -322,10 +320,10 @@ def _scaled_square(J, scale, bottom_tag=TAG_DIRICHLET):
 def test_square_patch_numbering_is_scale_free(k, scale):
     J = 8
     mesh, geom = _scaled_square(J, scale)
-    dm = build_dof_map(mesh, k, element_node_layouts(mesh, geom, k))
+    dm = _dof_map(mesh, geom, k)
     assert dm.n_unknowns == (k * J - 1) ** 2
     ref_mesh, ref_geom = _scaled_square(J, 1.0)
-    ref = build_dof_map(ref_mesh, k, element_node_layouts(ref_mesh, ref_geom, k))
+    ref = _dof_map(ref_mesh, ref_geom, k)
     assert np.array_equal(dm.element_to_global, ref.element_to_global)
     assert np.array_equal(dm.dirichlet_mask, ref.dirichlet_mask)
 
@@ -336,7 +334,7 @@ def test_symmetry_tagged_polygon_side_keeps_its_nodes(k):
     # except the two corners, which also lie on "D" sides
     J = 2
     mesh, geom = _scaled_square(J, 1.0, bottom_tag=TAG_SYMMETRY)
-    dm = build_dof_map(mesh, k, element_node_layouts(mesh, geom, k))
+    dm = _dof_map(mesh, geom, k)
     bottom = dm.node_coords[:, 1] == 0.0
     assert int(bottom.sum()) == k * J + 1
     assert int(dm.dirichlet_mask[bottom].sum()) == 2
@@ -358,9 +356,9 @@ def test_trial_functions_continuous_across_interior_edges(k):
     mesh = classify_elements(gen_quarter_ellipse_mesh(4, 0.5), geom)
     layouts = element_node_layouts(mesh, geom, k)
     bases = build_local_bases(mesh, k, layouts)
-    dm = build_dof_map(mesh, k, layouts)
+    dm = build_dof_map(mesh, bases)
     rng = np.random.default_rng(777)
-    coeffs = rng.standard_normal(dm.n_nodes)
+    coeffs = rng.standard_normal(len(dm.node_coords))
     for (a, b), (t1, t2) in _interior_edges(mesh):
         pa, pb = mesh.vertices[a], mesh.vertices[b]
         for s in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -398,7 +396,7 @@ def test_eval_uh_reproduces_global_polynomial(k):
     mesh = classify_elements(gen_quarter_ellipse_mesh(4, 0.5), geom)
     layouts = element_node_layouts(mesh, geom, k)
     bases = build_local_bases(mesh, k, layouts)
-    dm = build_dof_map(mesh, k, layouts)
+    dm = build_dof_map(mesh, bases)
     coeffs = np.array([poly(x, y) for x, y in dm.node_coords])
     rng = np.random.default_rng(555)
     for t in rng.choice(mesh.num_triangles, size=10, replace=False):
@@ -412,7 +410,7 @@ def test_eval_uh_zero_coefficients():
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(2, 0.5), geom)
     bases = build_local_bases(mesh, 2, element_node_layouts(mesh, geom, 2))
-    dm = build_dof_map(mesh, 2, element_node_layouts(mesh, geom, 2))
-    out = eval_uh(dm, bases, np.zeros(dm.n_nodes), 0, (0.1, 0.1))
+    dm = build_dof_map(mesh, bases)
+    out = eval_uh(dm, bases, np.zeros(len(dm.node_coords)), 0, (0.1, 0.1))
     assert out.value == 0.0
     assert np.array_equal(out.gradient, [0.0, 0.0])
