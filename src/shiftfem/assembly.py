@@ -70,19 +70,16 @@ class AssembledSystem:
     """A, the load and the dof map of one mesh, plus the element stiffness
     blocks :func:`assemble_gram` builds both Gram matrices from.
 
-    ``blocks`` (T, n_k, n_k) are A's element blocks. A shifted element's
-    block is ``B @ C`` for its standard-basis block B and coefficient map C;
-    ``plain_shifted`` (S, n_k, n_k) keeps those B, in the order of
-    ``LocalBases.shifted``. Drop the system once A, the load, the Grams and
-    the :func:`shift_update` are taken from it: the blocks are about as large
-    as A.
+    ``blocks`` (T, n_k, n_k) are the standard-basis stiffness blocks B; A's
+    block of a shifted element is ``B @ C`` for its coefficient map C. Drop
+    the system once A, the load, the Grams and the :func:`shift_update` are
+    taken from it: the blocks are about as large as A.
     """
 
     A: sp.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
     blocks: np.ndarray
-    plain_shifted: np.ndarray
 
 
 def source_values(problem: ProblemSpec, pts: np.ndarray) -> np.ndarray:
@@ -146,14 +143,15 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     k = local_bases.k
     tris, area, B = _stiffness_blocks(mesh, k)
     s = local_bases.shifted
-    plain_shifted = B[s]
-    B[s] = plain_shifted @ local_bases.coeffs
+    BC = B[s] @ local_bases.coeffs
     load = rule_for_degree(2 * k + 2)
     pts = load.physical_points(tris)
     f = source_values(problem, pts.reshape(-1, 2)).reshape(pts.shape[:2])
     phi_load = eval_basis_bary(k, load.points)
     F = area[:, None] * (phi_load.T[None] @ (load.weights * f)[:, :, None])[..., 0]
-    lift = (B @ dofmap.dirichlet_values[dofmap.element_to_global][:, :, None])[..., 0]
+    d = dofmap.dirichlet_values[dofmap.element_to_global][:, :, None]
+    lift = (B @ d)[..., 0]
+    lift[s] = (BC @ d[s])[..., 0]
     # Element by element, rhs[free] += F and then rhs[free] -= lift; bincount
     # adds its weights in order, so interleaving the two keeps that order.
     weights = np.stack((F, -lift), axis=1)
@@ -161,8 +159,8 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     idx = np.broadcast_to(ui[:, None, :], weights.shape)
     free = idx >= 0
     rhs = np.bincount(idx[free], weights[free], minlength=dofmap.n_unknowns)
-    return AssembledSystem(A=_scatter(ui, B, dofmap.n_unknowns), rhs=rhs, dofmap=dofmap,
-                           blocks=B, plain_shifted=plain_shifted)
+    return AssembledSystem(A=_scatter(ui, B, dofmap.n_unknowns, s, BC), rhs=rhs,
+                           dofmap=dofmap, blocks=B)
 
 
 def assemble_gram(system: AssembledSystem, local_bases: LocalBases,
@@ -171,20 +169,20 @@ def assemble_gram(system: AssembledSystem, local_bases: LocalBases,
 
     Built from the element blocks :func:`assemble` made for ``system``, so
     it uses the same stiffness rule and costs no second block kernel: the
-    test Gram takes A's blocks with the shifted elements' plain blocks
-    restored, the trial Gram ``C^T B C`` on the shifted elements. The result
-    is not checked here; :func:`shiftfem.analysis.inf_sup_estimate` proves
-    both Grams symmetric positive definite with the bordered factors of
-    :mod:`shiftfem.linsolve` (failure signals a broken dof map).
+    test Gram sums the blocks B, the trial Gram takes ``C^T B C`` on the
+    shifted elements. The result is not checked here;
+    :func:`shiftfem.analysis.inf_sup_estimate` proves both Grams symmetric
+    positive definite with the bordered factors of :mod:`shiftfem.linsolve`
+    (failure signals a broken dof map).
     """
     if basis_choice not in BASIS_CHOICES:
         raise InvalidParam(f"unknown basis_choice {basis_choice!r}")
-    dofmap, s, B = system.dofmap, local_bases.shifted, system.plain_shifted
-    if basis_choice == "trial_space":
-        C = local_bases.coeffs
-        B = C.transpose(0, 2, 1) @ B @ C
-    return _scatter(dofmap.unknown_index[dofmap.element_to_global], system.blocks,
-                    dofmap.n_unknowns, s, B)
+    dofmap, B = system.dofmap, system.blocks
+    ui = dofmap.unknown_index[dofmap.element_to_global]
+    if basis_choice == "test_space":
+        return _scatter(ui, B, dofmap.n_unknowns)
+    s, C = local_bases.shifted, local_bases.coeffs
+    return _scatter(ui, B, dofmap.n_unknowns, s, C.transpose(0, 2, 1) @ B[s] @ C)
 
 
 @dataclass(frozen=True)
@@ -219,7 +217,7 @@ def shift_update(system: AssembledSystem, local_bases: LocalBases) -> ShiftUpdat
     free = rows >= 0
     cols = np.broadcast_to(np.arange(len(el))[:, None], rows.shape)[free]
     shape = (dofmap.n_unknowns, len(el))
-    B = system.plain_shifted
+    B = system.blocks[local_bases.shifted]
     N = sp.csc_matrix((B[el, :, loc][free], (rows[free], cols)), shape=shape)
     L = sp.csc_matrix((local_bases.coeffs[el, loc, :][free], (rows[free], cols)), shape=shape)
     Q = np.where(el[:, None] == el, B[el[:, None], loc[:, None], loc], 0.0)

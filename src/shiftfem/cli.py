@@ -20,16 +20,14 @@ from .assembly import EXTENSION_MODES, assemble, assemble_gram, shift_update
 from .errors import ConfigError, InvalidParam, ShiftFEMError
 from .linsolve import solve
 from .mesh import (classify_elements, gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh,
-                   gen_unit_square_mesh, save_mesh)
+                   gen_unit_square_mesh, mesh_text)
 from .problems import PROBLEM_NAMES, by_name
 from .spaces import (SUPPORTED_DEGREES, build_dof_map, build_local_bases,
                      element_node_layouts)
 
-ENV_OUT_DIR = "SHIFTFEM_OUT_DIR"
 TABLE_HEADER = "param,h,grad_err,grad_order,l2_err,l2_order,max_err,max_order,alpha_h,kt_dev"
 DIAG_HEADER = "param,n_unknowns,h,kt_dev,alpha_h,chord_gap,residual"
 INFSUP_LIMIT = 5000  # larger entries leave alpha_h empty, as perfbench/reference does
-_ORDER_DASH = "--"
 
 # The sweep's mesh family per geometry kind: the parameter's letter, the mesh
 # of (parameter p, e), and whether p must be even (the annulus's p = I = 2J).
@@ -56,7 +54,7 @@ class ExperimentConfig:
     deterministic: bool = True
     dump_meshes: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, kind in (("problem", str), ("extension_mode", str), ("out_dir", str),
                            ("deterministic", bool), ("dump_meshes", bool)):
             if not isinstance(getattr(self, name), kind):
@@ -98,9 +96,7 @@ class ExperimentConfig:
             if not isinstance(raw["sweep"], list):
                 raise ConfigError("sweep must be a JSON list")
             raw["sweep"] = tuple(raw["sweep"])
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
 
 @dataclass(frozen=True)
@@ -128,63 +124,47 @@ def _write_atomic(path: Path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _row_orders(table: ConvergenceTable) -> list:
-    """Each row's (grad, L2, max) orders; None for the first row."""
-    return [None, *zip(table.grad_orders, table.l2_orders, table.max_orders)]
-
-
 def _num(v: float | None) -> str:
     return "" if v is None else repr(float(v))
 
 
-def table_csv(rows: Sequence[EntryResult], table: ConvergenceTable) -> str:
-    """One line per entry; the first row's orders are empty fields."""
-    lines = [TABLE_HEADER]
-    for row, orders in zip(rows, _row_orders(table)):
+def _order(v: float | None) -> str:
+    return "--" if v is None or math.isnan(v) else f"{v:.3f}"
+
+
+def render(rows: Sequence[EntryResult], label: str, deterministic: bool) -> dict[str, str]:
+    """The text of each artifact, by file name, for the sweep entries in ``rows``.
+
+    The first row has no orders: empty cells in table.csv, dashes in table.md.
+    """
+    table = convergence_orders([row.report for row in rows])
+    orders = [(None,) * 3, *zip(table.grad_orders, table.l2_orders, table.max_orders)]
+    csv = [TABLE_HEADER]
+    md = [f"| {label} | grad err | order | L2 err | order | max err | order |",
+          "|---:|---:|---:|---:|---:|---:|---:|"]
+    diag = [DIAG_HEADER if deterministic else DIAG_HEADER + ",runtime_s"]
+    for row, (go, lo, mo) in zip(rows, orders):
         r = row.report
-        go, lo, mo = ("", "", "") if orders is None else map(_num, orders)
-        lines.append(",".join([str(r.param), _num(r.h), _num(r.grad_err), go,
-                               _num(r.l2_err), lo, _num(r.max_nodal_err), mo,
-                               _num(row.alpha_h), _num(row.kt_dev)]))
-    return "\n".join(lines) + "\n"
-
-
-def _fmt_order(v: float) -> str:
-    return _ORDER_DASH if math.isnan(v) else f"{v:.3f}"
-
-
-def markdown_table(rows: Sequence[EntryResult], table: ConvergenceTable,
-                   param_label: str) -> str:
-    lines = [
-        f"| {param_label} | grad err | order | L2 err | order | max err | order |",
-        "|---:|---:|---:|---:|---:|---:|---:|",
-    ]
-    for row, orders in zip(rows, _row_orders(table)):
-        r = row.report
-        go, lo, mo = (_ORDER_DASH,) * 3 if orders is None else map(_fmt_order, orders)
-        lines.append(f"| {r.param} | {r.grad_err:.6E} | {go} | {r.l2_err:.6E} | {lo} "
-                     f"| {r.max_nodal_err:.6E} | {mo} |")
-    return "\n".join(lines) + "\n"
-
-
-def diagnostics_csv(rows: Sequence[EntryResult], deterministic: bool) -> str:
-    lines = [DIAG_HEADER if deterministic else DIAG_HEADER + ",runtime_s"]
-    for row in rows:
-        cells = [str(row.report.param), str(row.n_unknowns), _num(row.report.h),
-                 _num(row.kt_dev), _num(row.alpha_h), _num(row.chord_gap),
-                 _num(row.residual)]
+        csv.append(",".join([str(r.param), _num(r.h), _num(r.grad_err), _num(go),
+                             _num(r.l2_err), _num(lo), _num(r.max_nodal_err), _num(mo),
+                             _num(row.alpha_h), _num(row.kt_dev)]))
+        md.append(f"| {r.param} | {r.grad_err:.6E} | {_order(go)} | {r.l2_err:.6E} "
+                  f"| {_order(lo)} | {r.max_nodal_err:.6E} | {_order(mo)} |")
+        cells = [str(r.param), str(row.n_unknowns), _num(r.h), _num(row.kt_dev),
+                 _num(row.alpha_h), _num(row.chord_gap), _num(row.residual)]
         if not deterministic:
             cells.append(f"{row.runtime_s:.3f}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        diag.append(",".join(cells))
+    return {name: "\n".join(lines) + "\n" for name, lines in
+            (("table.csv", csv), ("table.md", md), ("diagnostics.csv", diag))}
 
 
 def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
-    """Sweep the mesh parameter, solve, and write table/diagnostics files."""
-    cfg.validate()
+    """Sweep the mesh parameter, solve, and rewrite every artifact after each
+    entry, so a run that fails later keeps the rows already finished."""
     problem = by_name(cfg.problem, e=cfg.e, k=cfg.k, extension_mode=cfg.extension_mode)
     label, mesh_of, _ = MESH_FAMILIES[problem.geom.kind]
-    out = Path(os.environ.get(ENV_OUT_DIR) or cfg.out_dir)
+    out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -219,26 +199,21 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
                 chord_gap=chord_node_gap(mesh, bases, problem.exact.value),
                 residual=srep.residual_norm,
                 runtime_s=time.perf_counter() - t0)
-            if cfg.dump_meshes:
-                path = out / f"mesh_{param}.txt"
-                try:
-                    save_mesh(mesh, path)
-                except OSError as exc:
-                    raise ConfigError(f"cannot write {path}: {exc}") from exc
         except ShiftFEMError as exc:
             raise type(exc)(f"sweep entry param={param}: {exc}") from exc
         rows.append(row)
+        files = render(rows, label, cfg.deterministic)
+        if cfg.dump_meshes:
+            files[f"mesh_{param}.txt"] = mesh_text(mesh)
+        for name, text in files.items():
+            _write_atomic(out / name, text)
         if log is not None:
             print(f"param={param}: n={row.n_unknowns} grad={rep.grad_err:.6e} "
                   f"l2={rep.l2_err:.6e} max={rep.max_nodal_err:.6e}", file=log)
 
-    table = convergence_orders([row.report for row in rows])
-    _write_atomic(out / "table.csv", table_csv(rows, table))
-    _write_atomic(out / "table.md", markdown_table(rows, table, label))
-    _write_atomic(out / "diagnostics.csv", diagnostics_csv(rows, cfg.deterministic))
     if log is not None:
         print(f"wrote {out / 'table.csv'}, table.md, diagnostics.csv", file=log)
-    return table
+    return convergence_orders([row.report for row in rows])
 
 
 def _parse_sweep(text: str) -> tuple[int, ...]:
@@ -260,9 +235,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
              if name not in ("command", "config")}
     if "sweep" in given:
         given["sweep"] = _parse_sweep(given["sweep"])
-    cfg = replace(cfg, **given)
-    cfg.validate()
-    return cfg
+    return replace(cfg, **given)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,22 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
                                        "the last, e.g. 4,8,16,32,64")
     run_p.add_argument("--extension", dest="extension_mode", choices=EXTENSION_MODES,
                        help="source extension outside the domain")
-    run_p.add_argument("--out", dest="out_dir",
-                       help=f"output directory (overridden by ${ENV_OUT_DIR})")
+    run_p.add_argument("--out", dest="out_dir", help="output directory")
     run_p.add_argument("--dump-meshes", action="store_true",
                        help="also write mesh_<param>.txt per sweep entry")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or a usage error
+        return 1 if exc.code else 0
     try:
-        run_experiment(cfg, log=sys.stdout)
+        run_experiment(config_from_args(args), log=sys.stdout)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

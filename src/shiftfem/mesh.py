@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -316,8 +315,8 @@ def classify_elements(mesh: TriMesh, geom: BoundaryGeometry) -> TriMesh:
     return replace(mesh, element_class=hit.max(axis=1, initial=INTERIOR))
 
 
-def save_mesh(mesh: TriMesh, path) -> None:
-    """Write the text format: `nv nt nb`, coordinates, triangles, tagged edges.
+def mesh_text(mesh: TriMesh) -> str:
+    """The text format: `nv nt nb`, coordinates, triangles, tagged edges.
 
     Coordinates use shortest round-trip decimal formatting, so parsing them
     as floats reproduces them bit-exactly.
@@ -329,5 +328,5 @@ def save_mesh(mesh: TriMesh, path) -> None:
         lines.append(f"{i} {j} {k}")
     for i1, i2, tag in mesh.boundary_edges:
         lines.append(f"{i1} {i2} {tag}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 

@@ -3,7 +3,7 @@
 ``eval_uh`` evaluates a trial-space function at one point of one element,
 from the standard basis and that element's coefficient map, where the
 pipeline works on whole-mesh stacks at quadrature points. ``load_mesh``
-reads back the text format that ``shiftfem.mesh.save_mesh`` writes.
+reads back the text format of ``shiftfem.mesh.mesh_text``.
 """
 
 from dataclasses import dataclass
@@ -55,7 +55,7 @@ def eval_uh(dofmap: DofMap, local_bases: LocalBases,
 
 
 def load_mesh(path) -> TriMesh:
-    """Read the text format written by save_mesh and validate the mesh."""
+    """Read the text format of mesh_text and validate the mesh."""
     rows = [line.split() for line in Path(path).read_text().splitlines() if line.strip()]
     nv, nt, nb = (int(w) for w in rows[0])
     assert len(rows) == 1 + nv + nt + nb, f"{path}: line count disagrees with its header"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftfem.cli import ENV_OUT_DIR, main
+from shiftfem.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 OUTPUTS = ("table.csv", "table.md", "diagnostics.csv")
@@ -27,8 +27,7 @@ RUNS = {
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_cli_artifacts_are_byte_identical(name, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+def test_cli_artifacts_are_byte_identical(name, tmp_path, capsys):
     assert main(["run", *RUNS[name], "--out", str(tmp_path)]) == 0
     for fname in OUTPUTS:
         got = (tmp_path / fname).read_bytes()

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 from shiftfem import assembly, cli, linsolve
-from shiftfem.analysis import ErrorReport, convergence_orders
-from shiftfem.cli import (DIAG_HEADER, ENV_OUT_DIR, MESH_FAMILIES, TABLE_HEADER,
-                          EntryResult, ExperimentConfig, build_parser, config_from_args,
-                          main, markdown_table, run_experiment, table_csv)
+from shiftfem.analysis import ErrorReport
+from shiftfem.cli import (DIAG_HEADER, MESH_FAMILIES, TABLE_HEADER, EntryResult,
+                          ExperimentConfig, build_parser, config_from_args, main, render,
+                          run_experiment)
 from shiftfem.errors import ConfigError, MeshAssumptionViolated
 from shiftfem.mesh import gen_unit_square_mesh
 from shiftfem.problems import PROBLEM_NAMES, by_name
@@ -48,7 +48,6 @@ def test_config_defaults_match_reference_experiment():
     assert cfg.sweep == (4, 8, 16, 32, 64)
     assert cfg.k == 2 and cfg.e == 0.5
     assert cfg.extension_mode == "analytic"
-    cfg.validate()
 
 
 @pytest.mark.parametrize("kw", [
@@ -69,7 +68,12 @@ def test_config_defaults_match_reference_experiment():
 ])
 def test_config_validation_rejects(kw):
     with pytest.raises(ConfigError):
-        ExperimentConfig(**kw).validate()
+        ExperimentConfig(**kw)
+
+
+def test_config_is_checked_when_built():
+    with pytest.raises(ConfigError, match="degree k"):
+        ExperimentConfig(k=5)
 
 
 @pytest.mark.parametrize("text", ["not json", "[1,2]", '{"sweep": 4}',
@@ -107,14 +111,6 @@ def test_annulus_table_uses_angular_label(tmp_path):
     assert (tmp_path / "table.md").read_text().startswith("| I |")
     # single-entry sweep: no order columns filled
     assert (tmp_path / "table.csv").read_text().splitlines()[1].count(",,") >= 1
-
-
-def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
-    override = tmp_path / "override"
-    monkeypatch.setenv(ENV_OUT_DIR, str(override))
-    run_experiment(_patch_cfg(tmp_path / "ignored"))
-    assert (override / "table.csv").is_file()
-    assert not (tmp_path / "ignored").exists()
 
 
 def test_deterministic_runs_byte_identical(tmp_path):
@@ -258,6 +254,60 @@ def test_failed_artifact_write_is_a_config_error_naming_the_file(tmp_path, capsy
     assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".tmp") == []
 
 
+def _counting_solve(monkeypatch, fail_at=None):
+    """Replace cli.solve by a counted solve; call ``fail_at`` gets a zero matrix."""
+    calls = []
+
+    def counted(A, b):
+        calls.append(len(b))
+        return linsolve.solve(0 * A if len(calls) == fail_at else A, b)
+
+    monkeypatch.setattr(cli, "solve", counted)
+    return calls
+
+
+def test_unwritable_table_fails_the_first_sweep_entry(tmp_path, capsys, monkeypatch):
+    # artifacts are written after each entry, so the run stops before J=8 is solved
+    calls = _counting_solve(monkeypatch)
+    (tmp_path / "table.csv").mkdir()
+    rc = main(["run", "--problem", "ellipse_test1", "--sweep", "4,8,16", "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"cannot write {tmp_path / 'table.csv'}:" in capsys.readouterr().err
+    assert len(calls) == 1
+
+
+def test_failed_entry_keeps_the_finished_rows(tmp_path, capsys, monkeypatch):
+    # the J=8 solve fails; the J=4 row is already on disk, as in the golden run
+    calls = _counting_solve(monkeypatch, fail_at=2)
+    rc = main(["run", "--problem", "ellipse_test1", "--sweep", "4,8,16", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "param=8: sparse LU factorization failed" in capsys.readouterr().err
+    assert len(calls) == 2
+    for name, lines in (("table.csv", 2), ("diagnostics.csv", 2), ("table.md", 3)):
+        golden = (GOLDEN / "ellipse_k2" / name).read_text().splitlines(keepends=True)
+        assert (tmp_path / name).read_text() == "".join(golden[:lines]), name
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["run"],
+    ["run", "--problem", "nope"],
+    ["run", "--problem", "ellipse_test1", "--k", "x"],
+    ["run", "--problem", "ellipse_test1", "--bogus"],
+])
+def test_usage_error_exits_1(argv, capsys):
+    # exit code 2 is kept for numerical failure, so argparse's own 2 is mapped
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("usage: shiftfem") and out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: shiftfem")
+
+
 @pytest.mark.parametrize("content", [b'\xff\xfe{"k": 2}', None])
 def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, content):
     path = tmp_path / "cfg.json"
@@ -376,7 +426,7 @@ def _rows(*reports, alpha_h=(None, None), kt_dev=(0.0, 0.0)):
 def test_markdown_layout_mirrors_reference_tables():
     reps = (ErrorReport(0.5, 0.25, 0.125, 0.5, 4),
             ErrorReport(0.125, 0.03125, 0.03125, 0.25, 8))
-    md = markdown_table(_rows(*reps), convergence_orders(reps), "J").splitlines()
+    md = render(_rows(*reps), "J", True)["table.md"].splitlines()
     assert md[0].split("|")[1].strip() == "J"
     assert "5.000000E-01" in md[2] and "--" in md[2]
     assert "2.000" in md[3] and "3.000" in md[3]
@@ -386,7 +436,7 @@ def test_csv_serialization_golden():
     reps = (ErrorReport(0.5, 0.25, 0.125, 0.5, 4),
             ErrorReport(0.125, 0.03125, 0.03125, 0.25, 8))
     rows = _rows(*reps, alpha_h=(0.5, None), kt_dev=(0.25, 0.125))
-    out = table_csv(rows, convergence_orders(reps))
+    out = render(rows, "J", True)["table.csv"]
     expected = (
         TABLE_HEADER + "\n"
         "4,0.5,0.5,,0.25,,0.125,,0.5,0.25\n"
