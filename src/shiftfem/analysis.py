@@ -85,8 +85,6 @@ ORDER_FLOOR = 1e-13
 def _pair_order(coarse: float, fine: float) -> float:
     if coarse <= ORDER_FLOOR or fine <= ORDER_FLOOR:
         return math.nan
-    if not (math.isfinite(coarse) and math.isfinite(fine)):
-        return math.nan
     return math.log2(coarse / fine)
 
 

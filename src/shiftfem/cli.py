@@ -60,6 +60,8 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, "
                                   f"got {getattr(self, name)!r}")
+        if not self.out_dir:
+            raise ConfigError("out_dir must name a directory, got ''")
         if not _is_int(self.k) or self.k not in SUPPORTED_DEGREES:
             raise ConfigError(f"degree k must be one of {SUPPORTED_DEGREES}, got {self.k!r}")
         if isinstance(self.e, bool) or not isinstance(self.e, numbers.Real) \

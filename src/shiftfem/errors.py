@@ -5,10 +5,6 @@ class ShiftFEMError(Exception):
     """Base class for all library errors."""
 
 
-class NoRootInBracket(ShiftFEMError):
-    """The implicit boundary function has no sign change in the ray bracket."""
-
-
 class NoConvergence(ShiftFEMError):
     """The boundary root iteration failed to converge."""
 

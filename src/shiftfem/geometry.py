@@ -3,19 +3,21 @@
 Each curved piece is a signed scalar field g with g < 0 inside the domain,
 g = 0 on the curve and g > 0 outside. The annulus has two pieces (the inner
 and the outer circle), so root finding always runs on a single smooth
-curve. A polygon has no pieces: its mesh boundary is the true boundary, and
-no node moves.
+curve. The ray solver evaluates one piece at a time through its scalar
+closures; ``BoundaryGeometry.fields`` evaluates all of them on arrays. A
+polygon has no pieces: its mesh boundary is the true boundary, and no node
+moves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParam, NoConvergence, NoRootInBracket
+from .errors import InvalidParam, MeshAssumptionViolated, NoConvergence
 
 DEFAULT_BRACKET = (0.5, 2.0)
 DEFAULT_TOL = 1e-12
@@ -26,7 +28,6 @@ MAX_NEWTON_ITER = 100
 class SmoothPiece:
     """One smooth branch of the implicit boundary description."""
 
-    name: str
     value: Callable[[float, float], float]
     grad: Callable[[float, float], tuple[float, float]]
 
@@ -34,29 +35,19 @@ class SmoothPiece:
 @dataclass(frozen=True)
 class BoundaryGeometry:
     """Domain description: ``pieces`` lists the curved boundary branches
-    (none for a polygon)."""
+    (none for a polygon), and ``fields(x, y)`` gives the values of all of
+    them at arrays of points, one row per piece."""
 
     kind: str
-    params: tuple
     pieces: tuple[SmoothPiece, ...] = ()
+    fields: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]] | None = None
 
     def value_many(self, pts: np.ndarray) -> np.ndarray:
         """Composite g, the max over the pieces, at an (n, 2) array of points."""
+        if not self.pieces:
+            raise InvalidParam(f"{self.kind} geometry has no curved boundary field")
         pts = np.asarray(pts, dtype=float)
-        e = self.params[0]
-        if self.kind == "ellipse":
-            return (pts[:, 0] / e) ** 2 + pts[:, 1] ** 2 - 1.0
-        if self.kind == "annulus":
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            return np.maximum(e - r, r - 1.0)
-        raise InvalidParam(f"{self.kind} geometry has no curved boundary field")
-
-    def piece_for_edge(self, a, b) -> SmoothPiece:
-        """Smooth piece on which both edge endpoints (nearly) lie."""
-        ax, ay = a
-        bx, by = b
-        return min(self.pieces,
-                   key=lambda p: max(abs(p.value(ax, ay)), abs(p.value(bx, by))))
+        return np.max(self.fields(pts[:, 0], pts[:, 1]), axis=0)
 
 
 def ellipse(e: float) -> BoundaryGeometry:
@@ -70,11 +61,11 @@ def ellipse(e: float) -> BoundaryGeometry:
     def dg(x, y):
         return (2.0 * x / (e * e), 2.0 * y)
 
-    return BoundaryGeometry("ellipse", (e,), (SmoothPiece("ellipse", g, dg),))
+    return BoundaryGeometry("ellipse", (SmoothPiece(g, dg),), lambda x, y: (g(x, y),))
 
 
 def annulus(e: float) -> BoundaryGeometry:
-    """Domain between the circles r = e and r = 1, for 0 < e < 1."""
+    """Domain between the circles r = e (piece 0) and r = 1 (piece 1), for 0 < e < 1."""
     if not 0.0 < e < 1.0:
         raise InvalidParam(f"annulus inner radius must lie in (0, 1), got {e}")
 
@@ -92,21 +83,17 @@ def annulus(e: float) -> BoundaryGeometry:
         r = math.hypot(x, y)
         return (x / r, y / r)
 
-    pieces = (SmoothPiece("inner", g_inner, dg_inner),
-              SmoothPiece("outer", g_outer, dg_outer))
-    return BoundaryGeometry("annulus", (e,), pieces)
+    def fields(x, y):
+        r = np.hypot(x, y)
+        return e - r, r - 1.0
 
-
-def polygon(vertices: Sequence[Sequence[float]]) -> BoundaryGeometry:
-    """Polygonal domain, listed counterclockwise: no curved pieces."""
-    verts = np.asarray(vertices, dtype=float)
-    if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
-        raise InvalidParam("polygon needs at least 3 two-dimensional vertices")
-    return BoundaryGeometry("polygon", (tuple(map(tuple, verts)),))
+    pieces = (SmoothPiece(g_inner, dg_inner), SmoothPiece(g_outer, dg_outer))
+    return BoundaryGeometry("annulus", pieces, fields)
 
 
 def unit_square() -> BoundaryGeometry:
-    return polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    """The unit square: a polygon, with no curved pieces."""
+    return BoundaryGeometry("polygon")
 
 
 def ray_boundary_intersection(piece: SmoothPiece, origin, through) -> np.ndarray:
@@ -119,8 +106,9 @@ def ray_boundary_intersection(piece: SmoothPiece, origin, through) -> np.ndarray
 
     Raises
     ------
-    NoRootInBracket
-        If g has no sign change inside the bracket.
+    MeshAssumptionViolated
+        If g has no sign change inside the bracket: the ray's element is too
+        coarse for the curve.
     NoConvergence
         If ``MAX_NEWTON_ITER`` iterations end before |g| <= ``DEFAULT_TOL``.
     """
@@ -147,9 +135,10 @@ def ray_boundary_intersection(piece: SmoothPiece, origin, through) -> np.ndarray
     if abs(values[-1]) <= DEFAULT_TOL and best is None:
         best = (samples[-2], samples[-1], samples[-1])
     if best is None:
-        raise NoRootInBracket(
+        raise MeshAssumptionViolated(
             f"no sign change of g in bracket {DEFAULT_BRACKET} along ray "
-            f"{(ox, oy)} -> {(float(through[0]), float(through[1]))}")
+            f"{(ox, oy)} -> {(float(through[0]), float(through[1]))}; the mesh "
+            "is too coarse for the curved boundary, refine it")
 
     lo, hi, _ = best
     glo = gval(lo)

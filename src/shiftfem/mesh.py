@@ -174,14 +174,6 @@ def _edge_triple(n: int, edge) -> BoundaryEdge:
                            "an (i, j, tag) triple") from None
 
 
-def _orient_ccw(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Triangles as an (n, 3) array, clockwise ones with vertices 1 and 2 swapped."""
-    tris = np.array(tris, dtype=int).reshape(-1, 3)
-    cw = triangle_area(verts[tris]) < 0.0
-    tris[cw, 1:] = tris[cw, :0:-1]
-    return tris
-
-
 def _split_cells(ids: np.ndarray) -> np.ndarray:
     """Triangles (a, b, c) and (a, c, d) of every cell of the vertex-id grid
     ``ids[j, i]``, with a = (i, j), b = (i+1, j), c = (i+1, j+1) and
@@ -198,64 +190,66 @@ def _chain_edges(tag: str, *chains: np.ndarray) -> list[BoundaryEdge]:
     return [(a, b, tag) for a, b in pairs.reshape(-1, 2).tolist()]
 
 
-def gen_quarter_ellipse_mesh(J: int, e: float) -> TriMesh:
-    """Structured mesh of the quarter ellipse (x/e)^2 + y^2 <= 1, x, y >= 0.
+def _polar_grid_mesh(I: int, r: np.ndarray, scale: float) -> TriMesh:
+    """Mesh of the quarter region r[0] <= r <= r[-1], 0 <= theta <= pi/2,
+    mapped through (scale r cos(theta), r sin(theta)).
 
-    Parameter grid r_j = j/J, theta_i = (pi/2) i/J mapped through
-    (e r cos(theta), r sin(theta)); the ring j=0 collapses to the origin, so
-    the innermost cells become a fan of single triangles. Quads are split by
-    the diagonal from (i, j) to (i+1, j+1) in parameter space. The arc r=1
-    is tagged "D", the two straight sides "S".
+    Vertex (i, j) sits at theta_i = (pi/2) i/I on ring r[j], numbered ring by
+    ring, i fastest. Each parameter cell is split by the diagonal from
+    (i, j) to (i+1, j+1); the map turns the grid over, so in
+    :func:`_split_cells`' names the counterclockwise triangles are (a, c, b)
+    and (a, d, c). If r[0] = 0 the ring collapses to the origin, vertex 0,
+    and its cells to a fan of single triangles (d, c, a). The rings other
+    than the origin are tagged "D", the straight sides "S".
     """
-    if J < 1:
-        raise InvalidParam(f"J must be >= 1, got {J}")
-    if e <= 0:
-        raise InvalidParam(f"semi-axis e must be positive, got {e}")
-
-    cos_t = np.cos(0.5 * math.pi * np.arange(J + 1) / J)
-    sin_t = np.sin(0.5 * math.pi * np.arange(J + 1) / J)
-    cos_t[0], sin_t[0] = 1.0, 0.0
-    cos_t[J], sin_t[J] = 0.0, 1.0
-
-    # ids[j, i] is vertex (i, j); the whole ring j=0 is the origin, vertex 0
-    ids = np.zeros((J + 1, J + 1), dtype=int)
-    ids[1:] = np.arange(1, J * (J + 1) + 1).reshape(J, J + 1)
-    r = np.arange(1, J + 1) / J
-    verts = np.zeros((J * (J + 1) + 1, 2))
-    verts[1:, 0] = ((e * r)[:, None] * cos_t).ravel()
-    verts[1:, 1] = (r[:, None] * sin_t).ravel()
-
-    fan = np.stack((ids[1, :-1], ids[1, 1:], ids[0, :-1]), axis=-1)
-    tris = _orient_ccw(verts, np.concatenate((fan, _split_cells(ids[1:]))))
-    bedges = (_chain_edges(TAG_DIRICHLET, ids[J])
-              + _chain_edges(TAG_SYMMETRY, ids[:, 0], ids[:, J]))
-    return make_mesh(verts, tris, bedges)
-
-
-def gen_quarter_annulus_mesh(I: int, J: int, e: float) -> TriMesh:
-    """Structured mesh of the quarter annulus e <= r <= 1, 0 <= theta <= pi/2.
-
-    I angular by J radial parameter cells, diagonal from (i, j) to
-    (i+1, j+1). Both circular rings are tagged "D", the straight sides "S".
-    """
-    if I < 1 or J < 1:
-        raise InvalidParam(f"I, J must be >= 1, got I={I}, J={J}")
-    if not 0.0 < e < 1.0:
-        raise InvalidParam(f"inner radius e must lie in (0, 1), got {e}")
-
+    J = len(r) - 1
     cos_t = np.cos(0.5 * math.pi * np.arange(I + 1) / I)
     sin_t = np.sin(0.5 * math.pi * np.arange(I + 1) / I)
     cos_t[0], sin_t[0] = 1.0, 0.0
     cos_t[I], sin_t[I] = 0.0, 1.0
 
-    ids = np.arange((I + 1) * (J + 1)).reshape(J + 1, I + 1)
-    r = e + ((1.0 - e) * np.arange(J + 1)) / J
-    verts = np.stack(((r[:, None] * cos_t).ravel(), (r[:, None] * sin_t).ravel()), axis=-1)
-
-    tris = _orient_ccw(verts, _split_cells(ids))
-    bedges = (_chain_edges(TAG_DIRICHLET, ids[0], ids[J])
+    verts = np.stack((((scale * r)[:, None] * cos_t).ravel(),
+                      (r[:, None] * sin_t).ravel()), axis=-1)
+    ids = np.arange((J + 1) * (I + 1)).reshape(J + 1, I + 1)
+    if r[0] == 0.0:
+        # keep the last copy of the origin, which becomes vertex 0
+        verts, ids = verts[I:], np.maximum(ids - I, 0)
+        fan = np.stack((ids[1, :-1], ids[1, 1:], ids[0, :-1]), axis=-1)
+        tris = np.concatenate((fan, _split_cells(ids[1:])[:, [0, 2, 1]]))
+        rings = ids[[J]]
+    else:
+        tris = _split_cells(ids)[:, [0, 2, 1]]
+        rings = ids[[0, J]]
+    bedges = (_chain_edges(TAG_DIRICHLET, *rings)
               + _chain_edges(TAG_SYMMETRY, ids[:, 0], ids[:, I]))
     return make_mesh(verts, tris, bedges)
+
+
+def gen_quarter_ellipse_mesh(J: int, e: float) -> TriMesh:
+    """Structured mesh of the quarter ellipse (x/e)^2 + y^2 <= 1, x, y >= 0.
+
+    The polar grid r_j = j/J, theta_i = (pi/2) i/J through
+    (e r cos(theta), r sin(theta)), its ring j=0 collapsed to the origin.
+    The arc r=1 is tagged "D", the two straight sides "S".
+    """
+    if J < 1:
+        raise InvalidParam(f"J must be >= 1, got {J}")
+    if e <= 0:
+        raise InvalidParam(f"semi-axis e must be positive, got {e}")
+    return _polar_grid_mesh(J, np.arange(J + 1) / J, e)
+
+
+def gen_quarter_annulus_mesh(I: int, J: int, e: float) -> TriMesh:
+    """Structured mesh of the quarter annulus e <= r <= 1, 0 <= theta <= pi/2.
+
+    The polar grid of I angular by J radial cells, r_j = e + (1-e) j/J.
+    Both circular rings are tagged "D", the straight sides "S".
+    """
+    if I < 1 or J < 1:
+        raise InvalidParam(f"I, J must be >= 1, got I={I}, J={J}")
+    if not 0.0 < e < 1.0:
+        raise InvalidParam(f"inner radius e must lie in (0, 1), got {e}")
+    return _polar_grid_mesh(I, e + ((1.0 - e) * np.arange(J + 1)) / J, 1.0)
 
 
 def gen_unit_square_mesh(J: int) -> TriMesh:

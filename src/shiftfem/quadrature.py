@@ -23,20 +23,12 @@ MAX_DEGREE = 10
 
 # degree -> list of (kind, params, weight)
 _ORBIT_TABLES = {
-    1: [
-        ("C", (), 1.0),
-    ],
     2: [
         ("A3", (1.0 / 6.0,), 1.0 / 3.0),
     ],
     4: [
         ("A3", (0.445948490915964886318329253883,), 0.223381589678011465695007008433),
         ("A3", (0.0915762135097707434595714634022,), 0.1099517436553218676383263249),
-    ],
-    5: [
-        ("C", (), 0.225),
-        ("A3", (0.470142064105115089770441209513,), 0.132394152788506180737649387833),
-        ("A3", (0.101286507323456338800987361915,), 0.1259391805448271525956839455),
     ],
     6: [
         ("A3", (0.0630890144915022283403316028708,), 0.0508449063702068169209368091069),
@@ -122,7 +114,7 @@ def rule_for_degree(d: int) -> TriangleRule:
     """
     if d < 0 or d > MAX_DEGREE:
         raise UnsupportedDegree(f"no embedded triangle rule for degree {d} (supported 0..{MAX_DEGREE})")
-    table_degree = next(t for t in _EMBEDDED_DEGREES if t >= max(d, 1))
+    table_degree = next(t for t in _EMBEDDED_DEGREES if t >= d)
     points, weights = _expand_orbits(_ORBIT_TABLES[table_degree])
     return TriangleRule(degree=table_degree, points=points, weights=weights)
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, InconsistentDof, MeshAssumptionViolated,
-                     NoConvergence, NoRootInBracket, SingularLocalSystem,
-                     UnsupportedDegree)
+                     NoConvergence, SingularLocalSystem, UnsupportedDegree)
 from .geometry import BoundaryGeometry, ray_boundary_intersection
 from .mesh import INTERIOR, TriMesh, dirichlet_edges
 from .quadrature import triangle_area
@@ -152,11 +151,11 @@ def element_node_layouts(mesh: TriMesh, geom: BoundaryGeometry, k: int) -> np.nd
 
     Every element gets the plain lattice layout. On an element owning a
     Dirichlet edge m, each of the edge's k-1 interior nodes then moves onto
-    the curved piece through the edge's ends, along the ray from the
-    opposite vertex. A geometry with no curved pieces moves nothing. A ray
-    failure is re-raised naming the element and its local edge; a ray that
-    misses the curve (the element is too coarse for the curved boundary)
-    raises MeshAssumptionViolated.
+    the curved piece through the edge's ends (the piece with the smallest
+    max |g| over them), along the ray from the opposite vertex. A geometry
+    with no curved pieces moves nothing. A ray failure (a miss means the
+    element is too coarse for the curve) is re-raised naming the element and
+    its local edge.
     """
     shifted = _shifted_elements(mesh)
     tris = mesh.vertices[mesh.triangles]
@@ -165,19 +164,18 @@ def element_node_layouts(mesh: TriMesh, geom: BoundaryGeometry, k: int) -> np.nd
         return layouts
     # the local edge whose number is that of the element's Dirichlet edge
     dirichlet = mesh.boundary_edge_ids[mesh.element_class[shifted]]
-    for t, m in zip(shifted, np.argmax(mesh.edge_of[shifted] == dirichlet[:, None], axis=1)):
+    edges = np.argmax(mesh.edge_of[shifted] == dirichlet[:, None], axis=1)
+    ends = tris[shifted[:, None], (edges[:, None] + [0, 1]) % 3]
+    # each edge's piece: the one with the smallest max |g| over the edge's ends
+    pieces = np.argmin(np.abs(geom.fields(ends[..., 0], ends[..., 1])).max(axis=-1), axis=0)
+    for t, m, p in zip(shifted, edges, pieces):
         tri = tris[t]
-        piece = geom.piece_for_edge(tri[m], tri[(m + 1) % 3])
-        where = f"node layouts: element {t}, edge {m}"
         try:
             for loc in edge_interior_locals(k, m):
-                layouts[t, loc] = ray_boundary_intersection(piece, tri[(m + 2) % 3],
+                layouts[t, loc] = ray_boundary_intersection(geom.pieces[p], tri[(m + 2) % 3],
                                                             layouts[t, loc])
-        except NoRootInBracket as exc:
-            raise MeshAssumptionViolated(f"{where}: {exc}; the mesh is too coarse for "
-                                         "the curved boundary, refine it") from exc
-        except NoConvergence as exc:
-            raise NoConvergence(f"{where}: {exc}") from exc
+        except (MeshAssumptionViolated, NoConvergence) as exc:
+            raise type(exc)(f"node layouts: element {t}, edge {m}: {exc}") from exc
     return layouts
 
 

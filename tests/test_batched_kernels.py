@@ -18,7 +18,7 @@ from shiftfem.assembly import assemble, assemble_gram, source_values
 from shiftfem.errors import InvalidParam, MeshAssumptionViolated
 from shiftfem.geometry import annulus, ellipse, unit_square
 from shiftfem.linsolve import solve
-from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY, _orient_ccw,
+from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY,
                            classify_elements, gen_quarter_annulus_mesh,
                            gen_quarter_ellipse_mesh, gen_unit_square_mesh,
                            make_mesh)
@@ -72,7 +72,9 @@ def _loop_layouts(mesh, geom, k):
             edge = mesh.boundary_edges[mesh.element_class[t]]
             m = next(m for m in range(3)
                      if {tri_ids[m], tri_ids[(m + 1) % 3]} == {edge[0], edge[1]})
-            piece = geom.piece_for_edge(tri[m], tri[(m + 1) % 3])
+            # the piece nearest the edge: smallest max |g| over its two ends
+            piece = min(geom.pieces, key=lambda p: max(abs(p.value(*tri[m])),
+                                                       abs(p.value(*tri[(m + 1) % 3]))))
             for loc in edge_interior_locals(k, m):
                 nodes[loc] = ray_boundary_intersection(piece, tuple(tri[(m + 2) % 3]),
                                                        tuple(nodes[loc]))
@@ -381,6 +383,17 @@ def test_make_mesh_names_the_first_offender_in_element_order():
         make_mesh(verts, ok, [(0, 9, "S")])
 
 
+def _loop_orient_ccw(verts, tris):
+    """Each triangle with a negative signed area gets vertices 1 and 2 swapped."""
+    out = []
+    for i, j, k in tris:
+        (x0, y0), (x1, y1), (x2, y2) = verts[i], verts[j], verts[k]
+        if (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0) < 0.0:
+            j, k = k, j
+        out.append([i, j, k])
+    return out
+
+
 def _loop_ellipse_mesh(J, e):
     cos_t = np.cos(0.5 * math.pi * np.arange(J + 1) / J)
     sin_t = np.sin(0.5 * math.pi * np.arange(J + 1) / J)
@@ -405,7 +418,7 @@ def _loop_ellipse_mesh(J, e):
             c, d = vid(i + 1, j + 1), vid(i, j + 1)
             tris.append([a, b, c])
             tris.append([a, c, d])
-    tris = _orient_ccw(verts, tris)
+    tris = _loop_orient_ccw(verts, tris)
     bedges = []
     for i in range(J):
         bedges.append((vid(i, J), vid(i + 1, J), TAG_DIRICHLET))
@@ -436,7 +449,7 @@ def _loop_annulus_mesh(I, J, e):
             c, d = vid(i + 1, j + 1), vid(i, j + 1)
             tris.append([a, b, c])
             tris.append([a, c, d])
-    tris = _orient_ccw(verts, tris)
+    tris = _loop_orient_ccw(verts, tris)
     bedges = []
     for i in range(I):
         bedges.append((vid(i, 0), vid(i + 1, 0), TAG_DIRICHLET))

@@ -65,6 +65,7 @@ def test_config_defaults_match_reference_experiment():
     {"e": 1.0},
     {"sweep": (4, 6)},
     {"problem": "polygon_patch", "extension_mode": "zero_outside"},
+    {"out_dir": ""},  # the artifacts would land in the working directory
 ])
 def test_config_validation_rejects(kw):
     with pytest.raises(ConfigError):

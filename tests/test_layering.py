@@ -1,5 +1,6 @@
 """Module layering: one module owns the sparse factorizations, one the
-formats of the run's artifacts, and src/ defines only what src/ uses."""
+formats of the run's artifacts, src/ defines only what src/ uses, and the
+tests reach src/ only through its public names."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from shiftfem.cli import DIAG_HEADER, TABLE_HEADER
 from shiftfem.problems import PROBLEM_NAMES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "shiftfem"
+TESTS = Path(__file__).resolve().parent
 
 
 def _imported_modules(tree):
@@ -81,3 +83,14 @@ def test_only_problems_py_names_the_problems():
                   if isinstance(node, ast.Constant) and node.value in PROBLEM_NAMES
                   and node is not default]
     assert stray == []
+
+
+def test_no_test_imports_a_private_name_from_shiftfem():
+    # an oracle that imports the code it checks cannot catch that code's faults
+    private = []
+    for path in sorted(TESTS.glob("*.py")):
+        for name in _imported_modules(ast.parse(path.read_text())):
+            parts = name.split(".")
+            if parts[0] == "shiftfem" and any(p.startswith("_") for p in parts):
+                private.append((path.name, name))
+    assert private == []

@@ -89,7 +89,8 @@ def test_vectorized_evaluation():
 
 
 def test_by_name_dispatch_and_validation():
-    assert by_name("annulus_test2", e=0.4).geom.params[0] == 0.4
+    # the inner circle of the annulus is r = e
+    assert by_name("annulus_test2", e=0.4).geom.value_many([(0.4, 0.0)])[0] == 0.0
     assert by_name("polygon_patch", k=3).geom.kind == "polygon"
     with pytest.raises(InvalidParam):
         by_name("nope")

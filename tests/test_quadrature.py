@@ -8,7 +8,9 @@ import pytest
 from shiftfem.errors import UnsupportedDegree
 from shiftfem.quadrature import MAX_DEGREE, rule_for_degree, triangle_area
 
-EMBEDDED_DEGREES = [1, 2, 4, 5, 6, 8, 10]
+EMBEDDED_DEGREES = [2, 4, 6, 8, 10]
+# every degree a caller may request; each gets the next table up
+REQUESTED_DEGREES = list(range(MAX_DEGREE + 1))
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 # 16-point Legendre on [0, 1]: exact for 1D polynomials up to degree 31
@@ -36,7 +38,7 @@ def _green_monomial(a: int, b: int, tri: np.ndarray) -> float:
     return float(total)
 
 
-@pytest.mark.parametrize("d", EMBEDDED_DEGREES)
+@pytest.mark.parametrize("d", REQUESTED_DEGREES)
 def test_monomials_match_factorial_formula_on_reference_triangle(d):
     for a in range(d + 1):
         for b in range(d + 1 - a):
@@ -46,7 +48,7 @@ def test_monomials_match_factorial_formula_on_reference_triangle(d):
             assert rel <= 1e-14, f"x^{a} y^{b} with degree-{d} rule: rel err {rel:.3e}"
 
 
-@pytest.mark.parametrize("d", EMBEDDED_DEGREES)
+@pytest.mark.parametrize("d", REQUESTED_DEGREES)
 def test_monomials_exact_on_random_triangles(d):
     rng = np.random.default_rng(314159 + d)
     for _ in range(20):
@@ -81,14 +83,16 @@ def test_points_strictly_interior(d):
 
 
 def test_point_counts():
-    expected = {1: 1, 2: 3, 4: 6, 5: 7, 6: 12, 8: 16, 10: 25}
+    expected = {2: 3, 4: 6, 6: 12, 8: 16, 10: 25}
     for d, n in expected.items():
         assert len(rule_for_degree(d).weights) == n
 
 
 def test_requests_between_tables_round_up():
-    assert rule_for_degree(0).degree == 1
+    assert rule_for_degree(0).degree == 2
+    assert rule_for_degree(1).degree == 2
     assert rule_for_degree(3).degree == 4
+    assert rule_for_degree(5).degree == 6
     assert rule_for_degree(7).degree == 8
     assert rule_for_degree(9).degree == 10
     assert rule_for_degree(MAX_DEGREE).degree == 10
@@ -103,8 +107,10 @@ def test_unsupported_degree_raises():
 
 def test_physical_points_centroid():
     tri = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
-    pts = rule_for_degree(1).physical_points(tri)
-    assert np.allclose(pts, [[1.0, 1.0]])
+    rule = rule_for_degree(2)
+    pts = rule.physical_points(tri)
+    assert np.allclose(pts, [[0.5, 0.5], [2.0, 0.5], [0.5, 2.0]])
+    assert np.allclose(rule.weights @ pts, [1.0, 1.0])
 
 
 def test_integrate_ignores_orientation():
@@ -112,4 +118,4 @@ def test_integrate_ignores_orientation():
     tri_cw = tri_ccw[::-1]
     assert triangle_area(tri_ccw) == pytest.approx(2.0)
     assert triangle_area(tri_cw) == pytest.approx(-2.0)
-    assert _monomial_integral(0, 0, tri_cw, 1) == pytest.approx(2.0)
+    assert _monomial_integral(0, 0, tri_cw, 2) == pytest.approx(2.0)

@@ -8,8 +8,7 @@ import pytest
 from shiftfem.errors import (InconsistentDof, SingularLocalSystem,
                              UnsupportedDegree)
 from shiftfem import spaces
-from shiftfem.geometry import (annulus, ellipse, polygon, ray_boundary_intersection,
-                               unit_square)
+from shiftfem.geometry import annulus, ellipse, ray_boundary_intersection, unit_square
 from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY,
                            classify_elements,
                            gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh,
@@ -112,7 +111,7 @@ def _ref_triangle_layout(geom, k):
 
 
 def test_shift_is_identity_on_polygon():
-    nodes = _ref_triangle_layout(polygon(REF_TRI), 2)
+    nodes = _ref_triangle_layout(unit_square(), 2)
     assert np.array_equal(nodes, lagrange_layout(2, REF_TRI))
 
 
@@ -145,13 +144,31 @@ def test_layouts_make_one_ray_call_per_moved_node(monkeypatch, geom, raw, k, n_c
     calls = []
 
     def counted(piece, origin, through):
-        calls.append(piece.name)
+        calls.append(piece)
         return ray_boundary_intersection(piece, origin, through)
 
     monkeypatch.setattr(spaces, "ray_boundary_intersection", counted)
     mesh = classify_elements(raw, geom)
     element_node_layouts(mesh, geom, k)
     assert len(calls) == (k - 1) * int(np.sum(mesh.element_class != INTERIOR)) == n_calls
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_annulus_arc_nodes_land_on_their_own_circle(k):
+    # an inner-arc edge's nodes move onto r = e, an outer-arc edge's onto r = 1
+    geom = annulus(0.5)
+    mesh = classify_elements(gen_quarter_annulus_mesh(8, 4, 0.5), geom)
+    layouts = element_node_layouts(mesh, geom, k)
+    radii = set()
+    for t in np.flatnonzero(mesh.element_class != INTERIOR):
+        i1, i2, _ = mesh.boundary_edges[mesh.element_class[t]]
+        ids = list(mesh.triangles[t])
+        m = next(m for m in range(3) if {ids[m], ids[(m + 1) % 3]} == {i1, i2})
+        radius = 0.5 if math.hypot(*mesh.vertices[i1]) < 0.75 else 1.0
+        radii.add(radius)
+        for loc in edge_interior_locals(k, m):
+            assert abs(math.hypot(*layouts[t, loc]) - radius) <= 1e-12
+    assert radii == {0.5, 1.0}
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -311,7 +328,7 @@ def _scaled_square(J, scale, bottom_tag=TAG_DIRICHLET):
     base = gen_unit_square_mesh(J)
     bedges = [(i1, i2, bottom_tag if max(i1, i2) <= J else tag)
               for i1, i2, tag in base.boundary_edges]
-    geom = polygon([(0.0, 0.0), (scale, 0.0), (scale, scale), (0.0, scale)])
+    geom = unit_square()  # a polygon's geometry holds no vertices, so any scale fits it
     return classify_elements(make_mesh(base.vertices * scale, base.triangles, bedges), geom), geom
 
 
