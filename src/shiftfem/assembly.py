@@ -60,7 +60,7 @@ class ProblemSpec:
         if self.extension_mode not in EXTENSION_MODES:
             raise InvalidParam(f"unknown extension_mode {self.extension_mode!r}; "
                                f"choose from {EXTENSION_MODES}")
-        if self.extension_mode == "zero_outside" and not self.geom.pieces:
+        if self.extension_mode == "zero_outside" and self.geom.fields is None:
             raise InvalidParam(f"extension_mode 'zero_outside' needs a curved boundary; "
                                f"{self.geom.kind} geometry has none")
 

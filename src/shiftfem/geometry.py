@@ -3,9 +3,9 @@
 Each curved piece is a signed scalar field g with g < 0 inside the domain,
 g = 0 on the curve and g > 0 outside. The annulus has two pieces (the inner
 and the outer circle), so root finding always runs on a single smooth
-curve. The ray solver evaluates one piece at a time through its scalar
-closures; ``BoundaryGeometry.fields`` evaluates all of them on arrays. A
-polygon has no pieces: its mesh boundary is the true boundary, and no node
+curve. A geometry gives all its pieces at once on arrays of points:
+``fields`` their values and ``grads`` their gradients, one row per piece. A
+polygon has neither: its mesh boundary is the true boundary, and no node
 moves.
 """
 
@@ -25,26 +25,19 @@ MAX_NEWTON_ITER = 100
 
 
 @dataclass(frozen=True)
-class SmoothPiece:
-    """One smooth branch of the implicit boundary description."""
-
-    value: Callable[[float, float], float]
-    grad: Callable[[float, float], tuple[float, float]]
-
-
-@dataclass(frozen=True)
 class BoundaryGeometry:
-    """Domain description: ``pieces`` lists the curved boundary branches
-    (none for a polygon), and ``fields(x, y)`` gives the values of all of
-    them at arrays of points, one row per piece."""
+    """Domain description: ``fields(x, y)`` gives the values of the curved
+    boundary pieces at arrays of points, one row per piece, and
+    ``grads(x, y)`` their gradients, one (d/dx, d/dy) row per piece. Both are
+    None for a polygon."""
 
     kind: str
-    pieces: tuple[SmoothPiece, ...] = ()
-    fields: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]] | None = None
+    fields: Callable[[np.ndarray, np.ndarray], tuple] | None = None
+    grads: Callable[[np.ndarray, np.ndarray], tuple] | None = None
 
     def value_many(self, pts: np.ndarray) -> np.ndarray:
         """Composite g, the max over the pieces, at an (n, 2) array of points."""
-        if not self.pieces:
+        if self.fields is None:
             raise InvalidParam(f"{self.kind} geometry has no curved boundary field")
         pts = np.asarray(pts, dtype=float)
         return np.max(self.fields(pts[:, 0], pts[:, 1]), axis=0)
@@ -52,16 +45,26 @@ class BoundaryGeometry:
 
 def ellipse(e: float) -> BoundaryGeometry:
     """Domain bounded by the curve (x/e)^2 + y^2 = 1."""
-    if e <= 0:
-        raise InvalidParam(f"ellipse semi-axis must be positive, got {e}")
+    if not 0.0 < e < math.inf:
+        raise InvalidParam(f"ellipse semi-axis must be positive and finite, got {e}")
 
-    def g(x, y):
-        return (x / e) ** 2 + y ** 2 - 1.0
+    def fields(x, y):
+        # float_power is the C library's pow per element, as a float's x ** 2 is;
+        # an array's x ** 2 is x * x, which rounds otherwise and moves some nodes
+        return (np.float_power(x / e, 2) + np.float_power(y, 2) - 1.0,)
 
-    def dg(x, y):
-        return (2.0 * x / (e * e), 2.0 * y)
+    def grads(x, y):
+        return ((2.0 * x / (e * e), 2.0 * y),)
 
-    return BoundaryGeometry("ellipse", (SmoothPiece(g, dg),), lambda x, y: (g(x, y),))
+    return BoundaryGeometry("ellipse", fields, grads)
+
+
+def _radius(x, y) -> np.ndarray:
+    # math.hypot rounds correctly (CPython uses Borges' algorithm); np.hypot,
+    # the C library's, misses the last bit on some inputs, which moves shifted
+    # nodes. fromiter holds one Python float at a time, .tolist() all of them.
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.fromiter(map(math.hypot, x.flat, y.flat), float, x.size).reshape(x.shape)
 
 
 def annulus(e: float) -> BoundaryGeometry:
@@ -69,26 +72,15 @@ def annulus(e: float) -> BoundaryGeometry:
     if not 0.0 < e < 1.0:
         raise InvalidParam(f"annulus inner radius must lie in (0, 1), got {e}")
 
-    def g_inner(x, y):
-        return e - math.hypot(x, y)
-
-    def dg_inner(x, y):
-        r = math.hypot(x, y)
-        return (-x / r, -y / r)
-
-    def g_outer(x, y):
-        return math.hypot(x, y) - 1.0
-
-    def dg_outer(x, y):
-        r = math.hypot(x, y)
-        return (x / r, y / r)
-
     def fields(x, y):
-        r = np.hypot(x, y)
+        r = _radius(x, y)
         return e - r, r - 1.0
 
-    pieces = (SmoothPiece(g_inner, dg_inner), SmoothPiece(g_outer, dg_outer))
-    return BoundaryGeometry("annulus", pieces, fields)
+    def grads(x, y):
+        r = _radius(x, y)
+        return (-x / r, -y / r), (x / r, y / r)
+
+    return BoundaryGeometry("annulus", fields, grads)
 
 
 def unit_square() -> BoundaryGeometry:
@@ -96,68 +88,73 @@ def unit_square() -> BoundaryGeometry:
     return BoundaryGeometry("polygon")
 
 
-def ray_boundary_intersection(piece: SmoothPiece, origin, through) -> np.ndarray:
-    """Intersection of the ray with the piece's curve, nearest to t = 1.
+def ray_boundary_intersection(geom: BoundaryGeometry, piece, origin, through) -> np.ndarray:
+    """Intersections (R, 2) of R rays with their curved pieces, each nearest t = 1.
 
-    The ray parameter t is 0 at ``origin`` and 1 at ``through``; the root is
-    sought in ``DEFAULT_BRACKET`` by safeguarded Newton on
-    t -> g(origin + t*(through-origin)) with bisection fallback, converged
-    when |g| <= ``DEFAULT_TOL``.
+    Ray i has t = 0 at ``origin[i]`` and t = 1 at ``through[i]`` and meets
+    piece ``piece[i]`` of ``geom``. Its root is sought in ``DEFAULT_BRACKET``
+    by safeguarded Newton on t -> g(origin + t*(through-origin)) with
+    bisection fallback, converged when |g| <= ``DEFAULT_TOL``. The rays
+    iterate together, each with the arithmetic it would do alone, and each
+    stops once converged.
 
     Raises
     ------
     MeshAssumptionViolated
-        If g has no sign change inside the bracket: the ray's element is too
-        coarse for the curve.
+        If g has no sign change inside the bracket along a ray: the ray's
+        element is too coarse for the curve.
     NoConvergence
         If ``MAX_NEWTON_ITER`` iterations end before |g| <= ``DEFAULT_TOL``.
+    Either one's ``ray`` is the index of the first ray that failed.
     """
-    ox, oy = float(origin[0]), float(origin[1])
-    dx, dy = float(through[0]) - ox, float(through[1]) - oy
+    piece = np.asarray(piece, dtype=int)
+    origin = np.asarray(origin, dtype=float).reshape(-1, 2)
+    through = np.asarray(through, dtype=float).reshape(-1, 2)
+    (ox, oy), (dx, dy) = origin.T, (through - origin).T
 
-    def gval(t):
-        return piece.value(ox + t * dx, oy + t * dy)
+    def field(x, y, p):
+        return np.asarray(geom.fields(x, y))[p, np.arange(len(p))]
 
-    def gslope(t):
-        gx, gy = piece.grad(ox + t * dx, oy + t * dy)
-        return gx * dx + gy * dy
-
-    # locate the sign-change subinterval nearest t = 1
-    t_lo, t_hi = DEFAULT_BRACKET
-    samples = np.linspace(t_lo, t_hi, 33)
-    values = [gval(t) for t in samples]
-    best = None
-    for k in range(len(samples) - 1):
-        if values[k] == 0.0 or values[k] * values[k + 1] < 0.0:
-            mid = 0.5 * (samples[k] + samples[k + 1])
-            if best is None or abs(mid - 1.0) < abs(best[2] - 1.0):
-                best = (samples[k], samples[k + 1], mid)
-    if abs(values[-1]) <= DEFAULT_TOL and best is None:
-        best = (samples[-2], samples[-1], samples[-1])
-    if best is None:
-        raise MeshAssumptionViolated(
+    # each ray's sign-change subinterval nearest t = 1, the first on ties
+    samples = np.linspace(*DEFAULT_BRACKET, 33)
+    values = field((ox[:, None] + samples * dx[:, None]).ravel(),
+                   (oy[:, None] + samples * dy[:, None]).ravel(),
+                   np.repeat(piece, len(samples))).reshape(len(piece), len(samples))
+    change = (values[:, :-1] == 0.0) | (values[:, :-1] * values[:, 1:] < 0.0)
+    mids = 0.5 * (samples[:-1] + samples[1:])
+    best = np.argmin(np.where(change, np.abs(mids - 1.0), np.inf), axis=1)
+    # with no sign change, a root within tolerance at the bracket's end counts
+    end_root = ~change.any(axis=1) & (np.abs(values[:, -1]) <= DEFAULT_TOL)
+    best[end_root] = len(samples) - 2
+    missed = np.flatnonzero(~change.any(axis=1) & ~end_root)
+    if len(missed):
+        exc = MeshAssumptionViolated(
             f"no sign change of g in bracket {DEFAULT_BRACKET} along ray "
-            f"{(ox, oy)} -> {(float(through[0]), float(through[1]))}; the mesh "
-            "is too coarse for the curved boundary, refine it")
+            f"{tuple(origin[missed[0]].tolist())} -> {tuple(through[missed[0]].tolist())}; "
+            "the mesh is too coarse for the curved boundary, refine it")
+        exc.ray = int(missed[0])
+        raise exc
 
-    lo, hi, _ = best
-    glo = gval(lo)
+    nodes, active = np.empty((len(piece), 2)), np.arange(len(piece))
+    lo, hi, glo = samples[best], samples[best + 1], values[active, best]
     t = 0.5 * (lo + hi)
     for _ in range(MAX_NEWTON_ITER):
-        g = gval(t)
-        if abs(g) <= DEFAULT_TOL:
-            return np.array([ox + t * dx, oy + t * dy])
-        # shrink the safeguard bracket
-        if glo * g < 0.0:
-            hi = t
-        else:
-            lo, glo = t, g
-        dgdt = gslope(t)
-        if dgdt != 0.0:
+        x, y = ox[active] + t * dx[active], oy[active] + t * dy[active]
+        g = field(x, y, piece[active])
+        done = np.abs(g) <= DEFAULT_TOL
+        nodes[active[done]] = np.column_stack((x[done], y[done]))
+        active, t, lo, hi, glo, g, x, y = (a[~done] for a in (active, t, lo, hi, glo, g, x, y))
+        if not len(active):
+            return nodes
+        # shrink the safeguard brackets; a Newton step must land inside
+        shrink = glo * g < 0.0
+        lo, hi, glo = np.where(shrink, lo, t), np.where(shrink, t, hi), np.where(shrink, glo, g)
+        gx, gy = np.asarray(geom.grads(x, y))[piece[active], :, np.arange(len(active))].T
+        dgdt = gx * dx[active] + gy * dy[active]
+        with np.errstate(divide="ignore", over="ignore"):
             t_new = t - g / dgdt
-            if lo < t_new < hi:
-                t = t_new
-                continue
-        t = 0.5 * (lo + hi)
-    raise NoConvergence(
-        f"ray-boundary Newton did not reach |g| <= {DEFAULT_TOL} in {MAX_NEWTON_ITER} iterations")
+        t = np.where((dgdt != 0.0) & (lo < t_new) & (t_new < hi), t_new, 0.5 * (lo + hi))
+    exc = NoConvergence(f"ray-boundary Newton did not reach |g| <= {DEFAULT_TOL} "
+                        f"in {MAX_NEWTON_ITER} iterations")
+    exc.ray = int(active[0])
+    raise exc

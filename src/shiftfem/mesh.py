@@ -234,8 +234,8 @@ def gen_quarter_ellipse_mesh(J: int, e: float) -> TriMesh:
     """
     if J < 1:
         raise InvalidParam(f"J must be >= 1, got {J}")
-    if e <= 0:
-        raise InvalidParam(f"semi-axis e must be positive, got {e}")
+    if not 0.0 < e < math.inf:
+        raise InvalidParam(f"semi-axis e must be positive and finite, got {e}")
     return _polar_grid_mesh(J, np.arange(J + 1) / J, e)
 
 
@@ -283,7 +283,7 @@ def classify_elements(mesh: TriMesh, geom: BoundaryGeometry) -> TriMesh:
     the "D" edges reach their triangles through the mesh's edge numbers.
     """
     classes = np.full(mesh.num_triangles, INTERIOR, dtype=int)
-    if not geom.pieces:
+    if geom.fields is None:
         return replace(mesh, element_class=classes)
 
     owner, ends = dirichlet_edges(mesh)

@@ -44,9 +44,9 @@ def _multi_indices(k: int) -> np.ndarray:
     return np.array(idx, dtype=int)
 
 
-def edge_interior_locals(k: int, m: int) -> list[int]:
-    """Local indices of the k-1 interior nodes of edge m."""
-    return [3 + m * (k - 1) + t for t in range(k - 1)]
+def edge_interior_locals(k: int, m) -> np.ndarray:
+    """Local indices (..., k-1) of the interior nodes of edges m, in edge order."""
+    return 3 + np.asarray(m)[..., None] * (k - 1) + np.arange(k - 1)
 
 
 def lagrange_layout(k: int, tri: np.ndarray) -> np.ndarray:
@@ -152,15 +152,15 @@ def element_node_layouts(mesh: TriMesh, geom: BoundaryGeometry, k: int) -> np.nd
     Every element gets the plain lattice layout. On an element owning a
     Dirichlet edge m, each of the edge's k-1 interior nodes then moves onto
     the curved piece through the edge's ends (the piece with the smallest
-    max |g| over them), along the ray from the opposite vertex. A geometry
-    with no curved pieces moves nothing. A ray failure (a miss means the
-    element is too coarse for the curve) is re-raised naming the element and
-    its local edge.
+    max |g| over them), along the ray from the opposite vertex; one solve
+    casts every ray. A geometry with no curved pieces moves nothing. A ray
+    failure (a miss means the element is too coarse for the curve) is
+    re-raised naming the element and its local edge.
     """
     shifted = _shifted_elements(mesh)
     tris = mesh.vertices[mesh.triangles]
     layouts = lagrange_layout(k, tris)
-    if not geom.pieces:
+    if geom.fields is None:
         return layouts
     # the local edge whose number is that of the element's Dirichlet edge
     dirichlet = mesh.boundary_edge_ids[mesh.element_class[shifted]]
@@ -168,14 +168,15 @@ def element_node_layouts(mesh: TriMesh, geom: BoundaryGeometry, k: int) -> np.nd
     ends = tris[shifted[:, None], (edges[:, None] + [0, 1]) % 3]
     # each edge's piece: the one with the smallest max |g| over the edge's ends
     pieces = np.argmin(np.abs(geom.fields(ends[..., 0], ends[..., 1])).max(axis=-1), axis=0)
-    for t, m, p in zip(shifted, edges, pieces):
-        tri = tris[t]
-        try:
-            for loc in edge_interior_locals(k, m):
-                layouts[t, loc] = ray_boundary_intersection(geom.pieces[p], tri[(m + 2) % 3],
-                                                            layouts[t, loc])
-        except (MeshAssumptionViolated, NoConvergence) as exc:
-            raise type(exc)(f"node layouts: element {t}, edge {m}: {exc}") from exc
+    locs = edge_interior_locals(k, edges)
+    opposite = np.repeat(tris[shifted, (edges + 2) % 3], k - 1, axis=0)
+    try:
+        moved = ray_boundary_intersection(geom, np.repeat(pieces, k - 1), opposite,
+                                          layouts[shifted[:, None], locs])
+    except (MeshAssumptionViolated, NoConvergence) as exc:
+        i = exc.ray // (k - 1)
+        raise type(exc)(f"node layouts: element {shifted[i]}, edge {edges[i]}: {exc}") from exc
+    layouts[shifted[:, None], locs] = moved.reshape(-1, k - 1, 2)
     return layouts
 
 

@@ -24,11 +24,12 @@ from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY,
                            make_mesh)
 from shiftfem.problems import annulus_test2, ellipse_test1, polygon_patch
 from shiftfem.quadrature import rule_for_degree
-from shiftfem.geometry import ray_boundary_intersection
 from shiftfem.spaces import (build_dof_map, build_local_bases,
                              edge_interior_locals, element_node_layouts,
                              eval_basis_bary, eval_basis_bary_grad,
                              lagrange_layout)
+
+from oracles import scalar_pieces, scalar_ray_intersection
 
 
 def _area(tri):
@@ -63,23 +64,41 @@ def _loop_h_rho(mesh):
     return np.array(h), np.array(rho)
 
 
-def _loop_layouts(mesh, geom, k):
+def _loop_layouts(mesh, pieces, k):
+    """Layouts with one scalar ray solve per moved node, onto ``pieces``
+    (the geometry's scalar pieces, none for a polygon)."""
     out = []
     for t, tri_ids in enumerate(mesh.triangles):
         tri = mesh.vertices[tri_ids]
         nodes = lagrange_layout(k, tri)
-        if mesh.element_class[t] != INTERIOR and geom.pieces:
+        if mesh.element_class[t] != INTERIOR and pieces:
             edge = mesh.boundary_edges[mesh.element_class[t]]
             m = next(m for m in range(3)
                      if {tri_ids[m], tri_ids[(m + 1) % 3]} == {edge[0], edge[1]})
             # the piece nearest the edge: smallest max |g| over its two ends
-            piece = min(geom.pieces, key=lambda p: max(abs(p.value(*tri[m])),
-                                                       abs(p.value(*tri[(m + 1) % 3]))))
+            piece = min(pieces, key=lambda p: max(abs(p.value(*tri[m])),
+                                                  abs(p.value(*tri[(m + 1) % 3]))))
             for loc in edge_interior_locals(k, m):
-                nodes[loc] = ray_boundary_intersection(piece, tuple(tri[(m + 2) % 3]),
-                                                       tuple(nodes[loc]))
+                nodes[loc] = scalar_ray_intersection(piece, tuple(tri[(m + 2) % 3]),
+                                                     tuple(nodes[loc]))
         out.append(nodes)
     return np.array(out)
+
+
+@pytest.mark.parametrize("kind, e, k, n", [
+    # on each of these, at least one node moves by a bit when the ellipse
+    # squares by x * x or the annulus radius is np.hypot
+    ("ellipse", 0.3, 2, 16), ("ellipse", 0.7, 3, 64),
+    ("annulus", 0.4, 2, 16), ("annulus", 0.7, 3, 16),
+])
+def test_batched_layouts_reproduce_the_scalar_newton(kind, e, k, n):
+    if kind == "ellipse":
+        geom, raw = ellipse(e), gen_quarter_ellipse_mesh(n, e)
+    else:
+        geom, raw = annulus(e), gen_quarter_annulus_mesh(n, n // 2, e)
+    mesh = classify_elements(raw, geom)
+    assert np.array_equal(element_node_layouts(mesh, geom, k),
+                          _loop_layouts(mesh, scalar_pieces(kind, e), k))
 
 
 def _loop_local_bases(mesh, k, layouts):
@@ -190,7 +209,7 @@ def _hash_dof_map(mesh, geom, k, dirichlet_data, layouts):
                 buckets.setdefault((cx, cy), []).append(found)
             elem_to_global[t, loc] = found
     node_coords = np.array(coords)
-    if geom.pieces:
+    if geom.fields is not None:
         g = geom.value_many(node_coords)
     else:
         g = np.min(np.hstack((node_coords, 1.0 - node_coords)), axis=1)
@@ -232,7 +251,8 @@ def test_stacked_kernels_reproduce_the_element_loops(name):
     assert np.array_equal(mesh.rho_per_element, rho)
 
     lay = element_node_layouts(mesh, prob.geom, k)
-    assert np.array_equal(lay, _loop_layouts(mesh, prob.geom, k))
+    pieces = () if prob.geom.fields is None else scalar_pieces(prob.geom.kind, 0.5)
+    assert np.array_equal(lay, _loop_layouts(mesh, pieces, k))
     bases = build_local_bases(mesh, k, lay)
     coeffs, dev = _loop_local_bases(mesh, k, lay)
     assert np.array_equal(bases.shifted, np.flatnonzero(mesh.element_class != INTERIOR))

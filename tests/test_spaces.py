@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from shiftfem.errors import (InconsistentDof, SingularLocalSystem,
+from shiftfem.errors import (InconsistentDof, NoConvergence, SingularLocalSystem,
                              UnsupportedDegree)
-from shiftfem import spaces
+from shiftfem import geometry, spaces
 from shiftfem.geometry import annulus, ellipse, ray_boundary_intersection, unit_square
 from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY,
                            classify_elements,
@@ -133,24 +133,38 @@ def test_shift_on_unit_circle_chord():
     assert np.array_equal(nodes3[untouched], plain[untouched])
 
 
-@pytest.mark.parametrize("geom, raw, k, n_calls", [
+@pytest.mark.parametrize("geom, raw, k, n_rays", [
     (ellipse(0.5), gen_quarter_ellipse_mesh(8, 0.5), 2, 8),
     (annulus(0.5), gen_quarter_annulus_mesh(8, 4, 0.5), 3, 32),
 ])
-def test_layouts_make_one_ray_call_per_moved_node(monkeypatch, geom, raw, k, n_calls):
-    # the ray solver is looked up in shiftfem.spaces on every call, once per
-    # moved node (k-1 per shifted element), so wrapping it there counts the
-    # ray work
+def test_layouts_make_one_ray_call_per_entry(monkeypatch, geom, raw, k, n_rays):
+    # the ray solver is looked up in shiftfem.spaces and called once per
+    # mesh, with one ray per moved node (k-1 per shifted element), so
+    # wrapping it there times all the ray work
     calls = []
 
-    def counted(piece, origin, through):
-        calls.append(piece)
-        return ray_boundary_intersection(piece, origin, through)
+    def counted(geom, piece, origin, through):
+        calls.append(len(piece))
+        return ray_boundary_intersection(geom, piece, origin, through)
 
     monkeypatch.setattr(spaces, "ray_boundary_intersection", counted)
     mesh = classify_elements(raw, geom)
     element_node_layouts(mesh, geom, k)
-    assert len(calls) == (k - 1) * int(np.sum(mesh.element_class != INTERIOR)) == n_calls
+    assert calls == [(k - 1) * int(np.sum(mesh.element_class != INTERIOR))] == [n_rays]
+
+
+def test_ray_no_convergence_names_element_and_edge(monkeypatch):
+    # no ray converges in one iteration; the first is cast from the first
+    # shifted element's Dirichlet edge
+    monkeypatch.setattr(geometry, "MAX_NEWTON_ITER", 1)
+    geom = annulus(0.5)
+    mesh = classify_elements(gen_quarter_annulus_mesh(8, 4, 0.5), geom)
+    t = int(np.flatnonzero(mesh.element_class != INTERIOR)[0])
+    tri, edge = mesh.triangles[t], mesh.boundary_edges[mesh.element_class[t]]
+    m = next(m for m in range(3) if {tri[m], tri[(m + 1) % 3]} == set(edge[:2]))
+    with pytest.raises(NoConvergence, match=f"^node layouts: element {t}, edge {m}: "
+                                            "ray-boundary Newton did not reach .* in 1 iterations"):
+        element_node_layouts(mesh, geom, 3)
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -43,3 +43,6 @@ def test_traced_run_counts_grams_and_fills_alpha_h(tmp_path, monkeypatch, capsys
     metrics = tracing.layer_metrics(spans, 1.0, 1.0)
     assert metrics["assembly.gram_calls"][0] == 4
     assert metrics["analysis.alpha_h_fill"][0] == 1
+    # one ray solve per curved sweep entry, through the binding in spaces
+    # that the tracer wraps
+    assert metrics["geometry.ray_calls"][0] == 2
