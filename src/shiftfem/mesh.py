@@ -276,24 +276,32 @@ def classify_elements(mesh: TriMesh, geom: BoundaryGeometry) -> TriMesh:
 
     A geometry with no curved pieces leaves every element interior (the mesh
     boundary is the true boundary, nothing is shifted). Otherwise every "D"
-    edge endpoint must lie on the boundary within BOUNDARY_TOL and no
-    triangle may own more than one "D" edge; violations raise
-    MeshAssumptionViolated, naming the first offending endpoint in
-    boundary-edge order, else the first offending triangle. One array pass:
-    the "D" edges reach their triangles through the mesh's edge numbers.
+    edge endpoint must lie on the boundary within BOUNDARY_TOL, both ends of
+    a "D" edge on the same piece, and no triangle may own more than one "D"
+    edge; violations raise MeshAssumptionViolated, naming the first
+    offending endpoint or edge in boundary-edge order, else the first
+    offending triangle. One array pass: the "D" edges reach their triangles
+    through the mesh's edge numbers.
     """
     classes = np.full(mesh.num_triangles, INTERIOR, dtype=int)
     if geom.fields is None:
         return replace(mesh, element_class=classes)
 
     owner, ends = dirichlet_edges(mesh)
-    g = np.abs(geom.value_many(mesh.vertices[ends.ravel()]))
+    pts = mesh.vertices[ends.ravel()]
+    fields = np.asarray(geom.fields(pts[:, 0], pts[:, 1]))
+    g = np.abs(fields.max(axis=0))
     off = np.flatnonzero(g > BOUNDARY_TOL)
     if len(off):
         (i1, i2), v = ends[off[0] // 2], ends.flat[off[0]]
         raise MeshAssumptionViolated(
             f"Dirichlet edge ({i1}, {i2}) endpoint {v} is off the "
             f"boundary: |g| = {g[off[0]]:.3e} > {BOUNDARY_TOL}")
+    on_piece = (np.abs(fields) <= BOUNDARY_TOL).reshape(len(fields), -1, 2).all(axis=2)
+    split = np.flatnonzero(~on_piece.any(axis=0))
+    if len(split):
+        i1, i2 = ends[split[0]]
+        raise MeshAssumptionViolated(f"Dirichlet edge ({i1}, {i2}) joins two boundary pieces")
     if not len(owner):
         return replace(mesh, element_class=classes)
 

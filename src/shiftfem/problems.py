@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .assembly import ExactSolution, ProblemSpec
 from .errors import InvalidParam
@@ -62,38 +63,28 @@ def annulus_test2(e: float = 0.5, extension_mode: str = "analytic") -> ProblemSp
 
 
 def polygon_patch(k: int = 2) -> ProblemSpec:
-    """Unit square with a degree-k polynomial solution and matching data.
+    """Unit square with u the degree-k Taylor polynomial of exp(x - y).
 
-    The boundary is exactly representable, so the discrete solution must
-    reproduce u to rounding; the Dirichlet data is u itself (nonzero),
-    exercising the lift.
+    u = sum over a + b <= k of x^a (-y)^b / (a! b!) has every monomial of
+    degree <= k and is nonzero on each edge, so the discrete solution must
+    reproduce it to rounding and the Dirichlet data (u itself) exercises
+    the lift. grad u and f = -lap u are taken from the same coefficients.
     """
-    if k == 2:
+    n = np.arange(k + 1)
+    w = 1.0 / np.cumprod(np.maximum(n, 1))
+    c = np.where(np.add.outer(n, n) <= k, np.outer(w, w * (-1.0) ** n), 0.0)
+    cx, cy = P.polyder(c, axis=0), P.polyder(c, axis=1)
+    cxx, cyy = P.polyder(c, 2, axis=0), P.polyder(c, 2, axis=1)
 
-        def u(x, y):
-            return x * x + 2.0 * y * y - 3.0 * x * y + x - y + 0.5
+    def u(x, y):
+        return P.polyval2d(x, y, c)
 
-        def grad_u(x, y):
-            return np.stack([2.0 * x - 3.0 * y + 1.0,
-                             4.0 * y - 3.0 * x - 1.0], axis=-1)
+    def grad_u(x, y):
+        return np.stack([P.polyval2d(x, y, cx), P.polyval2d(x, y, cy)], axis=-1)
 
-        def f(x, y):
-            return np.broadcast_to(-6.0, np.shape(x)) if np.ndim(x) else -6.0
+    def f(x, y):
+        return -P.polyval2d(x, y, cxx) - P.polyval2d(x, y, cyy)
 
-    elif k == 3:
-
-        def u(x, y):
-            return x ** 3 - 2.0 * y ** 3 + 3.0 * x * x * y + x * y + 2.0 * y - 1.0
-
-        def grad_u(x, y):
-            return np.stack([3.0 * x * x + 6.0 * x * y + y,
-                             -6.0 * y * y + 3.0 * x * x + x + 2.0], axis=-1)
-
-        def f(x, y):
-            return 6.0 * y - 6.0 * x
-
-    else:
-        raise InvalidParam(f"no built-in patch polynomial for degree {k}")
     return ProblemSpec(geom=unit_square(), f=f,
                        exact=ExactSolution(value=u, grad=grad_u), d=u)
 

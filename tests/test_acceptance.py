@@ -17,10 +17,10 @@ import pytest
 from shiftfem.analysis import (chord_node_gap, convergence_orders,
                                error_norms, inf_sup_estimate)
 from shiftfem.assembly import assemble, assemble_gram, shift_update
+from shiftfem.cli import MESH_FAMILIES
 from shiftfem.linsolve import solve
-from shiftfem.mesh import (classify_elements, gen_quarter_annulus_mesh,
-                           gen_quarter_ellipse_mesh, gen_unit_square_mesh)
-from shiftfem.problems import annulus_test2, by_name, ellipse_test1, polygon_patch
+from shiftfem.mesh import classify_elements, gen_unit_square_mesh
+from shiftfem.problems import by_name, polygon_patch
 from shiftfem.quadrature import rule_for_degree, triangle_area
 from shiftfem.spaces import build_dof_map, build_local_bases, element_node_layouts
 
@@ -34,21 +34,14 @@ REF_GRAD_ANNULUS_64 = 0.524545e-4
 MAGNITUDE_FACTOR = 3.0
 
 
-def _mesh_for(problem_name, param, e=0.5):
-    if problem_name == "ellipse_test1":
-        return gen_quarter_ellipse_mesh(param, e)
-    if problem_name == "annulus_test2":
-        return gen_quarter_annulus_mesh(param, param // 2, e)
-    return gen_unit_square_mesh(param)
-
-
 def _sweep(problem_name, params, k=2, extension_mode="analytic",
            alpha_upto=0, with_interp=False):
     prob = by_name(problem_name, k=k, extension_mode=extension_mode)
+    mesh_of = MESH_FAMILIES[prob.geom.kind][1]
     out = {"reports": [], "interp": [], "kt": [], "alpha": {}, "gap": []}
     t0 = time.perf_counter()
     for p in params:
-        mesh = classify_elements(_mesh_for(problem_name, p), prob.geom)
+        mesh = classify_elements(mesh_of(p, 0.5), prob.geom)
         lay = element_node_layouts(mesh, prob.geom, k)
         bases = build_local_bases(mesh, k, lay)
         dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)

@@ -15,6 +15,7 @@ from shiftfem.analysis import (ConvergenceTable, ErrorReport, chord_node_gap,
                                convergence_orders, error_norms, inf_sup_estimate)
 from shiftfem.assembly import (ExactSolution, ProblemSpec, ShiftUpdate, assemble,
                                assemble_gram, shift_update)
+from shiftfem.cli import MESH_FAMILIES
 from shiftfem.errors import (DimensionMismatch, InconsistentDof, InvalidParam,
                              MissingExact, NonDyadicSequence, NotSPD)
 from shiftfem.linsolve import bordered_schur, fill_order, solve
@@ -79,6 +80,13 @@ def test_patch_errors_vanish():
     assert r.max_nodal_err <= 1e-10
 
 
+def test_cubic_polygon_patch_is_not_reproduced_at_k2():
+    # negative control: polygon_patch(3) carries terms a k = 2 space cannot hold
+    prob = polygon_patch(3)
+    mesh, dm, bases, _, x = _solve_problem(prob, gen_unit_square_mesh(4))
+    assert error_norms(mesh, dm, bases, x, prob.exact, param=4).grad_err > 1e-6
+
+
 # Curved patch solutions: both have zero normal derivative on the axes, the
 # natural symmetry edges, so the degree-k trial space holds them exactly.
 QUADRATIC_PATCH = ExactSolution(
@@ -92,8 +100,7 @@ CUBIC_PATCH = ExactSolution(
 def _curved_patch_errors(exact, f, geom, param, k):
     """README pipeline with the exact solution as Dirichlet data on the arcs."""
     prob = ProblemSpec(geom, f, d=exact.value, exact=exact)
-    raw = (gen_quarter_ellipse_mesh(param, 0.5) if geom.kind == "ellipse"
-           else gen_quarter_annulus_mesh(param, param // 2, 0.5))
+    raw = MESH_FAMILIES[geom.kind][1](param, 0.5)
     mesh, dm, bases, _, x = _solve_problem(prob, raw, k)
     return error_norms(mesh, dm, bases, x, exact, param=param)
 

@@ -149,6 +149,16 @@ def test_dirichlet_endpoint_off_boundary_rejected():
         classify_elements(mesh, annulus(0.5))
 
 
+def test_dirichlet_edge_joining_two_pieces_rejected():
+    # each end lies on a circle, but the edge is a chord of neither, so no
+    # refinement can place its nodes
+    mesh = make_mesh([(0.5, 0.0), (1.0, 0.0), (0.75, 0.2)], [(0, 1, 2)],
+                     [(0, 1, TAG_DIRICHLET), (1, 2, TAG_SYMMETRY), (2, 0, TAG_SYMMETRY)])
+    with pytest.raises(MeshAssumptionViolated,
+                       match=r"Dirichlet edge \(0, 1\) joins two boundary pieces"):
+        classify_elements(mesh, annulus(0.5))
+
+
 def test_stats_on_reference_shapes():
     right = make_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], [])
     assert right.h_per_element.max() == pytest.approx(math.sqrt(2.0))

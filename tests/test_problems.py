@@ -13,52 +13,59 @@ from shiftfem.problems import (annulus_test2, by_name, ellipse_test1,
 FD_H = 1e-4
 
 
-def _interior_points(name, rng, n=10):
-    if name == "ellipse_test1":
+def _interior_points(kind, rng, n=10):
+    if kind == "ellipse":
         pts = []
         while len(pts) < n:
             x, y = rng.uniform(0.0, 0.5), rng.uniform(0.0, 1.0)
             if (x / 0.5) ** 2 + y ** 2 < 0.9:
                 pts.append((x, y))
         return pts
-    if name == "annulus_test2":
+    if kind == "annulus":
         r = rng.uniform(0.55, 0.95, size=n)
         th = rng.uniform(0.05, math.pi / 2 - 0.05, size=n)
         return list(zip(r * np.cos(th), r * np.sin(th)))
     return list(zip(rng.uniform(0.05, 0.95, size=n), rng.uniform(0.05, 0.95, size=n)))
 
 
-def _problem(name):
-    if name == "polygon_patch3":
-        return polygon_patch(3)
-    return by_name(name)
+PATCH_DEGREES = (2, 3, 4, 5)
+# the plain name is by_name's default degree, 2
+PROBLEMS = {"ellipse_test1": ellipse_test1(), "annulus_test2": annulus_test2(),
+            **{f"polygon_patch{k if k > 2 else ''}": polygon_patch(k) for k in PATCH_DEGREES}}
 
 
-ALL = ["ellipse_test1", "annulus_test2", "polygon_patch", "polygon_patch3"]
-
-
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", PROBLEMS)
 def test_source_matches_fd_laplacian(name):
-    prob = _problem(name)
+    prob = PROBLEMS[name]
     u = prob.exact.value
     rng = np.random.default_rng(42)
-    for x, y in _interior_points(name.removesuffix("3"), rng):
+    for x, y in _interior_points(prob.geom.kind, rng):
         lap = (u(x + FD_H, y) + u(x - FD_H, y) + u(x, y + FD_H) + u(x, y - FD_H)
                - 4.0 * u(x, y)) / FD_H ** 2
         assert float(prob.f(x, y)) == pytest.approx(-lap, abs=1e-6)
 
 
-@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("name", PROBLEMS)
 def test_gradient_matches_fd(name):
-    prob = _problem(name)
+    prob = PROBLEMS[name]
     u = prob.exact.value
     rng = np.random.default_rng(43)
-    for x, y in _interior_points(name.removesuffix("3"), rng):
+    for x, y in _interior_points(prob.geom.kind, rng):
         gx = (u(x + FD_H, y) - u(x - FD_H, y)) / (2.0 * FD_H)
         gy = (u(x, y + FD_H) - u(x, y - FD_H)) / (2.0 * FD_H)
         got = prob.exact.grad(x, y)
         assert float(got[0]) == pytest.approx(gx, abs=1e-6)
         assert float(got[1]) == pytest.approx(gy, abs=1e-6)
+
+
+@pytest.mark.parametrize("k", PATCH_DEGREES)
+def test_patch_data_is_nonzero_on_every_edge(k):
+    # the Dirichlet lift is exercised on all four edges of the square
+    d = polygon_patch(k).d
+    s = np.linspace(0.0, 1.0, 11)
+    zero, one = np.zeros_like(s), np.ones_like(s)
+    for x, y in ((s, zero), (s, one), (zero, s), (one, s)):
+        assert np.max(np.abs(d(x, y))) > 0.1
 
 
 def test_solutions_vanish_on_curved_boundary():
@@ -94,8 +101,6 @@ def test_by_name_dispatch_and_validation():
     assert by_name("polygon_patch", k=3).geom.kind == "polygon"
     with pytest.raises(InvalidParam):
         by_name("nope")
-    with pytest.raises(InvalidParam):
-        polygon_patch(4)
     with pytest.raises(InvalidParam):
         ProblemSpec(geom=ellipse_test1().geom, f=lambda x, y: 0.0,
                     extension_mode="extrapolate")
