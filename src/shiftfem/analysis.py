@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,17 +20,24 @@ from .spaces import (DofMap, LocalBases, check_compatible, eval_basis_bary,
 
 @dataclass(frozen=True)
 class ErrorReport:
+    """Errors of one solve, each with its rounding floor: n_unknowns * eps
+    times the same norm of the discrete solution. An error at or below its
+    floor is rounding and carries no rate."""
+
     grad_err: float
     l2_err: float
     max_nodal_err: float
     h: float
     param: int
+    grad_floor: float = 0.0
+    l2_floor: float = 0.0
+    max_nodal_floor: float = 0.0
 
     def __post_init__(self):
-        for name in ("grad_err", "l2_err", "max_nodal_err", "h"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise InvalidParam(f"{name} must be finite and nonnegative, got {v}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name != "param" and not (math.isfinite(v) and v >= 0.0):
+                raise InvalidParam(f"{f.name} must be finite and nonnegative, got {v}")
 
 
 @dataclass(frozen=True)
@@ -64,28 +71,31 @@ def error_norms(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     a[s] = (local_bases.coeffs @ a[s][:, :, None])[..., 0]
     pts = rule.physical_points(tris)
     px, py = pts[..., 0], pts[..., 1]
-    dphi = eval_basis_bary_grad(k, rule.points)[None] @ grads[:, None]
-    dg = np.einsum("tqjd,tj->tqd", dphi, a) - exact.grad(px, py)
-    del dphi
-    dv = (eval_basis_bary(k, rule.points)[None] @ a[:, :, None])[..., 0] - exact.value(px, py)
-    # cumsum adds in element order, as a loop would; np.sum would not
-    g2 = np.cumsum(area * np.vecdot(rule.weights, np.einsum("tqd,tqd->tq", dg, dg)))[-1]
-    l2 = np.cumsum(area * np.vecdot(rule.weights, dv * dv))[-1]
-    nodal = np.abs(full - exact.value(dofmap.node_coords[:, 0], dofmap.node_coords[:, 1]))
-    max_err = float(nodal[~dofmap.dirichlet_mask].max()) if dofmap.n_unknowns else 0.0
-    return ErrorReport(grad_err=math.sqrt(g2), l2_err=math.sqrt(l2),
-                       max_nodal_err=max_err,
-                       h=float(mesh.h_per_element.max()), param=int(param))
+    # einsum on contiguous tables: BLAS over an inner dimension of n_k is slower
+    uh = np.einsum("tj,qj->tq", a, eval_basis_bary(k, rule.points))
+    dref = np.moveaxis(eval_basis_bary_grad(k, rule.points), 1, 0).copy()
+    gh = np.einsum("tj,jqm->tqm", a, dref) @ grads
+    dg, dv = gh - exact.grad(px, py), uh - exact.value(px, py)
+
+    def norm(v2):  # square root of the integral of v2 (T, Q) over the mesh
+        return math.sqrt(area @ (v2 @ rule.weights))
+
+    unknown = full[~dofmap.dirichlet_mask]
+    nodal = np.abs(unknown - exact.value(*dofmap.node_coords[~dofmap.dirichlet_mask].T))
+    floor = dofmap.n_unknowns * float(np.finfo(float).eps)
+    return ErrorReport(grad_err=norm(np.vecdot(dg, dg)), l2_err=norm(dv * dv),
+                       max_nodal_err=float(np.max(nodal, initial=0.0)),
+                       h=float(mesh.h_per_element.max()), param=int(param),
+                       grad_floor=floor * norm(np.vecdot(gh, gh)), l2_floor=floor * norm(uh * uh),
+                       max_nodal_floor=floor * float(np.max(np.abs(unknown), initial=0.0)))
 
 
-# Errors at the double-precision floor carry no rate information.
-ORDER_FLOOR = 1e-13
-
-
-def _pair_order(coarse: float, fine: float) -> float:
-    if coarse <= ORDER_FLOOR or fine <= ORDER_FLOOR:
-        return math.nan
-    return math.log2(coarse / fine)
+def _pair_orders(reports: Sequence[ErrorReport], name: str) -> tuple[float, ...]:
+    """log2 ratios of the ``name`` errors of consecutive reports; nan where
+    either error is at or below its rounding floor."""
+    errs = [(getattr(r, f"{name}_err"), getattr(r, f"{name}_floor")) for r in reports]
+    return tuple(math.log2(a / b) if a > fa and b > fb else math.nan
+                 for (a, fa), (b, fb) in zip(errs, errs[1:]))
 
 
 def convergence_orders(reports: Sequence[ErrorReport]) -> ConvergenceTable:
@@ -97,15 +107,9 @@ def convergence_orders(reports: Sequence[ErrorReport]) -> ConvergenceTable:
     for a, b in zip(params, params[1:]):
         if b != 2 * a:
             raise NonDyadicSequence(f"parameters {params} are not consecutive doublings")
-    return ConvergenceTable(
-        reports=tuple(reports),
-        grad_orders=tuple(_pair_order(a.grad_err, b.grad_err)
-                          for a, b in zip(reports, reports[1:])),
-        l2_orders=tuple(_pair_order(a.l2_err, b.l2_err)
-                        for a, b in zip(reports, reports[1:])),
-        max_orders=tuple(_pair_order(a.max_nodal_err, b.max_nodal_err)
-                         for a, b in zip(reports, reports[1:])),
-    )
+    return ConvergenceTable(reports=tuple(reports), grad_orders=_pair_orders(reports, "grad"),
+                            l2_orders=_pair_orders(reports, "l2"),
+                            max_orders=_pair_orders(reports, "max_nodal"))
 
 
 def chord_node_gap(mesh: TriMesh, local_bases: LocalBases, u: Callable) -> float:

@@ -1,9 +1,9 @@
 """Stiffness and load assembly: standard test space against shifted trial space.
 
-Kernels work on whole-mesh (T, ...) stacks. Each contraction is a stacked
-``np.matmul`` over the operands a per-element ``@`` would take, so every
-block comes out of the same BLAS call and results stay bit-identical to the
-frozen reference tables, which an ``einsum`` regrouping would not.
+Kernels work on whole-mesh (T, ...) stacks. The element loops they replaced
+are test oracles now, bounding each entry to a few eps of the largest one.
+Bits are pinned by ``tests/golden/`` and by the benchmark's reference tables
+(1e-9 relative), which a regrouped stiffness contraction would move.
 """
 
 from __future__ import annotations
@@ -152,13 +152,9 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     d = dofmap.dirichlet_values[dofmap.element_to_global][:, :, None]
     lift = (B @ d)[..., 0]
     lift[s] = (BC @ d[s])[..., 0]
-    # Element by element, rhs[free] += F and then rhs[free] -= lift; bincount
-    # adds its weights in order, so interleaving the two keeps that order.
-    weights = np.stack((F, -lift), axis=1)
     ui = dofmap.unknown_index[dofmap.element_to_global]
-    idx = np.broadcast_to(ui[:, None, :], weights.shape)
-    free = idx >= 0
-    rhs = np.bincount(idx[free], weights[free], minlength=dofmap.n_unknowns)
+    free = ui >= 0
+    rhs = np.bincount(ui[free], (F - lift)[free], minlength=dofmap.n_unknowns)
     return AssembledSystem(A=_scatter(ui, B, dofmap.n_unknowns, s, BC), rhs=rhs,
                            dofmap=dofmap, blocks=B)
 

@@ -49,9 +49,7 @@ def ellipse(e: float) -> BoundaryGeometry:
         raise InvalidParam(f"ellipse semi-axis must be positive and finite, got {e}")
 
     def fields(x, y):
-        # float_power is the C library's pow per element, as a float's x ** 2 is;
-        # an array's x ** 2 is x * x, which rounds otherwise and moves some nodes
-        return (np.float_power(x / e, 2) + np.float_power(y, 2) - 1.0,)
+        return ((x / e) ** 2 + y ** 2 - 1.0,)
 
     def grads(x, y):
         return ((2.0 * x / (e * e), 2.0 * y),)

@@ -1,4 +1,10 @@
-"""Independent oracles the tests check the pipeline against.
+"""Independent oracles the tests check the pipeline against, and the one
+rounding budget every float comparison with them is held to.
+
+``assert_within_rounding`` bounds the difference by a margin times eps times
+a scale the caller names: the largest entry for kernels and sparse data, the
+coordinate size for node layouts, the same norm of the discrete solution for
+error norms. Sparsity patterns, numbering and counts stay exact.
 
 ``eval_uh`` evaluates a trial-space function at one point of one element,
 from the standard basis and that element's coefficient map, where the
@@ -15,6 +21,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from shiftfem.errors import MeshAssumptionViolated, NoConvergence
 from shiftfem.geometry import DEFAULT_BRACKET, DEFAULT_TOL
@@ -22,6 +29,28 @@ from shiftfem.mesh import TriMesh, make_mesh
 from shiftfem.spaces import (DofMap, LocalBases, barycentric_coords,
                              barycentric_gradients, eval_basis_bary,
                              eval_basis_bary_grad)
+
+
+EPS = np.finfo(float).eps
+
+
+def assert_within_rounding(got, want, scale: float, margin: float) -> None:
+    """Assert |got - want| <= margin * eps * scale entry by entry.
+
+    Arrays must have the same shape. Sparse matrices must have the same
+    sparsity pattern exactly (the same CSR indptr and indices); their data
+    are then held to the bound.
+    """
+    if sp.issparse(got) or sp.issparse(want):
+        got, want = got.tocsr(), want.tocsr()
+        assert np.array_equal(got.indptr, want.indptr), "sparsity patterns differ"
+        assert np.array_equal(got.indices, want.indices), "sparsity patterns differ"
+        got, want = got.data, want.data
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, f"shapes differ: {got.shape} != {want.shape}"
+    off = float(np.max(np.abs(got - want), initial=0.0))
+    bound = margin * EPS * scale
+    assert off <= bound, f"off by {off:.3e} > {margin:g} eps x {scale:.3e} = {bound:.3e}"
 
 
 def eval_basis_physical(k: int, tri: np.ndarray, pts: np.ndarray):

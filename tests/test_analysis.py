@@ -1,5 +1,6 @@
 """Error norms, convergence orders, interpolation, and stability estimates."""
 
+import csv
 import math
 import tracemalloc
 from dataclasses import replace
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from shiftfem import linsolve
+from shiftfem import cli, linsolve
 from shiftfem.analysis import (ConvergenceTable, ErrorReport, chord_node_gap,
                                convergence_orders, error_norms, inf_sup_estimate)
 from shiftfem.assembly import (ExactSolution, ProblemSpec, ShiftUpdate, assemble,
@@ -26,7 +27,7 @@ from shiftfem.problems import annulus_test2, ellipse_test1, polygon_patch
 from shiftfem.spaces import (build_dof_map, build_local_bases,
                              element_node_layouts, lagrange_layout)
 
-from oracles import eval_uh
+from oracles import assert_within_rounding, eval_uh
 
 # Frozen outputs of this pipeline (splu solve, default quadrature). These
 # pin regressions: any change to mesh generation, node relocation, assembly,
@@ -212,6 +213,42 @@ def test_zero_error_gives_nan_order():
     assert math.isnan(tab.l2_orders[0])
 
 
+def test_errors_at_their_rounding_floor_give_no_order():
+    # each order needs both errors above their own floors
+    above = ErrorReport(4e-12, 4e-12, 4e-12, 0.4, 4, 1e-12, 1e-12, 1e-12)
+    at = ErrorReport(2e-12, 1e-12, 1e-12, 0.2, 8, 1e-12, 1e-12, 1e-12)
+    tab = convergence_orders([above, at])
+    assert tab.grad_orders == (1.0,)
+    assert math.isnan(tab.l2_orders[0]) and math.isnan(tab.max_orders[0])
+    assert math.isnan(convergence_orders([replace(above, grad_floor=4e-12), at]).grad_orders[0])
+
+
+def test_error_floors_scale_with_the_unknowns_and_the_solution():
+    prob, mesh, dm, bases, _, x = _ellipse_case(8)
+    rep = error_norms(mesh, dm, bases, x, prob.exact)
+    full = dm.full_vector(x)
+    floor = dm.n_unknowns * np.finfo(float).eps
+    assert rep.max_nodal_floor == floor * np.abs(full[~dm.dirichlet_mask]).max()
+    # the same norms of the discrete solution, which u_h = u would give
+    zero = ExactSolution(value=lambda px, py: 0.0 * px,
+                         grad=lambda px, py: np.zeros(np.shape(px) + (2,)))
+    norms = error_norms(mesh, dm, bases, x, zero)
+    assert rep.grad_floor == pytest.approx(floor * norms.grad_err, rel=1e-12)
+    assert rep.l2_floor == pytest.approx(floor * norms.l2_err, rel=1e-12)
+
+
+def test_patch_test_rounding_prints_no_order(tmp_path):
+    # the cubic patch errors are rounding that grows with the unknowns;
+    # an absolute floor of 1e-13 printed a grad order of -1.96 at J = 32
+    out = tmp_path / "out"
+    assert cli.main(["run", "--problem", "polygon_patch", "--k", "3",
+                     "--sweep", "4,8,16,32", "--out", str(out)]) == 0
+    with open(out / "table.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["param"] for r in rows] == ["4", "8", "16", "32"]
+    assert all(r[c] == "nan" for r in rows[1:] for c in ("grad_order", "l2_order", "max_order"))
+
+
 def test_non_dyadic_sequence_rejected():
     r4 = ErrorReport(1e-3, 1e-4, 1e-5, 0.4, 4)
     r6 = ErrorReport(5e-4, 5e-5, 5e-6, 0.3, 6)
@@ -234,13 +271,12 @@ def test_interpolant_nodal_duality():
     prob, mesh, dm, bases, _, _ = _ellipse_case(8)
     coeffs = _interpolant(prob, dm)
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for t in rng.choice(mesh.num_triangles, size=12, replace=False):
-        for g in dm.element_to_global[t]:
-            p = dm.node_coords[g]
-            res = eval_uh(dm, bases, coeffs, int(t), p)
-            worst = max(worst, abs(res.value - float(prob.exact.value(p[0], p[1]))))
-    assert worst <= 1e-10
+    # every shifted element, where the coefficient map is not the identity
+    ts = np.union1d(bases.shifted, rng.choice(mesh.num_triangles, size=12, replace=False))
+    got = [eval_uh(dm, bases, coeffs, int(t), dm.node_coords[g]).value
+           for t in ts for g in dm.element_to_global[t]]
+    assert_within_rounding(got, coeffs[dm.element_to_global[ts]].ravel(),
+                           np.abs(coeffs).max(), 64)
 
 
 def test_interpolant_gradient_converges_at_order_two():

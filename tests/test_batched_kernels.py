@@ -1,10 +1,13 @@
 """The stacked element kernels against per-element reference loops.
 
-Each oracle below is the loop the library ran before its kernels worked on
-whole-mesh stacks. The stacked kernels must reproduce them bit for bit (the
-frozen reference tables are compared to 1e-9 relative, and the k=3 error
-cells move by more than that under a reordered sum); the one exception is
-the Dirichlet lift of a problem with nonzero boundary data.
+Each oracle below is a loop the library ran before its kernels worked on
+whole-mesh stacks, or a scalar ray solve. The stacked kernels need not add
+in the loops' order: every float is held to ``oracles.assert_within_rounding``
+against a named scale (the coordinate size for meshes and node layouts, the
+largest entry for kernels, loads and sparse data, the same norm of the
+discrete solution for error norms), while sparsity patterns, numbering,
+indices and counts must match exactly. Bits are pinned elsewhere: by the
+goldens of ``test_artifacts.py`` and by the benchmark's reference tables.
 """
 
 import math
@@ -29,7 +32,7 @@ from shiftfem.spaces import (build_dof_map, build_local_bases,
                              eval_basis_bary, eval_basis_bary_grad,
                              lagrange_layout)
 
-from oracles import scalar_pieces, scalar_ray_intersection
+from oracles import assert_within_rounding, scalar_pieces, scalar_ray_intersection
 
 
 def _area(tri):
@@ -85,9 +88,12 @@ def _loop_layouts(mesh, pieces, k):
     return np.array(out)
 
 
+def _size(mesh):
+    """The coordinate size: the largest |coordinate| of a mesh vertex."""
+    return float(np.abs(mesh.vertices).max())
+
+
 @pytest.mark.parametrize("kind, e, k, n", [
-    # on each of these, at least one node moves by a bit when the ellipse
-    # squares by x * x or the annulus radius is np.hypot
     ("ellipse", 0.3, 2, 16), ("ellipse", 0.7, 3, 64),
     ("annulus", 0.4, 2, 16), ("annulus", 0.7, 3, 16),
 ])
@@ -97,8 +103,8 @@ def test_batched_layouts_reproduce_the_scalar_newton(kind, e, k, n):
     else:
         geom, raw = annulus(e), gen_quarter_annulus_mesh(n, n // 2, e)
     mesh = classify_elements(raw, geom)
-    assert np.array_equal(element_node_layouts(mesh, geom, k),
-                          _loop_layouts(mesh, scalar_pieces(kind, e), k))
+    assert_within_rounding(element_node_layouts(mesh, geom, k),
+                           _loop_layouts(mesh, scalar_pieces(kind, e), k), _size(mesh), 4)
 
 
 def _loop_local_bases(mesh, k, layouts):
@@ -168,21 +174,22 @@ def _loop_gram(mesh, dm, coeffs, dev, choice, k):
 
 
 def _loop_errors(mesh, dm, coeffs, full, exact, k):
+    """Gradient and L2 errors, then the same norms of the discrete solution."""
     rule = rule_for_degree(2 * k + 4)
     dphi_bary = eval_basis_bary_grad(k, rule.points)
     phi = eval_basis_bary(k, rule.points)
-    g2 = l2 = 0.0
+    sums = np.zeros(4)
     for t in range(mesh.num_triangles):
         tri = mesh.vertices[mesh.triangles[t]]
-        area = _area(tri)
         a = coeffs[t] @ full[dm.element_to_global[t]]
         pts = rule.physical_points(tri)
         gh = np.einsum("qjd,j->qd", dphi_bary @ _bary_grads(tri), a)
         dg = gh - exact.grad(pts[:, 0], pts[:, 1])
         dv = phi @ a - exact.value(pts[:, 0], pts[:, 1])
-        g2 += area * float(rule.weights @ np.einsum("qd,qd->q", dg, dg))
-        l2 += area * float(rule.weights @ (dv * dv))
-    return math.sqrt(g2), math.sqrt(l2)
+        squares = (np.einsum("qd,qd->q", dg, dg), dv * dv,
+                   np.einsum("qd,qd->q", gh, gh), (phi @ a) ** 2)
+        sums += _area(tri) * np.array([rule.weights @ v for v in squares])
+    return np.sqrt(sums)
 
 
 def _hash_dof_map(mesh, geom, k, dirichlet_data, layouts):
@@ -236,10 +243,9 @@ def _case(name):
     return polygon_patch(2), gen_unit_square_mesh(4), 2
 
 
-def _exact_csr(A, B):
-    A, B = A.tocsr(), B.tocsr()
-    return (np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
-            and np.array_equal(A.data, B.data))
+def _largest(a):
+    """The largest |entry| of an array or of a sparse matrix's data."""
+    return float(np.abs(a.data if sp.issparse(a) else a).max(initial=0.0))
 
 
 @pytest.mark.parametrize("name", ["ellipse_k2_J8", "annulus_k3_I8_zero", "polygon_k2_J4"])
@@ -247,39 +253,40 @@ def test_stacked_kernels_reproduce_the_element_loops(name):
     prob, raw, k = _case(name)
     mesh = classify_elements(raw, prob.geom)
     h, rho = _loop_h_rho(mesh)
-    assert np.array_equal(mesh.h_per_element, h)
-    assert np.array_equal(mesh.rho_per_element, rho)
+    assert_within_rounding(mesh.h_per_element, h, _size(mesh), 4)
+    assert_within_rounding(mesh.rho_per_element, rho, _size(mesh), 4)
 
     lay = element_node_layouts(mesh, prob.geom, k)
     pieces = () if prob.geom.fields is None else scalar_pieces(prob.geom.kind, 0.5)
-    assert np.array_equal(lay, _loop_layouts(mesh, pieces, k))
+    assert_within_rounding(lay, _loop_layouts(mesh, pieces, k), _size(mesh), 4)
     bases = build_local_bases(mesh, k, lay)
     coeffs, dev = _loop_local_bases(mesh, k, lay)
     assert np.array_equal(bases.shifted, np.flatnonzero(mesh.element_class != INTERIOR))
-    assert np.array_equal(bases.coeffs, np.array([coeffs[t] for t in bases.shifted])
-                          .reshape(bases.coeffs.shape))
-    assert np.array_equal(bases.kt_deviation, dev)
-    assert bases.kt_deviation.max(initial=0.0) == max(dev)
+    want = np.array([coeffs[t] for t in bases.shifted]).reshape(bases.coeffs.shape)
+    assert_within_rounding(bases.coeffs, want, _largest(want), 16)
+    # the deviation of K_T from the identity, whose entries set the scale
+    assert_within_rounding(bases.kt_deviation, dev, 1.0, 16)
 
     dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)
     sysm = assemble(mesh, dm, bases, prob)
     A, rhs = _loop_assemble(mesh, dm, coeffs, dev, prob, k)
-    assert _exact_csr(sysm.A, A)
-    if name.startswith("polygon"):  # nonzero Dirichlet lift
-        assert np.max(np.abs(sysm.rhs - rhs)) <= 1e-13
-    else:
-        assert np.array_equal(sysm.rhs, rhs)
+    assert_within_rounding(sysm.A, A, _largest(A), 16)
+    assert_within_rounding(sysm.rhs, rhs, _largest(rhs), 16)
     for choice in ("test_space", "trial_space"):
-        assert _exact_csr(assemble_gram(sysm, bases, choice),
-                          _loop_gram(mesh, dm, coeffs, dev, choice, k))
+        G = _loop_gram(mesh, dm, coeffs, dev, choice, k)
+        assert_within_rounding(assemble_gram(sysm, bases, choice), G, _largest(G), 16)
 
     x = solve(sysm.A, sysm.rhs).x
     rep = error_norms(mesh, dm, bases, x, prob.exact, param=8)
     full = dm.full_vector(x)
+    grad_err, l2_err, grad_norm, l2_norm = _loop_errors(mesh, dm, coeffs, full, prob.exact, k)
+    # the errors cancel, so they are bounded against the discrete solution's norms
+    assert_within_rounding(rep.grad_err, grad_err, grad_norm, 64)
+    assert_within_rounding(rep.l2_err, l2_err, l2_norm, 64)
     nodal = np.abs(full - prob.exact.value(dm.node_coords[:, 0], dm.node_coords[:, 1]))
-    assert (rep.grad_err, rep.l2_err) == _loop_errors(mesh, dm, coeffs, full, prob.exact, k)
-    assert rep.max_nodal_err == float(nodal[~dm.dirichlet_mask].max())
-    assert rep.h == float(h.max())
+    assert_within_rounding(rep.max_nodal_err, nodal[~dm.dirichlet_mask].max(),
+                           _largest(full), 2)
+    assert_within_rounding(rep.h, h.max(), _size(mesh), 4)
     assert rep.param == 8
 
 
@@ -292,9 +299,10 @@ def test_topological_numbering_reproduces_the_spatial_hash(name):
     dm = build_dof_map(mesh, build_local_bases(mesh, k, lay), dirichlet_data=prob.d)
     coords, mask, values, e2g, unknown = _hash_dof_map(mesh, prob.geom, k, prob.d, lay)
     assert np.array_equal(dm.element_to_global, e2g)
-    assert np.array_equal(dm.node_coords, coords)
+    assert_within_rounding(dm.node_coords, coords, _size(mesh), 4)
     assert np.array_equal(dm.dirichlet_mask, mask)
-    assert np.array_equal(dm.dirichlet_values, values)
+    # the data d are of order one on these unit-size domains
+    assert_within_rounding(dm.dirichlet_values, values, 1.0, 4)
     assert np.array_equal(dm.unknown_index, unknown)
     assert dm.n_unknowns == int(np.sum(~mask))
 
@@ -515,7 +523,7 @@ def test_array_mesh_generators_reproduce_the_loops(case):
         "square": (gen_unit_square_mesh, _loop_square_mesh),
     }[kind]
     got, want = new(*args), old(*args)
-    assert np.array_equal(got.vertices, want.vertices)
+    assert_within_rounding(got.vertices, want.vertices, _size(want), 4)
     assert got.triangles.dtype == want.triangles.dtype
     assert np.array_equal(got.triangles, want.triangles)
     assert got.boundary_edges == want.boundary_edges

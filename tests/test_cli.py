@@ -1,6 +1,7 @@
 """Experiment configuration, runner artifacts, and command-line behavior."""
 
 import argparse
+import csv
 import json
 import math
 import re
@@ -328,9 +329,11 @@ def test_readme_python_api_block_runs(capsys):
     assert block is not None
     exec(compile(block.group(1), "README.md", "exec"), {})
     report, kt_dev = capsys.readouterr().out.splitlines()
-    # the J=16 row of the golden ellipse k=2 run
-    assert "grad_err=0.000806115712628422," in report
-    assert kt_dev == "16 0.03932345404301459"
+    # the J=16 row of the golden ellipse k=2 run; 16 boundary elements
+    with open(GOLDEN / "ellipse_k2" / "table.csv", newline="") as f:
+        row = next(r for r in csv.DictReader(f) if r["param"] == "16")
+    assert f"grad_err={row['grad_err']}," in report
+    assert kt_dev == f"16 {row['kt_dev']}"
 
 
 def test_readme_config_block_matches_the_config_defaults():

@@ -18,7 +18,7 @@ from shiftfem.spaces import (SUPPORTED_DEGREES, build_dof_map,
                              edge_interior_locals, element_node_layouts,
                              lagrange_layout)
 
-from oracles import element_coeffs, eval_basis_physical, eval_uh
+from oracles import assert_within_rounding, element_coeffs, eval_basis_physical, eval_uh
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -390,13 +390,11 @@ def test_trial_functions_continuous_across_interior_edges(k):
     dm = build_dof_map(mesh, bases)
     rng = np.random.default_rng(777)
     coeffs = rng.standard_normal(len(dm.node_coords))
-    for (a, b), (t1, t2) in _interior_edges(mesh):
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        for s in (0.1, 0.3, 0.5, 0.7, 0.9):
-            p = pa + s * (pb - pa)
-            v1 = eval_uh(dm, bases, coeffs, t1, p).value
-            v2 = eval_uh(dm, bases, coeffs, t2, p).value
-            assert abs(v1 - v2) <= 1e-9
+    on_edges = [(t1, t2, mesh.vertices[a] + s * (mesh.vertices[b] - mesh.vertices[a]))
+                for (a, b), (t1, t2) in _interior_edges(mesh) for s in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    v1 = [eval_uh(dm, bases, coeffs, t1, p).value for t1, _, p in on_edges]
+    v2 = [eval_uh(dm, bases, coeffs, t2, p).value for _, t2, p in on_edges]
+    assert_within_rounding(v1, v2, np.abs(coeffs).max(), 64)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -413,9 +411,9 @@ def test_test_space_vanishes_on_curved_chords(k):
         pa, pb = mesh.vertices[edge[0]], mesh.vertices[edge[1]]
         pts = np.array([pa + s * (pb - pa) for s in (0.05, 0.25, 0.5, 0.75, 0.95)])
         vals, _ = eval_basis_physical(k, tri, pts)
-        for loc in range(vals.shape[1]):
-            if loc not in on_edge:
-                assert np.max(np.abs(vals[:, loc])) <= 1e-12
+        off = [loc for loc in range(vals.shape[1]) if loc not in on_edge]
+        # basis values are of order one
+        assert_within_rounding(vals[:, off], np.zeros_like(vals[:, off]), 1.0, 64)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -430,11 +428,13 @@ def test_eval_uh_reproduces_global_polynomial(k):
     dm = build_dof_map(mesh, bases)
     coeffs = np.array([poly(x, y) for x, y in dm.node_coords])
     rng = np.random.default_rng(555)
+    got, want = [], []
     for t in rng.choice(mesh.num_triangles, size=10, replace=False):
         lam = rng.dirichlet((1.0, 1.0, 1.0), size=3)
         for pt in lam @ mesh.vertices[mesh.triangles[t]]:
-            got = eval_uh(dm, bases, coeffs, int(t), pt)
-            assert got.value == pytest.approx(poly(*pt), abs=1e-11)
+            got.append(eval_uh(dm, bases, coeffs, int(t), pt).value)
+            want.append(poly(*pt))
+    assert_within_rounding(got, want, np.abs(coeffs).max(), 64)
 
 
 def test_eval_uh_zero_coefficients():
