@@ -1,9 +1,14 @@
 """Stiffness and load assembly: standard test space against shifted trial space.
 
-Kernels work on whole-mesh (T, ...) stacks. The element loops they replaced
-are test oracles now, bounding each entry to a few eps of the largest one.
-Bits are pinned by ``tests/golden/`` and by the benchmark's reference tables
-(1e-9 relative), which a regrouped stiffness contraction would move.
+Kernels work on (T, ...) stacks of elements. The stiffness-block and load
+kernels run over chunks of ``CHUNK`` elements into preallocated (T, ...)
+outputs: their per-quadrature-point temporaries would otherwise take several
+times the size of the result, and the heap they leave behind stays resident
+under the LU that follows. Each element's entries are computed alone, so the
+chunk size moves no bit. The element loops the kernels replaced are test
+oracles now, bounding each entry to a few eps of the largest one. Bits are
+pinned by ``tests/golden/`` and by the benchmark's reference tables (1e-9
+relative), which a regrouped stiffness contraction would move.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ EXTENSION_MODES = ("analytic", "zero_outside")
 BASIS_CHOICES = ("test_space", "trial_space")
 # A point with a larger boundary field g is outside the domain.
 OUTSIDE_TOL = 1e-12
+# Elements per call of the stiffness-block and load kernels.
+CHUNK = 1024
 
 
 def _zero(x, y):
@@ -99,6 +106,11 @@ def element_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return tris, barycentric_gradients(tris), np.abs(triangle_area(tris))
 
 
+def _chunks(n: int):
+    """Slices of ``CHUNK`` consecutive elements covering range(n)."""
+    return (slice(i, i + CHUNK) for i in range(0, n, CHUNK))
+
+
 def _stiffness_blocks(mesh: TriMesh, k: int):
     """Vertices, areas and standard-basis stiffness blocks B (T, n_k, n_k).
 
@@ -107,8 +119,12 @@ def _stiffness_blocks(mesh: TriMesh, k: int):
     """
     tris, grads, area = element_geometry(mesh)
     rule = rule_for_degree(2 * (k - 1))
-    dphi = eval_basis_bary_grad(k, rule.points)[None] @ grads[:, None]
-    B = area[:, None, None] * np.einsum("tqid,tqjd,q->tij", dphi, dphi, rule.weights)
+    ref = eval_basis_bary_grad(k, rule.points)[None]
+    n_k = ref.shape[2]
+    B = np.empty((len(tris), n_k, n_k))
+    for c in _chunks(len(tris)):
+        dphi = ref @ grads[c, None]
+        B[c] = area[c, None, None] * np.einsum("tqid,tqjd,q->tij", dphi, dphi, rule.weights)
     return tris, area, B
 
 
@@ -121,6 +137,7 @@ def _scatter(ui: np.ndarray, blocks: np.ndarray, n: int,
     ``shifted_blocks`` (S, n_k, n_k) stand in for the blocks of the sorted
     elements ``shifted`` (S,), without a copy of ``blocks``."""
     free = (ui[:, :, None] >= 0) & (ui[:, None, :] >= 0)
+    ui = ui.astype(np.int32)  # SciPy's index type for n < 2**31 either way
     rows = np.broadcast_to(ui[:, :, None], blocks.shape)[free]
     cols = np.broadcast_to(ui[:, None, :], blocks.shape)[free]
     data = blocks[free]
@@ -145,10 +162,12 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     s = local_bases.shifted
     BC = B[s] @ local_bases.coeffs
     load = rule_for_degree(2 * k + 2)
-    pts = load.physical_points(tris)
-    f = source_values(problem, pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    phi_load = eval_basis_bary(k, load.points)
-    F = area[:, None] * (phi_load.T[None] @ (load.weights * f)[:, :, None])[..., 0]
+    phi_load = eval_basis_bary(k, load.points).T[None]
+    F = np.empty(B.shape[:2])
+    for c in _chunks(len(tris)):
+        pts = load.physical_points(tris[c])
+        f = source_values(problem, pts.reshape(-1, 2)).reshape(pts.shape[:2])
+        F[c] = area[c, None] * (phi_load @ (load.weights * f)[:, :, None])[..., 0]
     d = dofmap.dirichlet_values[dofmap.element_to_global][:, :, None]
     lift = (B @ d)[..., 0]
     lift[s] = (BC @ d[s])[..., 0]

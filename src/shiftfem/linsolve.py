@@ -103,11 +103,16 @@ def bordered_schur(G, X, C, order) -> tuple[np.ndarray, np.ndarray]:
     the inf-sup estimate needs: InconsistentDof.
     """
     n, r = X.shape
-    g_max = float(abs(G).max())
-    if float(abs(G - G.T).max()) > 1e-12 * max(1.0, g_max):
+    G = sp.csr_matrix(G)
+    G.sum_duplicates()
+    g_max = float(np.abs(G.data).max(initial=0.0))
+    if float(np.abs((G - G.T).data).max(initial=0.0)) > 1e-12 * max(1.0, g_max):
         raise NotSPD("gram matrix is not symmetric")
-    p = np.r_[np.argsort(order), n + np.arange(r)]
-    K = sp.bmat([[G, X], [X.T, C]], format="csc")[p][:, p]
+    # K in its factor order at once: relabelling the COO entries costs no
+    # permuted copies of K, whose heap would stay under the factor
+    K = sp.bmat([[G, X], [X.T, C]], format="coo")
+    q = np.r_[order, n + np.arange(r)].astype(K.row.dtype)
+    K = sp.csc_matrix((K.data, (q[K.row], q[K.col])), shape=K.shape)
     lu = _superlu(splu, NotSPD, "gram matrix is singular", K, permc_spec="NATURAL",
                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     del K

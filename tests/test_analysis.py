@@ -658,6 +658,24 @@ def test_inf_sup_memory_is_bounded():
     assert peak <= 6 * 2**20
 
 
+def test_assemble_memory_is_bounded():
+    # Peak of Python-heap allocations of assemble at ellipse k=2, J=64
+    # (8,128 triangles): 13.2 MiB, with the blocks and the COO build of A.
+    # Whole-mesh stiffness and load kernels reached 19.4 MiB, and the heap
+    # they left stayed resident under the LU of A.
+    prob = ellipse_test1()
+    mesh = classify_elements(gen_quarter_ellipse_mesh(64, 0.5), prob.geom)
+    bases = build_local_bases(mesh, 2, element_node_layouts(mesh, prob.geom, 2))
+    dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)
+    tracemalloc.start()
+    try:
+        assemble(mesh, dm, bases, prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * 2**20
+
+
 def test_inf_sup_rejects_indefinite_gram():
     _, G_test, G_trial, update = _curved_system(("ellipse", 4, 2))
     assert update.N.shape[1] > 0

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from shiftfem import linsolve
-from shiftfem.assembly import assemble
-from shiftfem.errors import DimensionMismatch, SingularMatrix
-from shiftfem.linsolve import solve
-from shiftfem.mesh import classify_elements, gen_quarter_ellipse_mesh
-from shiftfem.problems import ellipse_test1
+from shiftfem.assembly import assemble, assemble_gram, shift_update
+from shiftfem.errors import DimensionMismatch, NotSPD, SingularMatrix
+from shiftfem.linsolve import bordered_schur, fill_order, solve
+from shiftfem.mesh import classify_elements, gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh
+from shiftfem.problems import annulus_test2, ellipse_test1
 from shiftfem.spaces import build_dof_map, build_local_bases, element_node_layouts
 
 
@@ -131,3 +132,35 @@ def test_ill_conditioned_but_accurate_solves_pass(d):
     assert rep.backward_error <= 1e-15
     dx = solve(A, b - A @ rep.x).x
     assert np.abs(dx).max() <= 1e-8 * np.abs(rep.x).max()
+
+
+def _permuted_copy_schur(G, X, C, order):
+    """The bordered factor built as sp.bmat(...)[p][:, p]: two permuted copies."""
+    n, r = X.shape
+    p = np.r_[np.argsort(order), n + np.arange(r)]
+    K = sp.bmat([[G, X], [X.T, C]], format="csc")[p][:, p]
+    lu = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    return lu.L[n:, n:].toarray() @ lu.U[n:, n:].toarray(), lu.U.diagonal()[n:]
+
+
+@pytest.mark.parametrize("mesh, prob, k", [
+    (gen_quarter_ellipse_mesh(8, 0.5), ellipse_test1(), 2),
+    (gen_quarter_annulus_mesh(8, 4, 0.5), annulus_test2(), 3)])
+def test_bordered_factor_in_factor_order_moves_no_bit(mesh, prob, k):
+    mesh = classify_elements(mesh, prob.geom)
+    bases = build_local_bases(mesh, k, element_node_layouts(mesh, prob.geom, k))
+    dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)
+    system = assemble(mesh, dm, bases, prob)
+    G_test = assemble_gram(system, bases, "test_space")
+    G_trial = assemble_gram(system, bases, "trial_space")
+    u = shift_update(system, bases)
+    order = fill_order(G_test)
+    for G, X, C in ((G_test, u.N, u.Q), (G_trial, u.L, None)):
+        S, pivots = bordered_schur(G, X, C, order)
+        S_want, pivots_want = _permuted_copy_schur(G, X, C, order)
+        assert S.tobytes() == S_want.tobytes() and S.shape == S_want.shape
+        assert pivots.tobytes() == pivots_want.tobytes() and len(pivots) == X.shape[1] > 0
+    skew = sp.csr_matrix(([1e-9 * np.abs(G_test.data).max()], ([0], [1])), shape=G_test.shape)
+    with pytest.raises(NotSPD, match="not symmetric"):
+        bordered_schur(G_test + skew, u.N, u.Q, order)
