@@ -73,20 +73,31 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class AssembledSystem:
-    """A, the load and the dof map of one mesh, plus the element stiffness
-    blocks :func:`assemble_gram` builds both Gram matrices from.
+class ElementBlocks:
+    """The standard-basis element stiffness blocks ``B`` (T, n_k, n_k) of one
+    mesh and the dof map they were assembled with: what :func:`assemble_gram`
+    and :func:`shift_update` read. A's block of a shifted element is
+    ``B @ C`` for its coefficient map C."""
 
-    ``blocks`` (T, n_k, n_k) are the standard-basis stiffness blocks B; A's
-    block of a shifted element is ``B @ C`` for its coefficient map C. Drop
-    the system once A, the load, the Grams and the :func:`shift_update` are
-    taken from it: the blocks are about as large as A.
+    dofmap: DofMap
+    B: np.ndarray
+
+
+@dataclass(frozen=True)
+class AssembledSystem:
+    """A and the load of one mesh, plus the :class:`ElementBlocks` both Gram
+    matrices are built from.
+
+    The blocks are about as large as A, and each piece can outlive the
+    others: the CLI keeps ``blocks`` only for an entry that estimates
+    alpha_h, drops the system before the LU of A, drops A and the load after
+    it, and only then builds the Grams, so neither they nor A sit under
+    another factorization.
     """
 
     A: sp.csr_matrix
     rhs: np.ndarray
-    dofmap: DofMap
-    blocks: np.ndarray
+    blocks: ElementBlocks
 
 
 def source_values(problem: ProblemSpec, pts: np.ndarray) -> np.ndarray:
@@ -175,15 +186,15 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     free = ui >= 0
     rhs = np.bincount(ui[free], (F - lift)[free], minlength=dofmap.n_unknowns)
     return AssembledSystem(A=_scatter(ui, B, dofmap.n_unknowns, s, BC), rhs=rhs,
-                           dofmap=dofmap, blocks=B)
+                           blocks=ElementBlocks(dofmap=dofmap, B=B))
 
 
-def assemble_gram(system: AssembledSystem, local_bases: LocalBases,
+def assemble_gram(blocks: ElementBlocks, local_bases: LocalBases,
                   basis_choice: str = "test_space") -> sp.csr_matrix:
     """Gradient Gram matrix of the chosen space's basis over the unknowns.
 
-    Built from the element blocks :func:`assemble` made for ``system``, so
-    it uses the same stiffness rule and costs no second block kernel: the
+    Built from the element blocks :func:`assemble` made, so it uses the
+    same stiffness rule and costs no second block kernel: the
     test Gram sums the blocks B, the trial Gram takes ``C^T B C`` on the
     shifted elements. The result is not checked here;
     :func:`shiftfem.analysis.inf_sup_estimate` proves both Grams symmetric
@@ -192,7 +203,7 @@ def assemble_gram(system: AssembledSystem, local_bases: LocalBases,
     """
     if basis_choice not in BASIS_CHOICES:
         raise InvalidParam(f"unknown basis_choice {basis_choice!r}")
-    dofmap, B = system.dofmap, system.blocks
+    dofmap, B = blocks.dofmap, blocks.B
     ui = dofmap.unknown_index[dofmap.element_to_global]
     if basis_choice == "test_space":
         return _scatter(ui, B, dofmap.n_unknowns)
@@ -221,10 +232,10 @@ class ShiftUpdate:
     Q: np.ndarray
 
 
-def shift_update(system: AssembledSystem, local_bases: LocalBases) -> ShiftUpdate:
-    """N, L and Q of :class:`ShiftUpdate` from the blocks :func:`assemble`
-    kept in ``system``; take it before the system is dropped."""
-    dofmap = system.dofmap
+def shift_update(blocks: ElementBlocks, local_bases: LocalBases) -> ShiftUpdate:
+    """N, L and Q of :class:`ShiftUpdate` from the element blocks
+    :func:`assemble` made."""
+    dofmap = blocks.dofmap
     el, loc = np.nonzero(local_bases.moved)
     rows = dofmap.unknown_index[dofmap.element_to_global[local_bases.shifted[el]]]
     if np.any(rows[np.arange(len(el)), loc] >= 0):
@@ -232,7 +243,7 @@ def shift_update(system: AssembledSystem, local_bases: LocalBases) -> ShiftUpdat
     free = rows >= 0
     cols = np.broadcast_to(np.arange(len(el))[:, None], rows.shape)[free]
     shape = (dofmap.n_unknowns, len(el))
-    B = system.blocks[local_bases.shifted]
+    B = blocks.B[local_bases.shifted]
     N = sp.csc_matrix((B[el, :, loc][free], (rows[free], cols)), shape=shape)
     L = sp.csc_matrix((local_bases.coeffs[el, loc, :][free], (rows[free], cols)), shape=shape)
     Q = np.where(el[:, None] == el, B[el[:, None], loc[:, None], loc], 0.0)

@@ -181,17 +181,19 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
                                       element_node_layouts(mesh, problem.geom, cfg.k))
             dm = build_dof_map(mesh, bases, dirichlet_data=problem.d)
             sysm = assemble(mesh, dm, bases, problem)
-            infsup = None
-            if 0 < dm.n_unknowns <= INFSUP_LIMIT:
-                infsup = (assemble_gram(sysm, bases, "test_space"),
-                          assemble_gram(sysm, bases, "trial_space"),
-                          shift_update(sysm, bases))
+            # alpha_h comes after the solve: the blocks alone wait under the
+            # LU of A, A and the load are gone before the Grams are built,
+            # and the blocks before the Grams are factored
+            blocks = sysm.blocks if 0 < dm.n_unknowns <= INFSUP_LIMIT else None
             A, rhs = sysm.A, sysm.rhs
-            # drop the element blocks before the LU, and A before the Gram
-            # factors, so no two large factorizations or block stacks overlap
             del sysm
             srep = solve(A, rhs)
             del A, rhs
+            infsup = None if blocks is None else (
+                assemble_gram(blocks, bases, "test_space"),
+                assemble_gram(blocks, bases, "trial_space"),
+                shift_update(blocks, bases))
+            del blocks
             alpha = None if infsup is None else inf_sup_estimate(*infsup)
             del infsup
             rep = error_norms(mesh, dm, bases, srep.x, problem.exact, param=param)
@@ -210,8 +212,9 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
         for name, text in files.items():
             _write_atomic(out / name, text)
         if log is not None:
+            alpha_h = "" if alpha is None else f" alpha_h={alpha:.6f}"
             print(f"param={param}: n={row.n_unknowns} grad={rep.grad_err:.6e} "
-                  f"l2={rep.l2_err:.6e} max={rep.max_nodal_err:.6e}", file=log)
+                  f"l2={rep.l2_err:.6e} max={rep.max_nodal_err:.6e}{alpha_h}", file=log)
 
     if log is not None:
         print(f"wrote {out / 'table.csv'}, table.md, diagnostics.csv", file=log)

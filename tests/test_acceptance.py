@@ -57,9 +57,9 @@ def _sweep(problem_name, params, k=2, extension_mode="analytic",
                                              prob.exact, param=p))
         if p <= alpha_upto:
             out["alpha"][p] = inf_sup_estimate(
-                assemble_gram(sysm, bases, "test_space"),
-                assemble_gram(sysm, bases, "trial_space"),
-                shift_update(sysm, bases))
+                assemble_gram(sysm.blocks, bases, "test_space"),
+                assemble_gram(sysm.blocks, bases, "trial_space"),
+                shift_update(sysm.blocks, bases))
     out["elapsed"] = time.perf_counter() - t0
     return out
 

@@ -52,7 +52,7 @@ def test_chunk_size_moves_no_bit(monkeypatch, mesh, prob, k):
     for name in ("data", "indices", "indptr"):
         assert _same_bits(getattr(whole.A, name), getattr(chunked.A, name))
     assert _same_bits(whole.rhs, chunked.rhs)
-    assert _same_bits(whole.blocks, chunked.blocks)
+    assert _same_bits(whole.blocks.B, chunked.blocks.B)
 
 
 def test_polygon_matrix_symmetric():
@@ -230,8 +230,8 @@ def test_gram_equals_stiffness_on_polygon():
     geom = unit_square()
     mesh = classify_elements(gen_unit_square_mesh(3), geom)
     _, bases, sys = _pipeline(mesh, geom, 2, polygon_patch(2))
-    g_test = assemble_gram(sys, bases, "test_space")
-    g_trial = assemble_gram(sys, bases, "trial_space")
+    g_test = assemble_gram(sys.blocks, bases, "test_space")
+    g_trial = assemble_gram(sys.blocks, bases, "trial_space")
     assert np.array_equal(g_test.toarray(), sys.A.toarray())
     assert np.array_equal(g_trial.toarray(), sys.A.toarray())
 
@@ -241,7 +241,7 @@ def test_gram_symmetric_spd_on_curved_mesh(choice):
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(8, 0.5), geom)
     _, bases, sys = _pipeline(mesh, geom, 2, ellipse_test1())
-    G = assemble_gram(sys, bases, choice)
+    G = assemble_gram(sys.blocks, bases, choice)
     bordered_schur(G, sp.csc_matrix((G.shape[0], 0)), None, fill_order(G))
     dense = G.toarray()
     assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
@@ -251,8 +251,8 @@ def test_gram_spaces_differ_on_curved_mesh():
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(4, 0.5), geom)
     _, bases, sys = _pipeline(mesh, geom, 2, ellipse_test1())
-    g_test = assemble_gram(sys, bases, "test_space")
-    g_trial = assemble_gram(sys, bases, "trial_space")
+    g_test = assemble_gram(sys.blocks, bases, "test_space")
+    g_trial = assemble_gram(sys.blocks, bases, "trial_space")
     assert np.max(np.abs((g_test - g_trial).toarray())) > 1e-6
 
 
@@ -268,7 +268,7 @@ def test_invalid_inputs_rejected():
     with pytest.raises(InconsistentDof):
         assemble(mesh, dm, short, polygon_patch(2))
     with pytest.raises(InvalidParam):
-        assemble_gram(assemble(mesh, dm, bases2, polygon_patch(2)), bases2, "both_spaces")
+        assemble_gram(assemble(mesh, dm, bases2, polygon_patch(2)).blocks, bases2, "both_spaces")
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -283,7 +283,7 @@ def test_builtin_rules_are_exact_for_their_integrands(k):
     tris, grads, area = element_geometry(mesh)
     dphi = eval_basis_bary_grad(k, fine.points)[None] @ grads[:, None]
     B = area[:, None, None] * np.einsum("tqid,tqjd,q->tij", dphi, dphi, fine.weights)
-    assert_within_rounding(sys.blocks, B, np.abs(B).max(), 64)
+    assert_within_rounding(sys.blocks.B, B, np.abs(B).max(), 64)
     pts = fine.physical_points(tris)
     F = area[:, None] * np.einsum("qj,q,tq->tj", eval_basis_bary(k, fine.points),
                                   fine.weights, prob.f(pts[..., 0], pts[..., 1]))

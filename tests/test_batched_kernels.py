@@ -274,7 +274,7 @@ def test_stacked_kernels_reproduce_the_element_loops(name):
     assert_within_rounding(sysm.rhs, rhs, _largest(rhs), 16)
     for choice in ("test_space", "trial_space"):
         G = _loop_gram(mesh, dm, coeffs, dev, choice, k)
-        assert_within_rounding(assemble_gram(sysm, bases, choice), G, _largest(G), 16)
+        assert_within_rounding(assemble_gram(sysm.blocks, bases, choice), G, _largest(G), 16)
 
     x = solve(sysm.A, sysm.rhs).x
     rep = error_norms(mesh, dm, bases, x, prob.exact, param=8)

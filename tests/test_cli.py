@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import re
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -268,6 +269,54 @@ def _counting_solve(monkeypatch, fail_at=None):
     return calls
 
 
+def test_alpha_h_waits_for_the_solve_and_a_is_gone_first(tmp_path, capsys, monkeypatch):
+    """Per entry, the LU of A runs with no Gram alive and frees A before the
+    Grams are built; an entry above INFSUP_LIMIT keeps no element blocks
+    under its LU. The log line reports alpha_h where it was estimated."""
+    monkeypatch.setattr(cli, "INFSUP_LIMIT", 1000)  # I=8 has 275 unknowns, I=16 1127
+    events, live = [], {}
+
+    def assembled(*args):
+        system = assembly.assemble(*args)
+        live["blocks"] = weakref.ref(system.blocks.B)
+        return system
+
+    def solved(A, b):
+        events.append(("solve", len(b), "blocks alive" if live["blocks"]() is not None
+                       else "blocks dead"))
+        live["A"] = weakref.ref(A)
+        report = linsolve.solve(A, b)
+        events.append(("solved", len(b)))
+        return report
+
+    def gram(blocks, bases, choice="test_space"):
+        events.append(("assemble_gram", choice, "A dead" if live["A"]() is None else "A alive"))
+        return assembly.assemble_gram(blocks, bases, choice)
+
+    def update(blocks, bases):
+        events.append(("shift_update",))
+        return assembly.shift_update(blocks, bases)
+
+    for name, fn in (("assemble", assembled), ("solve", solved),
+                     ("assemble_gram", gram), ("shift_update", update)):
+        monkeypatch.setattr(cli, name, fn)
+    assert main(["run", "--problem", "annulus_test2", "--k", "3", "--sweep", "8,16",
+                 "--extension", "zero_outside", "--out", str(tmp_path)]) == 0
+    assert events == [
+        ("solve", 275, "blocks alive"), ("solved", 275),
+        ("assemble_gram", "test_space", "A dead"), ("assemble_gram", "trial_space", "A dead"),
+        ("shift_update",),
+        ("solve", 1127, "blocks dead"), ("solved", 1127),
+    ]
+    alpha = [row.split(",")[4] for row in
+             (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]]
+    assert alpha[0] != "" and alpha[1] == ""
+    log = capsys.readouterr().out.splitlines()
+    assert log[0].startswith("param=8: ")
+    assert log[0].endswith(f" alpha_h={float(alpha[0]):.6f}")
+    assert log[1].startswith("param=16: ") and "alpha_h" not in log[1]
+
+
 def test_unwritable_table_fails_the_first_sweep_entry(tmp_path, capsys, monkeypatch):
     # artifacts are written after each entry, so the run stops before J=8 is solved
     calls = _counting_solve(monkeypatch)
@@ -369,8 +418,8 @@ def test_thin_annulus_runs_where_the_mesh_resolves_it(k, sweep, tmp_path):
 def test_cli_exit_non_spd_gram(tmp_path, capsys, monkeypatch):
     # A trial Gram that is not positive definite (as a broken dof map would
     # give) is a numerical failure naming the sweep entry.
-    def negated(system, bases, choice="test_space"):
-        G = assembly.assemble_gram(system, bases, choice)
+    def negated(blocks, bases, choice="test_space"):
+        G = assembly.assemble_gram(blocks, bases, choice)
         return -G if choice == "trial_space" else G
 
     monkeypatch.setattr(cli, "assemble_gram", negated)
