@@ -3,12 +3,15 @@
 Kernels work on (T, ...) stacks of elements. The stiffness-block and load
 kernels run over chunks of ``CHUNK`` elements into preallocated (T, ...)
 outputs: their per-quadrature-point temporaries would otherwise take several
-times the size of the result, and the heap they leave behind stays resident
-under the LU that follows. Each element's entries are computed alone, so the
-chunk size moves no bit. The element loops the kernels replaced are test
-oracles now, bounding each entry to a few eps of the largest one. Bits are
-pinned by ``tests/golden/`` and by the benchmark's reference tables (1e-9
-relative), which a regrouped stiffness contraction would move.
+times the size of the result. Freed heap is handed back to the OS before each
+factorization (:func:`shiftfem.linsolve.release_heap`), but fragmentation keeps
+part of whole-mesh temporaries resident under the LU that follows: without
+chunks, the peak RSS of the cubic annulus sweep to I = 128 is about 5 MB higher.
+Each element's entries are computed alone, so the chunk size moves no bit.
+The element loops the kernels replaced are test oracles now, bounding each
+entry to a few eps of the largest one. Bits are pinned by ``tests/golden/``
+and by the benchmark's reference tables (1e-9 relative), which a regrouped
+stiffness contraction would move.
 """
 
 from __future__ import annotations
@@ -88,6 +91,9 @@ class AssembledSystem:
     """A and the load of one mesh, plus the :class:`ElementBlocks` both Gram
     matrices are built from.
 
+    A is CSC, the format SuperLU factors, with exactly ``A.nnz`` slots: its
+    summed CSR is converted before it is returned, so that CSR and its
+    COO-sized buffers are gone before the LU, and the LU copies nothing.
     The blocks are about as large as A, and each piece can outlive the
     others: the CLI keeps ``blocks`` only for an entry that estimates
     alpha_h, drops the system before the LU of A, drops A and the load after
@@ -95,7 +101,7 @@ class AssembledSystem:
     another factorization.
     """
 
-    A: sp.csr_matrix
+    A: sp.csc_matrix
     rhs: np.ndarray
     blocks: ElementBlocks
 
@@ -185,7 +191,7 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     ui = dofmap.unknown_index[dofmap.element_to_global]
     free = ui >= 0
     rhs = np.bincount(ui[free], (F - lift)[free], minlength=dofmap.n_unknowns)
-    return AssembledSystem(A=_scatter(ui, B, dofmap.n_unknowns, s, BC), rhs=rhs,
+    return AssembledSystem(A=_scatter(ui, B, dofmap.n_unknowns, s, BC).tocsc(), rhs=rhs,
                            blocks=ElementBlocks(dofmap=dofmap, B=B))
 
 

@@ -1,8 +1,15 @@
 """Every sparse factorization, and the only SuperLU calls: the LU solve of A
-with its accuracy gate, and the Gram order and bordered Gram factor of alpha_h."""
+with its accuracy gate, and the Gram order and bordered Gram factor of alpha_h.
+
+Each SuperLU call starts on a released heap: :func:`release_heap` first hands
+the free memory that glibc keeps from earlier stages back to the OS, so a
+factor's pages are not added on top of it. With another C library it does
+nothing.
+"""
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -24,8 +31,27 @@ class SolveReport:
     nnz: int
 
 
+try:  # glibc's int malloc_trim(size_t pad); other C libraries have none
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
+
+
+def release_heap() -> None:
+    """Return the heap's free pages to the OS (glibc's ``malloc_trim(0)``).
+
+    It frees nothing live and moves no bit of any result. Where the C library
+    has no ``malloc_trim`` it does nothing.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 def _superlu(factor, error, what: str, *args, **kwargs):
-    """One SuperLU call; its RuntimeError is raised as ``error("what: reason")``."""
+    """One SuperLU call on a released heap; its RuntimeError is raised as
+    ``error("what: reason")``."""
+    release_heap()
     try:
         return factor(*args, **kwargs)
     except RuntimeError as exc:
@@ -43,6 +69,9 @@ def solve(A, b: np.ndarray) -> SolveReport:
     no units, is at most eps^-1/2. The backward error alone would accept a
     near-singular A, which LU solves just as stably. Any other outcome is
     a singular system. ``residual_norm`` is the relative 2-norm residual.
+
+    A CSC matrix, as :func:`shiftfem.assembly.assemble` returns, reaches
+    SuperLU without a copy; any other input is converted first.
     """
     A = sp.csc_matrix(A)
     b = np.asarray(b, dtype=float)

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from shiftfem import assembly
+from shiftfem import assembly, linsolve
 from shiftfem.assembly import ProblemSpec, assemble, assemble_gram, element_geometry
 from shiftfem.errors import InconsistentDof, InvalidParam
 from shiftfem.geometry import annulus, ellipse, unit_square
@@ -53,6 +53,39 @@ def test_chunk_size_moves_no_bit(monkeypatch, mesh, prob, k):
         assert _same_bits(getattr(whole.A, name), getattr(chunked.A, name))
     assert _same_bits(whole.rhs, chunked.rhs)
     assert _same_bits(whole.blocks.B, chunked.blocks.B)
+
+
+def _root_size(a):
+    """Slots of the buffer a view of ``a`` is cut from."""
+    return (a if a.base is None else a.base).size
+
+
+@pytest.mark.parametrize("mesh, prob, k", [
+    (gen_quarter_ellipse_mesh(8, 0.5), ellipse_test1(), 2),
+    (gen_quarter_annulus_mesh(8, 4, 0.5), annulus_test2(extension_mode="zero_outside"), 3)])
+def test_a_is_csc_and_reaches_superlu_uncopied(monkeypatch, mesh, prob, k):
+    mesh = classify_elements(mesh, prob.geom)
+    dm, bases, system = _pipeline(mesh, prob.geom, k, prob)
+    A = system.A
+    assert A.format == "csc"
+    assert _root_size(A.data) == _root_size(A.indices) == A.nnz
+    # the oracle: the element blocks' COO, element by element and row-major
+    # over the free locals, summed to CSR and then converted to CSC
+    blocks = system.blocks.B.copy()
+    blocks[bases.shifted] = blocks[bases.shifted] @ bases.coeffs
+    ui = dm.unknown_index[dm.element_to_global]
+    free = (ui[:, :, None] >= 0) & (ui[:, None, :] >= 0)
+    rows = np.broadcast_to(ui[:, :, None], free.shape)[free]
+    cols = np.broadcast_to(ui[:, None, :], free.shape)[free]
+    want = sp.coo_matrix((blocks[free], (rows, cols)), shape=A.shape).tocsr().tocsc()
+    for name in ("data", "indices", "indptr"):
+        assert _same_bits(getattr(A, name), getattr(want, name))
+    factored = []
+    splu = linsolve.splu
+    monkeypatch.setattr(linsolve, "splu", lambda M: factored.append(M) or splu(M))
+    solve(A, system.rhs)
+    assert np.shares_memory(factored[0].data, A.data)
+    assert np.shares_memory(factored[0].indices, A.indices)
 
 
 def test_polygon_matrix_symmetric():

@@ -144,17 +144,21 @@ def _permuted_copy_schur(G, X, C, order):
     return lu.L[n:, n:].toarray() @ lu.U[n:, n:].toarray(), lu.U.diagonal()[n:]
 
 
-@pytest.mark.parametrize("mesh, prob, k", [
-    (gen_quarter_ellipse_mesh(8, 0.5), ellipse_test1(), 2),
-    (gen_quarter_annulus_mesh(8, 4, 0.5), annulus_test2(), 3)])
-def test_bordered_factor_in_factor_order_moves_no_bit(mesh, prob, k):
+def _curved_factors(mesh, prob, k):
+    """The system, both Grams and the shift update of one curved mesh."""
     mesh = classify_elements(mesh, prob.geom)
     bases = build_local_bases(mesh, k, element_node_layouts(mesh, prob.geom, k))
     dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)
     system = assemble(mesh, dm, bases, prob)
-    G_test = assemble_gram(system.blocks, bases, "test_space")
-    G_trial = assemble_gram(system.blocks, bases, "trial_space")
-    u = shift_update(system.blocks, bases)
+    return (system, assemble_gram(system.blocks, bases, "test_space"),
+            assemble_gram(system.blocks, bases, "trial_space"), shift_update(system.blocks, bases))
+
+
+@pytest.mark.parametrize("mesh, prob, k", [
+    (gen_quarter_ellipse_mesh(8, 0.5), ellipse_test1(), 2),
+    (gen_quarter_annulus_mesh(8, 4, 0.5), annulus_test2(), 3)])
+def test_bordered_factor_in_factor_order_moves_no_bit(mesh, prob, k):
+    _, G_test, G_trial, u = _curved_factors(mesh, prob, k)
     order = fill_order(G_test)
     for G, X, C in ((G_test, u.N, u.Q), (G_trial, u.L, None)):
         S, pivots = bordered_schur(G, X, C, order)
@@ -164,3 +168,52 @@ def test_bordered_factor_in_factor_order_moves_no_bit(mesh, prob, k):
     skew = sp.csr_matrix(([1e-9 * np.abs(G_test.data).max()], ([0], [1])), shape=G_test.shape)
     with pytest.raises(NotSPD, match="not symmetric"):
         bordered_schur(G_test + skew, u.N, u.Q, order)
+
+
+def _logged(calls, name, fn):
+    def call(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return call
+
+
+def test_every_superlu_call_starts_on_a_released_heap(monkeypatch):
+    system, G_test, G_trial, u = _curved_factors(gen_quarter_ellipse_mesh(8, 0.5),
+                                                 ellipse_test1(), 2)
+    calls = []
+    for name in ("release_heap", "splu", "spilu"):
+        monkeypatch.setattr(linsolve, name, _logged(calls, name, getattr(linsolve, name)))
+    solve(system.A, system.rhs)
+    order = fill_order(G_test)
+    bordered_schur(G_test, u.N, u.Q, order)
+    bordered_schur(G_trial, u.L, None, order)
+    assert calls == ["release_heap", "splu", "release_heap", "spilu",
+                     "release_heap", "splu", "release_heap", "splu"]
+
+
+def _factor_outcomes(system, G_test, G_trial, u):
+    """The bytes of x, the Gram order and both S and pivots, and the type and
+    message of each factorization failure: singular A, singular Gram, and a
+    Gram that is not positive definite."""
+    results = [solve(system.A, system.rhs).x, fill_order(G_test)]
+    for G, X, C in ((G_test, u.N, u.Q), (G_trial, u.L, None)):
+        results.extend(bordered_schur(G, X, C, results[1]))
+    neumann = _shifted_neumann(0.0, 6)
+    failures = [lambda: solve(sp.csc_matrix(np.ones((2, 2))), np.array([1.0, 2.0])),
+                lambda: fill_order(neumann),
+                lambda: bordered_schur(-G_test, u.N, u.Q, results[1])]
+    errors = []
+    for fail in failures:
+        with pytest.raises((NotSPD, SingularMatrix)) as info:
+            fail()
+        errors.append((type(info.value), str(info.value)))
+    return [a.tobytes() for a in results], errors
+
+
+def test_released_heap_moves_no_bit(monkeypatch):
+    # where the C library has no malloc_trim, release_heap does nothing
+    factors = _curved_factors(gen_quarter_annulus_mesh(8, 4, 0.5), annulus_test2(), 3)
+    released = _factor_outcomes(*factors)
+    monkeypatch.setattr(linsolve, "release_heap", lambda: None)
+    assert _factor_outcomes(*factors) == released
+    assert [kind for kind, _ in released[1]] == [SingularMatrix, NotSPD, NotSPD]
