@@ -96,9 +96,8 @@ class AssembledSystem:
     COO-sized buffers are gone before the LU, and the LU copies nothing.
     The blocks are about as large as A, and each piece can outlive the
     others: the CLI keeps ``blocks`` only for an entry that estimates
-    alpha_h, drops the system before the LU of A, drops A and the load after
-    it, and only then builds the Grams, so neither they nor A sit under
-    another factorization.
+    alpha_h, where they wait under the LU of A and are gone, like A and the
+    load, before the Gram factors run last.
     """
 
     A: sp.csc_matrix
@@ -212,9 +211,13 @@ def assemble_gram(blocks: ElementBlocks, local_bases: LocalBases,
     dofmap, B = blocks.dofmap, blocks.B
     ui = dofmap.unknown_index[dofmap.element_to_global]
     if basis_choice == "test_space":
-        return _scatter(ui, B, dofmap.n_unknowns)
-    s, C = local_bases.shifted, local_bases.coeffs
-    return _scatter(ui, B, dofmap.n_unknowns, s, C.transpose(0, 2, 1) @ B[s] @ C)
+        G = _scatter(ui, B, dofmap.n_unknowns)
+    else:
+        s, C = local_bases.shifted, local_bases.coeffs
+        G = _scatter(ui, B, dofmap.n_unknowns, s, C.transpose(0, 2, 1) @ B[s] @ C)
+    # the summed CSR views COO-sized buffers (SciPy prunes only past 50 % slack),
+    # and the Gram stays under both bordered factors: keep exactly nnz slots
+    return G.copy()
 
 
 @dataclass(frozen=True)

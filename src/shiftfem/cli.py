@@ -181,28 +181,30 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
                                       element_node_layouts(mesh, problem.geom, cfg.k))
             dm = build_dof_map(mesh, bases, dirichlet_data=problem.d)
             sysm = assemble(mesh, dm, bases, problem)
-            # alpha_h comes after the solve: the blocks alone wait under the
-            # LU of A, A and the load are gone before the Grams are built,
-            # and the blocks before the Grams are factored
-            blocks = sysm.blocks if 0 < dm.n_unknowns <= INFSUP_LIMIT else None
+            # errors, chord gap and kt_dev come right after the solve, and
+            # alpha_h last, so only what each factor reads stays under it: the
+            # blocks wait under the LU of A, A and the load are gone before the
+            # Grams are built, and the blocks, bases and dof map before the
+            # Grams are factored
+            n = dm.n_unknowns
+            blocks = sysm.blocks if 0 < n <= INFSUP_LIMIT else None
             A, rhs = sysm.A, sysm.rhs
             del sysm
             srep = solve(A, rhs)
             del A, rhs
+            rep = error_norms(mesh, dm, bases, srep.x, problem.exact, param=param)
+            chord_gap = chord_node_gap(mesh, bases, problem.exact.value)
+            kt_dev = float(bases.kt_deviation.max(initial=0.0))
             infsup = None if blocks is None else (
                 assemble_gram(blocks, bases, "test_space"),
                 assemble_gram(blocks, bases, "trial_space"),
                 shift_update(blocks, bases))
-            del blocks
+            del blocks, bases, dm
             alpha = None if infsup is None else inf_sup_estimate(*infsup)
             del infsup
-            rep = error_norms(mesh, dm, bases, srep.x, problem.exact, param=param)
-            row = EntryResult(
-                report=rep, n_unknowns=dm.n_unknowns,
-                kt_dev=float(bases.kt_deviation.max(initial=0.0)), alpha_h=alpha,
-                chord_gap=chord_node_gap(mesh, bases, problem.exact.value),
-                residual=srep.residual_norm,
-                runtime_s=time.perf_counter() - t0)
+            row = EntryResult(report=rep, n_unknowns=n, kt_dev=kt_dev, alpha_h=alpha,
+                              chord_gap=chord_gap, residual=srep.residual_norm,
+                              runtime_s=time.perf_counter() - t0)
         except ShiftFEMError as exc:
             raise type(exc)(f"sweep entry param={param}: {exc}") from exc
         rows.append(row)

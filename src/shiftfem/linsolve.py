@@ -82,6 +82,7 @@ def solve(A, b: np.ndarray) -> SolveReport:
         raise DimensionMismatch(f"rhs has shape {b.shape}, expected ({n},)")
     if n == 0:
         return SolveReport(x=np.zeros(0), residual_norm=0.0, backward_error=0.0, nnz=0)
+    a_inf = float(abs(A).sum(axis=1).max())  # before the LU, so |A| is not under it
     lu = _superlu(splu, SingularMatrix, "sparse LU factorization failed", A)
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
@@ -90,7 +91,7 @@ def solve(A, b: np.ndarray) -> SolveReport:
     bnorm, resid = float(np.linalg.norm(b)), float(np.linalg.norm(r))
     rel = resid / bnorm if bnorm > 0 else resid
     b_inf, r_inf = float(np.abs(b).max()), float(np.abs(r).max())
-    ax_inf = float(abs(A).sum(axis=1).max()) * float(np.abs(x).max())
+    ax_inf = a_inf * float(np.abs(x).max())
     eta = r_inf / (ax_inf + b_inf) if r_inf > 0 else 0.0
     if eta > n * EPS:
         raise SingularMatrix(f"normwise backward error {eta:.3e} exceeds n*eps = {n * EPS:.3e}")

@@ -60,6 +60,16 @@ def _root_size(a):
     return (a if a.base is None else a.base).size
 
 
+def _summed_csr(blocks, dm):
+    """The element blocks' COO, element by element and row-major over the
+    free locals, summed to CSR by SciPy."""
+    ui = dm.unknown_index[dm.element_to_global]
+    free = (ui[:, :, None] >= 0) & (ui[:, None, :] >= 0)
+    rows = np.broadcast_to(ui[:, :, None], free.shape)[free]
+    cols = np.broadcast_to(ui[:, None, :], free.shape)[free]
+    return sp.coo_matrix((blocks[free], (rows, cols)), shape=(dm.n_unknowns,) * 2).tocsr()
+
+
 @pytest.mark.parametrize("mesh, prob, k", [
     (gen_quarter_ellipse_mesh(8, 0.5), ellipse_test1(), 2),
     (gen_quarter_annulus_mesh(8, 4, 0.5), annulus_test2(extension_mode="zero_outside"), 3)])
@@ -69,15 +79,10 @@ def test_a_is_csc_and_reaches_superlu_uncopied(monkeypatch, mesh, prob, k):
     A = system.A
     assert A.format == "csc"
     assert _root_size(A.data) == _root_size(A.indices) == A.nnz
-    # the oracle: the element blocks' COO, element by element and row-major
-    # over the free locals, summed to CSR and then converted to CSC
+    # the oracle: the summed CSR converted to CSC
     blocks = system.blocks.B.copy()
     blocks[bases.shifted] = blocks[bases.shifted] @ bases.coeffs
-    ui = dm.unknown_index[dm.element_to_global]
-    free = (ui[:, :, None] >= 0) & (ui[:, None, :] >= 0)
-    rows = np.broadcast_to(ui[:, :, None], free.shape)[free]
-    cols = np.broadcast_to(ui[:, None, :], free.shape)[free]
-    want = sp.coo_matrix((blocks[free], (rows, cols)), shape=A.shape).tocsr().tocsc()
+    want = _summed_csr(blocks, dm).tocsc()
     for name in ("data", "indices", "indptr"):
         assert _same_bits(getattr(A, name), getattr(want, name))
     factored = []
@@ -86,6 +91,25 @@ def test_a_is_csc_and_reaches_superlu_uncopied(monkeypatch, mesh, prob, k):
     solve(A, system.rhs)
     assert np.shares_memory(factored[0].data, A.data)
     assert np.shares_memory(factored[0].indices, A.indices)
+
+
+def test_grams_own_exactly_nnz_slots():
+    # SciPy's COO -> CSR leaves the duplicates' slots behind (28 % more than
+    # nnz here) and prunes only past 50 %; both Grams stay under the bordered
+    # factors
+    prob = annulus_test2(extension_mode="zero_outside")
+    mesh = classify_elements(gen_quarter_annulus_mesh(8, 4, 0.5), prob.geom)
+    dm, bases, system = _pipeline(mesh, prob.geom, 3, prob)
+    blocks, C = system.blocks.B.copy(), bases.coeffs
+    for choice in ("test_space", "trial_space"):
+        if choice == "trial_space":
+            blocks[bases.shifted] = C.transpose(0, 2, 1) @ blocks[bases.shifted] @ C
+        want = _summed_csr(blocks, dm)
+        assert _root_size(want.data) > 1.2 * want.nnz  # the slack is there to drop
+        G = assemble_gram(system.blocks, bases, choice)
+        assert _root_size(G.data) == _root_size(G.indices) == G.nnz
+        for name in ("data", "indices", "indptr"):
+            assert _same_bits(getattr(G, name), getattr(want, name))
 
 
 def test_polygon_matrix_symmetric():

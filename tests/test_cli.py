@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import json
 import math
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from shiftfem import assembly, cli, linsolve
-from shiftfem.analysis import ErrorReport
+from shiftfem.analysis import ErrorReport, inf_sup_estimate
 from shiftfem.cli import (DIAG_HEADER, MESH_FAMILIES, TABLE_HEADER, EntryResult,
                           ExperimentConfig, build_parser, config_from_args, main, render,
                           run_experiment)
@@ -315,6 +316,42 @@ def test_alpha_h_waits_for_the_solve_and_a_is_gone_first(tmp_path, capsys, monke
     assert log[0].startswith("param=8: ")
     assert log[0].endswith(f" alpha_h={float(alpha[0]):.6f}")
     assert log[1].startswith("param=16: ") and "alpha_h" not in log[1]
+
+
+def test_alpha_h_runs_last_on_the_grams_alone(tmp_path, monkeypatch):
+    """Per entry, the error norms and the chord gap are taken before alpha_h,
+    and the entry's local bases, dof map and element blocks are gone before
+    its bordered factors run."""
+    refs, done, checked = [], [], []
+
+    def traced(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            if name == "build_local_bases":  # the first of an entry's pieces
+                refs.clear()
+                done.clear()
+            done.append(name)
+            if name in ("build_local_bases", "build_dof_map"):
+                refs.append(weakref.ref(result))
+            elif name == "assemble":
+                refs.append(weakref.ref(result.blocks))
+            return result
+        return wrapper
+
+    def estimate(*args):
+        gc.collect()
+        assert len(refs) == 3 and all(ref() is None for ref in refs)
+        assert "error_norms" in done and "chord_node_gap" in done
+        checked.append(args[0].shape[0])
+        return inf_sup_estimate(*args)
+
+    for name in ("build_local_bases", "build_dof_map", "assemble", "error_norms",
+                 "chord_node_gap"):
+        monkeypatch.setattr(cli, name, traced(name, getattr(cli, name)))
+    monkeypatch.setattr(cli, "inf_sup_estimate", estimate)
+    assert main(["run", "--problem", "ellipse_test1", "--k", "2", "--sweep", "4,8",
+                 "--out", str(tmp_path)]) == 0
+    assert checked == [60, 248]
 
 
 def test_unwritable_table_fails_the_first_sweep_entry(tmp_path, capsys, monkeypatch):
