@@ -15,7 +15,7 @@ from .linsolve import bordered_schur, fill_order
 from .mesh import TriMesh
 from .quadrature import rule_for_degree
 from .spaces import (DofMap, LocalBases, check_compatible, eval_basis_bary,
-                     eval_basis_bary_grad, lagrange_layout)
+                     eval_basis_bary_grad, full_vector, lagrange_layout)
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,55 @@ class ConvergenceTable:
     max_orders: tuple[float, ...]
 
 
-def error_norms(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
-                x: np.ndarray, exact: ExactSolution | None,
-                param: int = 0) -> ErrorReport:
+@dataclass(frozen=True)
+class ErrorSetup:
+    """What :func:`error_norms` reads of one mesh, its dof map and its local
+    bases, none of which depends on the solution: taken before the solve, it
+    lets the caller drop all three under the LU of A.
+
+    ``vertices``, ``dirichlet_values`` and ``dirichlet_mask``, ``shifted``
+    and ``coeffs`` are the arrays of the mesh, the dof map and the bases,
+    shared, not copied; ``triangles`` and ``element_to_global`` are int32
+    copies, which index the same entries in half the memory.
+    ``exact_at_unknowns`` holds the exact solution at the unknown nodes, in
+    unknown order, and ``h`` the largest element diameter.
+    """
+
+    exact: ExactSolution
+    k: int
+    vertices: np.ndarray
+    triangles: np.ndarray
+    element_to_global: np.ndarray
+    dirichlet_values: np.ndarray
+    dirichlet_mask: np.ndarray
+    shifted: np.ndarray
+    coeffs: np.ndarray
+    exact_at_unknowns: np.ndarray
+    h: float
+    n_unknowns: int
+
+
+def error_setup(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
+                exact: ExactSolution | None) -> ErrorSetup:
+    """The :class:`ErrorSetup` of a mesh, its dof map and local bases, after
+    the checks :func:`error_norms` needs: a manufactured solution
+    (MissingExact) and bases that fit the mesh and the dof map
+    (InconsistentDof)."""
+    if exact is None:
+        raise MissingExact("error norms require a manufactured solution")
+    check_compatible(mesh, dofmap, local_bases)
+    unknown = ~dofmap.dirichlet_mask
+    return ErrorSetup(
+        exact=exact, k=local_bases.k, vertices=mesh.vertices,
+        triangles=mesh.triangles.astype(np.int32),
+        element_to_global=dofmap.element_to_global.astype(np.int32),
+        dirichlet_values=dofmap.dirichlet_values, dirichlet_mask=dofmap.dirichlet_mask,
+        shifted=local_bases.shifted, coeffs=local_bases.coeffs,
+        exact_at_unknowns=exact.value(*dofmap.node_coords[unknown].T),
+        h=float(mesh.h_per_element.max()), n_unknowns=dofmap.n_unknowns)
+
+
+def error_norms(setup: ErrorSetup, x: np.ndarray, param: int = 0) -> ErrorReport:
     """Gradient and L2 error over the mesh polygon plus the unknown-node max.
 
     The integrals take a degree-(2k+4) rule, so the smooth exact solution
@@ -59,16 +105,13 @@ def error_norms(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     directly (they are nodal values), over unknown nodes only: constrained
     nodes sit on the true boundary where the imposed datum is exact.
     """
-    if exact is None:
-        raise MissingExact("error norms require a manufactured solution")
-    check_compatible(mesh, dofmap, local_bases)
-    full = dofmap.full_vector(x)
-    k = local_bases.k
+    full = full_vector(setup.dirichlet_values, setup.dirichlet_mask, setup.n_unknowns, x)
+    k, exact = setup.k, setup.exact
     rule = rule_for_degree(2 * k + 4)
-    tris, grads, area = element_geometry(mesh)
-    a = full[dofmap.element_to_global]
-    s = local_bases.shifted
-    a[s] = (local_bases.coeffs @ a[s][:, :, None])[..., 0]
+    tris, grads, area = element_geometry(setup)
+    a = full[setup.element_to_global]
+    s = setup.shifted
+    a[s] = (setup.coeffs @ a[s][:, :, None])[..., 0]
     pts = rule.physical_points(tris)
     px, py = pts[..., 0], pts[..., 1]
     # einsum on contiguous tables: BLAS over an inner dimension of n_k is slower
@@ -80,12 +123,12 @@ def error_norms(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     def norm(v2):  # square root of the integral of v2 (T, Q) over the mesh
         return math.sqrt(area @ (v2 @ rule.weights))
 
-    unknown = full[~dofmap.dirichlet_mask]
-    nodal = np.abs(unknown - exact.value(*dofmap.node_coords[~dofmap.dirichlet_mask].T))
-    floor = dofmap.n_unknowns * float(np.finfo(float).eps)
+    unknown = full[~setup.dirichlet_mask]
+    nodal = np.abs(unknown - setup.exact_at_unknowns)
+    floor = setup.n_unknowns * float(np.finfo(float).eps)
     return ErrorReport(grad_err=norm(np.vecdot(dg, dg)), l2_err=norm(dv * dv),
                        max_nodal_err=float(np.max(nodal, initial=0.0)),
-                       h=float(mesh.h_per_element.max()), param=int(param),
+                       h=setup.h, param=int(param),
                        grad_floor=floor * norm(np.vecdot(gh, gh)), l2_floor=floor * norm(uh * uh),
                        max_nodal_floor=floor * float(np.max(np.abs(unknown), initial=0.0)))
 

@@ -117,7 +117,10 @@ def source_values(problem: ProblemSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def element_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked vertices (T, 3, 2), barycentric gradients (T, 3, 2) and areas (T,)."""
+    """Stacked vertices (T, 3, 2), barycentric gradients (T, 3, 2) and areas (T,).
+
+    Only ``mesh.vertices`` and ``mesh.triangles`` are read, so the
+    :class:`shiftfem.analysis.ErrorSetup` that keeps them serves as well."""
     tris = mesh.vertices[mesh.triangles]
     return tris, barycentric_gradients(tris), np.abs(triangle_area(tris))
 

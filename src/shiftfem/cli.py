@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .analysis import (ConvergenceTable, ErrorReport, chord_node_gap,
-                       convergence_orders, error_norms, inf_sup_estimate)
+                       convergence_orders, error_norms, error_setup, inf_sup_estimate)
 from .assembly import EXTENSION_MODES, assemble, assemble_gram, shift_update
 from .errors import ConfigError, InvalidParam, ShiftFEMError
 from .linsolve import solve
@@ -180,26 +180,29 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
             bases = build_local_bases(mesh, cfg.k,
                                       element_node_layouts(mesh, problem.geom, cfg.k))
             dm = build_dof_map(mesh, bases, dirichlet_data=problem.d)
-            sysm = assemble(mesh, dm, bases, problem)
-            # errors, chord gap and kt_dev come right after the solve, and
-            # alpha_h last, so only what each factor reads stays under it: the
-            # blocks wait under the LU of A, A and the load are gone before the
-            # Grams are built, and the blocks, bases and dof map before the
-            # Grams are factored
+            # all that reads the mesh, bases and dof map but not x runs before
+            # the solve, and alpha_h last, so each factor has only its own
+            # inputs under it: the LU of A has A, the load and the error setup
+            # (and an alpha_h entry's blocks and bases, for its Grams); the
+            # Gram factors have the Grams, the update and x
             n = dm.n_unknowns
-            blocks = sysm.blocks if 0 < n <= INFSUP_LIMIT else None
-            A, rhs = sysm.A, sysm.rhs
-            del sysm
-            srep = solve(A, rhs)
-            del A, rhs
-            rep = error_norms(mesh, dm, bases, srep.x, problem.exact, param=param)
+            setup = error_setup(mesh, dm, bases, problem.exact)
             chord_gap = chord_node_gap(mesh, bases, problem.exact.value)
             kt_dev = float(bases.kt_deviation.max(initial=0.0))
-            infsup = None if blocks is None else (
-                assemble_gram(blocks, bases, "test_space"),
-                assemble_gram(blocks, bases, "trial_space"),
-                shift_update(blocks, bases))
-            del blocks, bases, dm
+            sysm = assemble(mesh, dm, bases, problem)
+            gram_data = (sysm.blocks, bases) if 0 < n <= INFSUP_LIMIT else None
+            A, rhs = sysm.A, sysm.rhs
+            mesh = mesh if cfg.dump_meshes else None  # a mesh dump reads it last
+            del sysm, bases, dm
+            srep = solve(A, rhs)
+            del A, rhs
+            rep = error_norms(setup, srep.x, param=param)
+            del setup
+            infsup = None if gram_data is None else (
+                assemble_gram(*gram_data, "test_space"),
+                assemble_gram(*gram_data, "trial_space"),
+                shift_update(*gram_data))
+            del gram_data
             alpha = None if infsup is None else inf_sup_estimate(*infsup)
             del infsup
             row = EntryResult(report=rep, n_unknowns=n, kt_dev=kt_dev, alpha_h=alpha,
@@ -216,7 +219,8 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
         if log is not None:
             alpha_h = "" if alpha is None else f" alpha_h={alpha:.6f}"
             print(f"param={param}: n={row.n_unknowns} grad={rep.grad_err:.6e} "
-                  f"l2={rep.l2_err:.6e} max={rep.max_nodal_err:.6e}{alpha_h}", file=log)
+                  f"l2={rep.l2_err:.6e} max={rep.max_nodal_err:.6e} "
+                  f"eta={srep.backward_error:.6e}{alpha_h}", file=log)
 
     if log is not None:
         print(f"wrote {out / 'table.csv'}, table.md, diagnostics.csv", file=log)

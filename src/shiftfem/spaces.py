@@ -228,12 +228,19 @@ class DofMap:
     def full_vector(self, reduced: np.ndarray) -> np.ndarray:
         """Scatter a reduced unknown vector into a full nodal vector with
         Dirichlet values filled in."""
-        if np.shape(reduced) != (self.n_unknowns,):
-            raise DimensionMismatch(f"solution has shape {np.shape(reduced)}; "
-                                    f"expected ({self.n_unknowns},)")
-        full = self.dirichlet_values.copy()
-        full[~self.dirichlet_mask] = reduced
-        return full
+        return full_vector(self.dirichlet_values, self.dirichlet_mask, self.n_unknowns, reduced)
+
+
+def full_vector(dirichlet_values: np.ndarray, dirichlet_mask: np.ndarray, n_unknowns: int,
+                reduced: np.ndarray) -> np.ndarray:
+    """A copy of ``dirichlet_values`` with the reduced unknown vector
+    scattered into the nodes outside ``dirichlet_mask``."""
+    if np.shape(reduced) != (n_unknowns,):
+        raise DimensionMismatch(f"solution has shape {np.shape(reduced)}; "
+                                f"expected ({n_unknowns},)")
+    full = dirichlet_values.copy()
+    full[~dirichlet_mask] = reduced
+    return full
 
 
 def build_dof_map(mesh: TriMesh, local_bases: LocalBases, dirichlet_data=None) -> DofMap:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from shiftfem.analysis import (chord_node_gap, convergence_orders,
-                               error_norms, inf_sup_estimate)
+                               error_norms, error_setup, inf_sup_estimate)
 from shiftfem.assembly import assemble, assemble_gram, shift_update
 from shiftfem.cli import MESH_FAMILIES
 from shiftfem.linsolve import solve
@@ -47,14 +47,14 @@ def _sweep(problem_name, params, k=2, extension_mode="analytic",
         dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)
         sysm = assemble(mesh, dm, bases, prob)
         x = solve(sysm.A, sysm.rhs).x
-        out["reports"].append(error_norms(mesh, dm, bases, x, prob.exact, param=p))
+        setup = error_setup(mesh, dm, bases, prob.exact)
+        out["reports"].append(error_norms(setup, x, param=p))
         out["kt"].append(float(bases.kt_deviation.max(initial=0.0)))
         out["gap"].append(chord_node_gap(mesh, bases, prob.exact.value))
         if with_interp:
             # the interpolant's unknown-node values; its Dirichlet ones are the data
             free = dm.node_coords[~dm.dirichlet_mask]
-            out["interp"].append(error_norms(mesh, dm, bases, prob.exact.value(*free.T),
-                                             prob.exact, param=p))
+            out["interp"].append(error_norms(setup, prob.exact.value(*free.T), param=p))
         if p <= alpha_upto:
             out["alpha"][p] = inf_sup_estimate(
                 assemble_gram(sysm.blocks, bases, "test_space"),
@@ -108,7 +108,7 @@ def test_acceptance_01_patch_test():
         dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)
         sysm = assemble(mesh, dm, bases, prob)
         x = solve(sysm.A, sysm.rhs).x
-        r = error_norms(mesh, dm, bases, x, prob.exact, param=4)
+        r = error_norms(error_setup(mesh, dm, bases, prob.exact), x, param=4)
         worst = max(worst, r.grad_err, r.l2_err, r.max_nodal_err)
     elapsed = time.perf_counter() - t0
     print(f"ACCEPTANCE 1 (patch test): worst error {worst:.3e}, {elapsed:.2f}s"

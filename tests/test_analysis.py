@@ -13,7 +13,8 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from shiftfem import cli, linsolve
 from shiftfem.analysis import (ConvergenceTable, ErrorReport, chord_node_gap,
-                               convergence_orders, error_norms, inf_sup_estimate)
+                               convergence_orders, error_norms, error_setup,
+                               inf_sup_estimate)
 from shiftfem.assembly import (ExactSolution, ProblemSpec, ShiftUpdate, assemble,
                                assemble_gram, shift_update)
 from shiftfem.cli import MESH_FAMILIES
@@ -76,7 +77,7 @@ def _annulus_case(I, k=2):
 def test_patch_errors_vanish():
     prob = polygon_patch(2)
     mesh, dm, bases, _, x = _solve_problem(prob, gen_unit_square_mesh(4))
-    r = error_norms(mesh, dm, bases, x, prob.exact, param=4)
+    r = error_norms(error_setup(mesh, dm, bases, prob.exact), x, param=4)
     assert r.grad_err <= 1e-10
     assert r.l2_err <= 1e-10
     assert r.max_nodal_err <= 1e-10
@@ -86,7 +87,7 @@ def test_cubic_polygon_patch_is_not_reproduced_at_k2():
     # negative control: polygon_patch(3) carries terms a k = 2 space cannot hold
     prob = polygon_patch(3)
     mesh, dm, bases, _, x = _solve_problem(prob, gen_unit_square_mesh(4))
-    assert error_norms(mesh, dm, bases, x, prob.exact, param=4).grad_err > 1e-6
+    assert error_norms(error_setup(mesh, dm, bases, prob.exact), x, param=4).grad_err > 1e-6
 
 
 # Curved patch solutions: both have zero normal derivative on the axes, the
@@ -104,7 +105,7 @@ def _curved_patch_errors(exact, f, geom, param, k):
     prob = ProblemSpec(geom, f, d=exact.value, exact=exact)
     raw = MESH_FAMILIES[geom.kind][1](param, 0.5)
     mesh, dm, bases, _, x = _solve_problem(prob, raw, k)
-    return error_norms(mesh, dm, bases, x, exact, param=param)
+    return error_norms(error_setup(mesh, dm, bases, exact), x, param=param)
 
 
 @pytest.mark.parametrize("geom", [ellipse(0.5), annulus(0.5)], ids=["ellipse", "annulus"])
@@ -130,23 +131,25 @@ def test_interpolant_of_space_polynomial_exact():
     prob = polygon_patch(3)
     mesh, dm, bases, _, _ = _solve_problem(prob, gen_unit_square_mesh(3), k=3)
     coeffs = _interpolant(prob, dm)
-    r = error_norms(mesh, dm, bases, coeffs[~dm.dirichlet_mask], prob.exact, param=3)
+    r = error_norms(error_setup(mesh, dm, bases, prob.exact), coeffs[~dm.dirichlet_mask],
+                    param=3)
     assert max(r.grad_err, r.l2_err, r.max_nodal_err) <= 1e-10
 
 
 def test_error_norms_requires_exact():
+    # error_setup takes no solution: the check runs before anything is solved
     prob = polygon_patch(2)
-    mesh, dm, bases, _, x = _solve_problem(prob, gen_unit_square_mesh(2))
+    mesh, dm, bases, _, _ = _solve_problem(prob, gen_unit_square_mesh(2))
     with pytest.raises(MissingExact):
-        error_norms(mesh, dm, bases, x, None)
+        error_setup(mesh, dm, bases, None)
 
 
 def test_error_norms_rejects_bases_of_another_degree():
     # a k=3 dof map with k=2 local bases, as assemble already rejects
-    prob, mesh, dm3, _, _, x = _ellipse_case(4, k=3)
+    prob, mesh, dm3, _, _, _ = _ellipse_case(4, k=3)
     bases2 = build_local_bases(mesh, 2, element_node_layouts(mesh, prob.geom, 2))
     with pytest.raises(InconsistentDof, match="disagrees with dof map"):
-        error_norms(mesh, dm3, bases2, x, prob.exact)
+        error_setup(mesh, dm3, bases2, prob.exact)
     with pytest.raises(InconsistentDof, match="disagrees with dof map"):
         assemble(mesh, dm3, bases2, prob)
 
@@ -159,13 +162,13 @@ def test_full_and_reduced_vectors_agree():
     assert np.array_equal(full[~dm.dirichlet_mask], x)
     for wrong in (x[:-1], full):
         with pytest.raises(DimensionMismatch, match=f"expected \\({dm.n_unknowns},\\)"):
-            error_norms(mesh, dm, bases, wrong, prob.exact)
+            error_norms(error_setup(mesh, dm, bases, prob.exact), wrong)
 
 
 @pytest.mark.parametrize("J", [4, 8, 16])
 def test_ellipse_errors_frozen(J):
     prob, mesh, dm, bases, _, x = _ellipse_case(J)
-    r = error_norms(mesh, dm, bases, x, prob.exact, param=J)
+    r = error_norms(error_setup(mesh, dm, bases, prob.exact), x, param=J)
     grad, l2, mx = ELLIPSE_K2[J]
     assert r.grad_err == pytest.approx(grad, rel=1e-6)
     assert r.l2_err == pytest.approx(l2, rel=1e-6)
@@ -176,7 +179,7 @@ def test_ellipse_errors_frozen(J):
 @pytest.mark.parametrize("I", [4, 8])
 def test_annulus_errors_frozen(I):
     prob, mesh, dm, bases, _, x = _annulus_case(I)
-    r = error_norms(mesh, dm, bases, x, prob.exact, param=I)
+    r = error_norms(error_setup(mesh, dm, bases, prob.exact), x, param=I)
     grad, l2, mx = ANNULUS_K2[I]
     assert r.grad_err == pytest.approx(grad, rel=1e-6)
     assert r.l2_err == pytest.approx(l2, rel=1e-6)
@@ -226,14 +229,14 @@ def test_errors_at_their_rounding_floor_give_no_order():
 
 def test_error_floors_scale_with_the_unknowns_and_the_solution():
     prob, mesh, dm, bases, _, x = _ellipse_case(8)
-    rep = error_norms(mesh, dm, bases, x, prob.exact)
+    rep = error_norms(error_setup(mesh, dm, bases, prob.exact), x)
     full = dm.full_vector(x)
     floor = dm.n_unknowns * np.finfo(float).eps
     assert rep.max_nodal_floor == floor * np.abs(full[~dm.dirichlet_mask]).max()
     # the same norms of the discrete solution, which u_h = u would give
     zero = ExactSolution(value=lambda px, py: 0.0 * px,
                          grad=lambda px, py: np.zeros(np.shape(px) + (2,)))
-    norms = error_norms(mesh, dm, bases, x, zero)
+    norms = error_norms(error_setup(mesh, dm, bases, zero), x)
     assert rep.grad_floor == pytest.approx(floor * norms.grad_err, rel=1e-12)
     assert rep.l2_floor == pytest.approx(floor * norms.l2_err, rel=1e-12)
 
@@ -286,8 +289,8 @@ def test_interpolant_gradient_converges_at_order_two():
     for J in (8, 16, 32):
         mesh, dm, bases, _, _ = _solve_problem(prob, gen_quarter_ellipse_mesh(J, 0.5))
         coeffs = _interpolant(prob, dm)
-        errs.append(error_norms(mesh, dm, bases, coeffs[~dm.dirichlet_mask], prob.exact,
-                                param=J))
+        errs.append(error_norms(error_setup(mesh, dm, bases, prob.exact),
+                                coeffs[~dm.dirichlet_mask], param=J))
     assert errs[0].grad_err == pytest.approx(3.192000e-03, rel=1e-6)
     tab = convergence_orders(errs)
     for p in tab.grad_orders:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from shiftfem.analysis import error_norms
+from shiftfem.analysis import error_norms, error_setup
 from shiftfem.assembly import assemble, assemble_gram, source_values
 from shiftfem.errors import InvalidParam, MeshAssumptionViolated
 from shiftfem.geometry import annulus, ellipse, unit_square
@@ -277,7 +277,7 @@ def test_stacked_kernels_reproduce_the_element_loops(name):
         assert_within_rounding(assemble_gram(sysm.blocks, bases, choice), G, _largest(G), 16)
 
     x = solve(sysm.A, sysm.rhs).x
-    rep = error_norms(mesh, dm, bases, x, prob.exact, param=8)
+    rep = error_norms(error_setup(mesh, dm, bases, prob.exact), x, param=8)
     full = dm.full_vector(x)
     grad_err, l2_err, grad_norm, l2_norm = _loop_errors(mesh, dm, coeffs, full, prob.exact, k)
     # the errors cancel, so they are bounded against the discrete solution's norms

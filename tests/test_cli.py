@@ -6,10 +6,12 @@ import gc
 import json
 import math
 import re
+import traceback
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shiftfem import assembly, cli, linsolve
@@ -17,9 +19,10 @@ from shiftfem.analysis import ErrorReport, inf_sup_estimate
 from shiftfem.cli import (DIAG_HEADER, MESH_FAMILIES, TABLE_HEADER, EntryResult,
                           ExperimentConfig, build_parser, config_from_args, main, render,
                           run_experiment)
-from shiftfem.errors import ConfigError, MeshAssumptionViolated
-from shiftfem.mesh import gen_unit_square_mesh
+from shiftfem.errors import ConfigError, InconsistentDof, MeshAssumptionViolated, MissingExact
+from shiftfem.mesh import classify_elements, gen_unit_square_mesh, mesh_text
 from shiftfem.problems import PROBLEM_NAMES, by_name
+from shiftfem.spaces import build_dof_map, build_local_bases, element_node_layouts
 
 from oracles import load_mesh
 
@@ -352,6 +355,107 @@ def test_alpha_h_runs_last_on_the_grams_alone(tmp_path, monkeypatch):
     assert main(["run", "--problem", "ellipse_test1", "--k", "2", "--sweep", "4,8",
                  "--out", str(tmp_path)]) == 0
     assert checked == [60, 248]
+
+
+def test_the_lu_of_a_runs_without_the_mesh_bases_and_dof_map(tmp_path, monkeypatch):
+    """Per entry, the error setup, the chord gap and kt_dev are taken before
+    the solve, and the entry's mesh is gone under the LU of A. An entry that
+    estimates no alpha_h has dropped its local bases and dof map too; one that
+    does keeps them for its two Grams."""
+    monkeypatch.setattr(cli, "INFSUP_LIMIT", 100)  # J=4 has 60 unknowns, J=8 248
+    kept = ("classify_elements", "build_local_bases", "build_dof_map")
+    refs, done, dead, grams = {}, [], [], []
+
+    def traced(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            if name == "classify_elements":  # the first of an entry's pieces
+                refs.clear()
+                done.clear()
+            done.append(name)
+            if name in kept:
+                refs[name] = weakref.ref(result)
+            return result
+        return wrapper
+
+    def solved(A, b):
+        gc.collect()
+        assert "error_setup" in done and "chord_node_gap" in done
+        dead.append((len(b), [name for name in kept if refs[name]() is None]))
+        return linsolve.solve(A, b)
+
+    def gram(blocks, bases, choice="test_space"):
+        grams.append(choice)
+        return assembly.assemble_gram(blocks, bases, choice)
+
+    for name in (*kept, "error_setup", "chord_node_gap"):
+        monkeypatch.setattr(cli, name, traced(name, getattr(cli, name)))
+    monkeypatch.setattr(cli, "solve", solved)
+    monkeypatch.setattr(cli, "assemble_gram", gram)
+    assert main(["run", "--problem", "ellipse_test1", "--k", "2", "--sweep", "4,8",
+                 "--out", str(tmp_path)]) == 0
+    assert dead == [(60, ["classify_elements"]), (248, list(kept))]
+    assert grams == ["test_space", "trial_space"]
+
+
+def test_a_mesh_dump_is_written_from_the_kept_mesh(tmp_path, monkeypatch):
+    # no entry estimates alpha_h, so only the dump reads the mesh after the solve
+    monkeypatch.setattr(cli, "INFSUP_LIMIT", 0)
+    assert main(["run", "--problem", "ellipse_test1", "--sweep", "4,8", "--dump-meshes",
+                 "--out", str(tmp_path)]) == 0
+    geom = by_name("ellipse_test1").geom
+    for J in (4, 8):
+        mesh = classify_elements(MESH_FAMILIES["ellipse"][1](J, 0.5), geom)
+        assert (tmp_path / f"mesh_{J}.txt").read_bytes() == mesh_text(mesh).encode()
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["", ""]
+
+
+@pytest.mark.parametrize("broken", ["exact", "dof map"])
+def test_error_setup_fails_the_entry_before_its_lu(tmp_path, monkeypatch, broken):
+    """A problem with no exact solution, or a dof map that does not fit the
+    local bases, fails in error_setup, before the entry assembles or solves."""
+    calls = _counting_solve(monkeypatch)
+    if broken == "exact":
+        monkeypatch.setattr(cli, "by_name",
+                            lambda *args, **kw: replace(by_name(*args, **kw), exact=None))
+        error, match = MissingExact, "param=4: error norms require a manufactured solution"
+    else:  # a k=3 dof map under the k=2 bases
+        geom = by_name("ellipse_test1").geom
+
+        def k3_dof_map(mesh, bases, dirichlet_data=None):
+            k3 = build_local_bases(mesh, 3, element_node_layouts(mesh, geom, 3))
+            return build_dof_map(mesh, k3, dirichlet_data=dirichlet_data)
+
+        monkeypatch.setattr(cli, "build_dof_map", k3_dof_map)
+        error, match = InconsistentDof, "param=4: local basis size disagrees with dof map"
+    with pytest.raises(error, match=match) as failed:
+        run_experiment(ExperimentConfig(sweep=(4, 8), out_dir=str(tmp_path)))
+    frames = [frame.name for frame in traceback.extract_tb(failed.value.__cause__.__traceback__)]
+    assert "error_setup" in frames and "assemble" not in frames
+    assert calls == []
+
+
+def test_log_line_reports_the_backward_error(tmp_path, capsys, monkeypatch):
+    # eta, the solve gate's own quantity, is logged before alpha_h
+    etas = []
+
+    def solved(A, b):
+        report = linsolve.solve(A, b)
+        etas.append(report.backward_error)
+        return report
+
+    monkeypatch.setattr(cli, "solve", solved)
+    assert main(["run", "--problem", "ellipse_test1", "--sweep", "4,8",
+                 "--out", str(tmp_path)]) == 0
+    *log, wrote = capsys.readouterr().out.splitlines()
+    assert wrote.startswith("wrote ")
+    for line, eta in zip(log, etas, strict=True):
+        m = re.fullmatch(r"param=\d+: n=(\d+) grad=\S+ l2=\S+ max=\S+ eta=(\S+) "
+                         r"alpha_h=\S+", line)
+        assert m is not None, line
+        assert m[2] == f"{eta:.6e}"
+        assert 0.0 <= float(m[2]) <= int(m[1]) * float(np.finfo(float).eps)
 
 
 def test_unwritable_table_fails_the_first_sweep_entry(tmp_path, capsys, monkeypatch):
