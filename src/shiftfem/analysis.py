@@ -10,7 +10,7 @@ import numpy as np
 
 from .assembly import ExactSolution, ShiftUpdate, element_geometry
 from .errors import (DimensionMismatch, InconsistentDof, InvalidParam, MissingExact,
-                     NonDyadicSequence)
+                     NonDyadicSequence, NotSPD)
 from .linsolve import bordered_schur, fill_order
 from .mesh import TriMesh
 from .quadrature import rule_for_degree
@@ -219,9 +219,14 @@ def inf_sup_estimate(G_test, G_trial, update: ShiftUpdate) -> float:
         if not g[0] > tol * g[-1]:
             raise InconsistentDof("the moved nodes' rows of the coefficient maps are "
                                   "linearly dependent; is a moved node listed twice?")
-    order = fill_order(G_test)
-    R = -bordered_schur(G_test, N, Q, order)[0]
-    S, pivots = bordered_schur(G_trial, L, None, order)
+    gram = "test"
+    try:  # a failure names the Gram it was found in
+        order = fill_order(G_test)
+        R = -bordered_schur(G_test, N, Q, order)[0]
+        gram = "trial"
+        S, pivots = bordered_schur(G_trial, L, None, order)
+    except (NotSPD, InconsistentDof) as exc:
+        raise type(exc)(f"{gram}-space Gram: {exc}") from exc
     if not np.all(pivots < -tol * np.abs(S).max(initial=0.0)):
         raise InconsistentDof("L^T G_trial^-1 L is not positive definite "
                               f"(largest trailing pivot {pivots.max()})")

@@ -76,20 +76,10 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class ElementBlocks:
-    """The standard-basis element stiffness blocks ``B`` (T, n_k, n_k) of one
-    mesh and the dof map they were assembled with: what :func:`assemble_gram`
-    and :func:`shift_update` read. A's block of a shifted element is
-    ``B @ C`` for its coefficient map C."""
-
-    dofmap: DofMap
-    B: np.ndarray
-
-
-@dataclass(frozen=True)
 class AssembledSystem:
-    """A and the load of one mesh, plus the :class:`ElementBlocks` both Gram
-    matrices are built from.
+    """A and the load of one mesh, plus the standard-basis element stiffness
+    blocks B (T, n_k, n_k) both Gram matrices are built from. A's block of a
+    shifted element is ``B @ C`` for its coefficient map C.
 
     A is CSC, the format SuperLU factors, with exactly ``A.nnz`` slots: its
     summed CSR is converted before it is returned, so that CSR and its
@@ -102,7 +92,7 @@ class AssembledSystem:
 
     A: sp.csc_matrix
     rhs: np.ndarray
-    blocks: ElementBlocks
+    blocks: np.ndarray
 
 
 def source_values(problem: ProblemSpec, pts: np.ndarray) -> np.ndarray:
@@ -193,16 +183,15 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     ui = dofmap.unknown_index[dofmap.element_to_global]
     free = ui >= 0
     rhs = np.bincount(ui[free], (F - lift)[free], minlength=dofmap.n_unknowns)
-    return AssembledSystem(A=_scatter(ui, B, dofmap.n_unknowns, s, BC).tocsc(), rhs=rhs,
-                           blocks=ElementBlocks(dofmap=dofmap, B=B))
+    return AssembledSystem(A=_scatter(ui, B, dofmap.n_unknowns, s, BC).tocsc(), rhs=rhs, blocks=B)
 
 
-def assemble_gram(blocks: ElementBlocks, local_bases: LocalBases,
+def assemble_gram(dofmap: DofMap, blocks: np.ndarray, local_bases: LocalBases,
                   basis_choice: str = "test_space") -> sp.csr_matrix:
     """Gradient Gram matrix of the chosen space's basis over the unknowns.
 
-    Built from the element blocks :func:`assemble` made, so it uses the
-    same stiffness rule and costs no second block kernel: the
+    Built from the element blocks B :func:`assemble` made with ``dofmap``,
+    so it uses the same stiffness rule and costs no second block kernel: the
     test Gram sums the blocks B, the trial Gram takes ``C^T B C`` on the
     shifted elements. The result is not checked here;
     :func:`shiftfem.analysis.inf_sup_estimate` proves both Grams symmetric
@@ -211,13 +200,12 @@ def assemble_gram(blocks: ElementBlocks, local_bases: LocalBases,
     """
     if basis_choice not in BASIS_CHOICES:
         raise InvalidParam(f"unknown basis_choice {basis_choice!r}")
-    dofmap, B = blocks.dofmap, blocks.B
     ui = dofmap.unknown_index[dofmap.element_to_global]
     if basis_choice == "test_space":
-        G = _scatter(ui, B, dofmap.n_unknowns)
+        G = _scatter(ui, blocks, dofmap.n_unknowns)
     else:
         s, C = local_bases.shifted, local_bases.coeffs
-        G = _scatter(ui, B, dofmap.n_unknowns, s, C.transpose(0, 2, 1) @ B[s] @ C)
+        G = _scatter(ui, blocks, dofmap.n_unknowns, s, C.transpose(0, 2, 1) @ blocks[s] @ C)
     # the summed CSR views COO-sized buffers (SciPy prunes only past 50 % slack),
     # and the Gram stays under both bordered factors: keep exactly nnz slots
     return G.copy()
@@ -244,10 +232,9 @@ class ShiftUpdate:
     Q: np.ndarray
 
 
-def shift_update(blocks: ElementBlocks, local_bases: LocalBases) -> ShiftUpdate:
+def shift_update(dofmap: DofMap, blocks: np.ndarray, local_bases: LocalBases) -> ShiftUpdate:
     """N, L and Q of :class:`ShiftUpdate` from the element blocks
-    :func:`assemble` made."""
-    dofmap = blocks.dofmap
+    :func:`assemble` made with ``dofmap``."""
     el, loc = np.nonzero(local_bases.moved)
     rows = dofmap.unknown_index[dofmap.element_to_global[local_bases.shifted[el]]]
     if np.any(rows[np.arange(len(el)), loc] >= 0):
@@ -255,7 +242,7 @@ def shift_update(blocks: ElementBlocks, local_bases: LocalBases) -> ShiftUpdate:
     free = rows >= 0
     cols = np.broadcast_to(np.arange(len(el))[:, None], rows.shape)[free]
     shape = (dofmap.n_unknowns, len(el))
-    B = blocks.B[local_bases.shifted]
+    B = blocks[local_bases.shifted]
     N = sp.csc_matrix((B[el, :, loc][free], (rows[free], cols)), shape=shape)
     L = sp.csc_matrix((local_bases.coeffs[el, loc, :][free], (rows[free], cols)), shape=shape)
     Q = np.where(el[:, None] == el, B[el[:, None], loc[:, None], loc], 0.0)

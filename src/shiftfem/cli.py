@@ -20,7 +20,7 @@ from .assembly import EXTENSION_MODES, assemble, assemble_gram, shift_update
 from .errors import ConfigError, InvalidParam, ShiftFEMError
 from .linsolve import solve
 from .mesh import (classify_elements, gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh,
-                   gen_unit_square_mesh, mesh_text)
+                   gen_unit_square_mesh, is_int, mesh_text)
 from .problems import PROBLEM_NAMES, by_name
 from .spaces import (SUPPORTED_DEGREES, build_dof_map, build_local_bases,
                      element_node_layouts)
@@ -37,10 +37,6 @@ MESH_FAMILIES = {
     "annulus": ("I", lambda p, e: gen_quarter_annulus_mesh(p, p // 2, e), True),
     "polygon": ("J", lambda p, e: gen_unit_square_mesh(p), False),
 }
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ class ExperimentConfig:
                                   f"got {getattr(self, name)!r}")
         if not self.out_dir:
             raise ConfigError("out_dir must name a directory, got ''")
-        if not _is_int(self.k) or self.k not in SUPPORTED_DEGREES:
+        if not is_int(self.k) or self.k not in SUPPORTED_DEGREES:
             raise ConfigError(f"degree k must be one of {SUPPORTED_DEGREES}, got {self.k!r}")
         if isinstance(self.e, bool) or not isinstance(self.e, numbers.Real) \
                 or not 0.0 < self.e < 1.0:
@@ -73,7 +69,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if not self.sweep:
             raise ConfigError("sweep must contain at least one mesh parameter")
-        if any(not _is_int(p) or p < 1 for p in self.sweep):
+        if any(not is_int(p) or p < 1 for p in self.sweep):
             raise ConfigError(f"sweep entries must be positive integers, got {self.sweep}")
         if any(b != 2 * a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError(f"sweep entries must each double the last, got {self.sweep}")
@@ -183,14 +179,14 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
             # all that reads the mesh, bases and dof map but not x runs before
             # the solve, and alpha_h last, so each factor has only its own
             # inputs under it: the LU of A has A, the load and the error setup
-            # (and an alpha_h entry's blocks and bases, for its Grams); the
-            # Gram factors have the Grams, the update and x
+            # (and an alpha_h entry's dof map, blocks and bases, for its
+            # Grams); the Gram factors have the Grams, the update and x
             n = dm.n_unknowns
             setup = error_setup(mesh, dm, bases, problem.exact)
             chord_gap = chord_node_gap(mesh, bases, problem.exact.value)
             kt_dev = float(bases.kt_deviation.max(initial=0.0))
             sysm = assemble(mesh, dm, bases, problem)
-            gram_data = (sysm.blocks, bases) if 0 < n <= INFSUP_LIMIT else None
+            gram_data = (dm, sysm.blocks, bases) if 0 < n <= INFSUP_LIMIT else None
             A, rhs = sysm.A, sysm.rhs
             mesh = mesh if cfg.dump_meshes else None  # a mesh dump reads it last
             del sysm, bases, dm

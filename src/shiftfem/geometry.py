@@ -45,8 +45,8 @@ class BoundaryGeometry:
 
 def ellipse(e: float) -> BoundaryGeometry:
     """Domain bounded by the curve (x/e)^2 + y^2 = 1."""
-    if not 0.0 < e < math.inf:
-        raise InvalidParam(f"ellipse semi-axis must be positive and finite, got {e}")
+    if isinstance(e, (bool, np.bool_)) or not 0.0 < e < math.inf:
+        raise InvalidParam(f"ellipse semi-axis must be positive and finite, got {e!r}")
 
     def fields(x, y):
         return ((x / e) ** 2 + y ** 2 - 1.0,)

@@ -10,6 +10,7 @@ natural boundary condition.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,6 +61,11 @@ class TriMesh:
         return len(self.triangles)
 
 
+def is_int(v) -> bool:
+    """Whether v is an integer, Python's or NumPy's, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _edge_codes(triangles: np.ndarray, nv: int) -> np.ndarray:
     """(T, 3) codes lo * nv + hi of the sorted vertex pairs of edges
     (i, j), (j, k), (k, i) of every triangle; equal codes, same edge."""
@@ -87,19 +93,25 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
     """Validate raw arrays and build a TriMesh with per-element h and rho.
 
     Raises InvalidParam on non-finite coordinates, inverted/degenerate
-    triangles, out-of-range indices, nonconforming edges (shared by more
-    than two triangles), sliver triangles, coincident vertices, boundary
-    listings that are not (i, j, tag) triples, bad tags, boundary edges
-    that are not edges of exactly one triangle, or a boundary
-    edge listed twice (in either orientation, with any tags). Slivers
-    (inradius) and coincident vertices (distance) are measured against
-    MESH_REL_TOL times the bounding-box diameter, so the check does not
-    depend on the domain scale; it keeps a duplicated vertex from cracking
-    the mesh, since dofs are numbered from vertex ids. Each error names the
-    first offender in element (or vertex, or boundary-edge) order.
+    triangles, vertex indices that are not integers (a bool is not) or out of
+    range, nonconforming edges (shared by more than two triangles), sliver
+    triangles, coincident vertices, boundary listings that are not (i, j, tag)
+    triples, bad tags, boundary edges that are not edges of exactly one
+    triangle, or a boundary edge listed twice (in either orientation, with
+    any tags). Slivers (inradius) and coincident vertices (distance) are
+    measured against MESH_REL_TOL times the bounding-box diameter, so the
+    check does not depend on the domain scale; it keeps a duplicated vertex
+    from cracking the mesh, since dofs are numbered from vertex ids. Each
+    error names the first offender in element (or vertex, or boundary-edge)
+    order.
     """
     verts = np.asarray(vertices, dtype=float)
-    tris = np.asarray(triangles, dtype=int)
+    tris = np.asarray(triangles)
+    # a list's bools turn into ints in an array, so a list is read entry by entry
+    entries = () if isinstance(triangles, np.ndarray) else np.asarray(triangles, dtype=object).flat
+    if tris.size and tris.dtype.kind not in "iu" or not all(map(is_int, entries)):
+        raise InvalidParam("triangle vertex indices must be integers, not bools")
+    tris = tris.astype(int, copy=False)
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise InvalidParam("vertices must be an (n, 2) array")
     if not np.all(np.isfinite(verts)):
@@ -168,10 +180,13 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
 def _edge_triple(n: int, edge) -> BoundaryEdge:
     try:
         i1, i2, tag = edge
-        return int(i1), int(i2), tag
     except (TypeError, ValueError):
         raise InvalidParam(f"boundary edge {edge!r} (listing {n}) is not "
                            "an (i, j, tag) triple") from None
+    if not (is_int(i1) and is_int(i2)):
+        raise InvalidParam(f"boundary edge {edge!r} (listing {n}) has a vertex index "
+                           "that is not an integer")
+    return int(i1), int(i2), tag
 
 
 def _split_cells(ids: np.ndarray) -> np.ndarray:
@@ -232,10 +247,10 @@ def gen_quarter_ellipse_mesh(J: int, e: float) -> TriMesh:
     (e r cos(theta), r sin(theta)), its ring j=0 collapsed to the origin.
     The arc r=1 is tagged "D", the two straight sides "S".
     """
-    if J < 1:
-        raise InvalidParam(f"J must be >= 1, got {J}")
-    if not 0.0 < e < math.inf:
-        raise InvalidParam(f"semi-axis e must be positive and finite, got {e}")
+    if not is_int(J) or J < 1:
+        raise InvalidParam(f"J must be an integer >= 1, got {J!r}")
+    if isinstance(e, (bool, np.bool_)) or not 0.0 < e < math.inf:
+        raise InvalidParam(f"semi-axis e must be positive and finite, got {e!r}")
     return _polar_grid_mesh(J, np.arange(J + 1) / J, e)
 
 
@@ -245,8 +260,8 @@ def gen_quarter_annulus_mesh(I: int, J: int, e: float) -> TriMesh:
     The polar grid of I angular by J radial cells, r_j = e + (1-e) j/J.
     Both circular rings are tagged "D", the straight sides "S".
     """
-    if I < 1 or J < 1:
-        raise InvalidParam(f"I, J must be >= 1, got I={I}, J={J}")
+    if not (is_int(I) and is_int(J)) or I < 1 or J < 1:
+        raise InvalidParam(f"I, J must be integers >= 1, got I={I!r}, J={J!r}")
     if not 0.0 < e < 1.0:
         raise InvalidParam(f"inner radius e must lie in (0, 1), got {e}")
     return _polar_grid_mesh(I, e + ((1.0 - e) * np.arange(J + 1)) / J, 1.0)
@@ -254,9 +269,8 @@ def gen_quarter_annulus_mesh(I: int, J: int, e: float) -> TriMesh:
 
 def gen_unit_square_mesh(J: int) -> TriMesh:
     """Uniform J x J diagonal-split mesh of the unit square, all edges "D"."""
-    if J < 1:
-        raise InvalidParam(f"J must be >= 1, got {J}")
-
+    if not is_int(J) or J < 1:
+        raise InvalidParam(f"J must be an integer >= 1, got {J!r}")
     ids = np.arange((J + 1) ** 2).reshape(J + 1, J + 1)
     grid = np.arange(J + 1) / J
     verts = np.stack((np.tile(grid, J + 1), np.repeat(grid, J + 1)), axis=-1)

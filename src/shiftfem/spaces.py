@@ -225,11 +225,6 @@ class DofMap:
     unknown_index: np.ndarray
     n_unknowns: int
 
-    def full_vector(self, reduced: np.ndarray) -> np.ndarray:
-        """Scatter a reduced unknown vector into a full nodal vector with
-        Dirichlet values filled in."""
-        return full_vector(self.dirichlet_values, self.dirichlet_mask, self.n_unknowns, reduced)
-
 
 def full_vector(dirichlet_values: np.ndarray, dirichlet_mask: np.ndarray, n_unknowns: int,
                 reduced: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from shiftfem.problems import annulus_test2, ellipse_test1, polygon_patch
 from shiftfem.quadrature import rule_for_degree, triangle_area
 from shiftfem.spaces import (build_dof_map, build_local_bases,
                              element_node_layouts, eval_basis_bary,
-                             eval_basis_bary_grad)
+                             eval_basis_bary_grad, full_vector)
 
 from oracles import assert_within_rounding
 
@@ -52,7 +52,7 @@ def test_chunk_size_moves_no_bit(monkeypatch, mesh, prob, k):
     for name in ("data", "indices", "indptr"):
         assert _same_bits(getattr(whole.A, name), getattr(chunked.A, name))
     assert _same_bits(whole.rhs, chunked.rhs)
-    assert _same_bits(whole.blocks.B, chunked.blocks.B)
+    assert _same_bits(whole.blocks, chunked.blocks)
 
 
 def _root_size(a):
@@ -80,7 +80,7 @@ def test_a_is_csc_and_reaches_superlu_uncopied(monkeypatch, mesh, prob, k):
     assert A.format == "csc"
     assert _root_size(A.data) == _root_size(A.indices) == A.nnz
     # the oracle: the summed CSR converted to CSC
-    blocks = system.blocks.B.copy()
+    blocks = system.blocks.copy()
     blocks[bases.shifted] = blocks[bases.shifted] @ bases.coeffs
     want = _summed_csr(blocks, dm).tocsc()
     for name in ("data", "indices", "indptr"):
@@ -100,13 +100,13 @@ def test_grams_own_exactly_nnz_slots():
     prob = annulus_test2(extension_mode="zero_outside")
     mesh = classify_elements(gen_quarter_annulus_mesh(8, 4, 0.5), prob.geom)
     dm, bases, system = _pipeline(mesh, prob.geom, 3, prob)
-    blocks, C = system.blocks.B.copy(), bases.coeffs
+    blocks, C = system.blocks.copy(), bases.coeffs
     for choice in ("test_space", "trial_space"):
         if choice == "trial_space":
             blocks[bases.shifted] = C.transpose(0, 2, 1) @ blocks[bases.shifted] @ C
         want = _summed_csr(blocks, dm)
         assert _root_size(want.data) > 1.2 * want.nnz  # the slack is there to drop
-        G = assemble_gram(system.blocks, bases, choice)
+        G = assemble_gram(dm, system.blocks, bases, choice)
         assert _root_size(G.data) == _root_size(G.indices) == G.nnz
         for name in ("data", "indices", "indptr"):
             assert _same_bits(getattr(G, name), getattr(want, name))
@@ -127,7 +127,7 @@ def test_patch_solution_exact_at_nodes(k):
     prob = polygon_patch(k)
     dm, bases, sys = _pipeline(mesh, geom, k, prob)
     rep = solve(sys.A, sys.rhs)
-    full = dm.full_vector(rep.x)
+    full = full_vector(dm.dirichlet_values, dm.dirichlet_mask, dm.n_unknowns, rep.x)
     exact = prob.exact.value(dm.node_coords[:, 0], dm.node_coords[:, 1])
     assert np.max(np.abs(full - exact)) <= 1e-10
 
@@ -200,7 +200,8 @@ def test_matches_textbook_galerkin_on_square():
     mesh = classify_elements(gen_unit_square_mesh(3), geom)
     prob = ProblemSpec(geom=geom, f=f)
     dm, bases, sys = _pipeline(mesh, geom, 2, prob)
-    full = dm.full_vector(solve(sys.A, sys.rhs).x)
+    x = solve(sys.A, sys.rhs).x
+    full = full_vector(dm.dirichlet_values, dm.dirichlet_mask, dm.n_unknowns, x)
     oracle, key = _p2_oracle_solution(mesh, f)
     shared = [i for i, p in enumerate(dm.node_coords) if key(p) in oracle]
     want = np.array([oracle[key(dm.node_coords[i])] for i in shared])
@@ -286,9 +287,9 @@ def test_nonsymmetry_concentrated_on_boundary_elements():
 def test_gram_equals_stiffness_on_polygon():
     geom = unit_square()
     mesh = classify_elements(gen_unit_square_mesh(3), geom)
-    _, bases, sys = _pipeline(mesh, geom, 2, polygon_patch(2))
-    g_test = assemble_gram(sys.blocks, bases, "test_space")
-    g_trial = assemble_gram(sys.blocks, bases, "trial_space")
+    dm, bases, sys = _pipeline(mesh, geom, 2, polygon_patch(2))
+    g_test = assemble_gram(dm, sys.blocks, bases, "test_space")
+    g_trial = assemble_gram(dm, sys.blocks, bases, "trial_space")
     assert np.array_equal(g_test.toarray(), sys.A.toarray())
     assert np.array_equal(g_trial.toarray(), sys.A.toarray())
 
@@ -297,8 +298,8 @@ def test_gram_equals_stiffness_on_polygon():
 def test_gram_symmetric_spd_on_curved_mesh(choice):
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(8, 0.5), geom)
-    _, bases, sys = _pipeline(mesh, geom, 2, ellipse_test1())
-    G = assemble_gram(sys.blocks, bases, choice)
+    dm, bases, sys = _pipeline(mesh, geom, 2, ellipse_test1())
+    G = assemble_gram(dm, sys.blocks, bases, choice)
     bordered_schur(G, sp.csc_matrix((G.shape[0], 0)), None, fill_order(G))
     dense = G.toarray()
     assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
@@ -307,9 +308,9 @@ def test_gram_symmetric_spd_on_curved_mesh(choice):
 def test_gram_spaces_differ_on_curved_mesh():
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(4, 0.5), geom)
-    _, bases, sys = _pipeline(mesh, geom, 2, ellipse_test1())
-    g_test = assemble_gram(sys.blocks, bases, "test_space")
-    g_trial = assemble_gram(sys.blocks, bases, "trial_space")
+    dm, bases, sys = _pipeline(mesh, geom, 2, ellipse_test1())
+    g_test = assemble_gram(dm, sys.blocks, bases, "test_space")
+    g_trial = assemble_gram(dm, sys.blocks, bases, "trial_space")
     assert np.max(np.abs((g_test - g_trial).toarray())) > 1e-6
 
 
@@ -325,7 +326,8 @@ def test_invalid_inputs_rejected():
     with pytest.raises(InconsistentDof):
         assemble(mesh, dm, short, polygon_patch(2))
     with pytest.raises(InvalidParam):
-        assemble_gram(assemble(mesh, dm, bases2, polygon_patch(2)).blocks, bases2, "both_spaces")
+        assemble_gram(dm, assemble(mesh, dm, bases2, polygon_patch(2)).blocks, bases2,
+                      "both_spaces")
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -340,7 +342,7 @@ def test_builtin_rules_are_exact_for_their_integrands(k):
     tris, grads, area = element_geometry(mesh)
     dphi = eval_basis_bary_grad(k, fine.points)[None] @ grads[:, None]
     B = area[:, None, None] * np.einsum("tqid,tqjd,q->tij", dphi, dphi, fine.weights)
-    assert_within_rounding(sys.blocks.B, B, np.abs(B).max(), 64)
+    assert_within_rounding(sys.blocks, B, np.abs(B).max(), 64)
     pts = fine.physical_points(tris)
     F = area[:, None] * np.einsum("qj,q,tq->tj", eval_basis_bary(k, fine.points),
                                   fine.weights, prob.f(pts[..., 0], pts[..., 1]))

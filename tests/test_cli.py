@@ -282,7 +282,7 @@ def test_alpha_h_waits_for_the_solve_and_a_is_gone_first(tmp_path, capsys, monke
 
     def assembled(*args):
         system = assembly.assemble(*args)
-        live["blocks"] = weakref.ref(system.blocks.B)
+        live["blocks"] = weakref.ref(system.blocks)
         return system
 
     def solved(A, b):
@@ -293,13 +293,13 @@ def test_alpha_h_waits_for_the_solve_and_a_is_gone_first(tmp_path, capsys, monke
         events.append(("solved", len(b)))
         return report
 
-    def gram(blocks, bases, choice="test_space"):
+    def gram(dofmap, blocks, bases, choice="test_space"):
         events.append(("assemble_gram", choice, "A dead" if live["A"]() is None else "A alive"))
-        return assembly.assemble_gram(blocks, bases, choice)
+        return assembly.assemble_gram(dofmap, blocks, bases, choice)
 
-    def update(blocks, bases):
+    def update(dofmap, blocks, bases):
         events.append(("shift_update",))
-        return assembly.shift_update(blocks, bases)
+        return assembly.shift_update(dofmap, blocks, bases)
 
     for name, fn in (("assemble", assembled), ("solve", solved),
                      ("assemble_gram", gram), ("shift_update", update)):
@@ -384,9 +384,9 @@ def test_the_lu_of_a_runs_without_the_mesh_bases_and_dof_map(tmp_path, monkeypat
         dead.append((len(b), [name for name in kept if refs[name]() is None]))
         return linsolve.solve(A, b)
 
-    def gram(blocks, bases, choice="test_space"):
+    def gram(dofmap, blocks, bases, choice="test_space"):
         grams.append(choice)
-        return assembly.assemble_gram(blocks, bases, choice)
+        return assembly.assemble_gram(dofmap, blocks, bases, choice)
 
     for name in (*kept, "error_setup", "chord_node_gap"):
         monkeypatch.setattr(cli, name, traced(name, getattr(cli, name)))
@@ -559,8 +559,8 @@ def test_thin_annulus_runs_where_the_mesh_resolves_it(k, sweep, tmp_path):
 def test_cli_exit_non_spd_gram(tmp_path, capsys, monkeypatch):
     # A trial Gram that is not positive definite (as a broken dof map would
     # give) is a numerical failure naming the sweep entry.
-    def negated(blocks, bases, choice="test_space"):
-        G = assembly.assemble_gram(blocks, bases, choice)
+    def negated(dofmap, blocks, bases, choice="test_space"):
+        G = assembly.assemble_gram(dofmap, blocks, bases, choice)
         return -G if choice == "trial_space" else G
 
     monkeypatch.setattr(cli, "assemble_gram", negated)
@@ -568,7 +568,7 @@ def test_cli_exit_non_spd_gram(tmp_path, capsys, monkeypatch):
                "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "param=4" in err and "not positive definite" in err
+    assert "param=4: trial-space Gram: gram matrix is not positive definite" in err
 
 
 def test_work_per_sweep_entry(tmp_path, monkeypatch):

@@ -21,6 +21,9 @@ def _g(geom, piece, p):
 def test_invalid_parameters_rejected():
     with pytest.raises(InvalidParam):
         ellipse(-1.0)
+    for flag in (True, np.True_):  # used to be accepted as e = 1
+        with pytest.raises(InvalidParam):
+            ellipse(flag)
     with pytest.raises(InvalidParam):
         annulus(0.0)
     with pytest.raises(InvalidParam):

@@ -1,6 +1,7 @@
 """Module layering: one module owns the sparse factorizations, one the
-formats of the run's artifacts, src/ defines only what src/ uses, and the
-tests reach src/ only through its public names."""
+formats of the run's artifacts, src/ defines only what src/ uses and no
+method that doubles a function, and the tests reach src/ only through its
+public names."""
 
 import ast
 from pathlib import Path
@@ -60,6 +61,19 @@ def test_every_public_definition_is_used_in_src():
     unused = sorted(name for tree in trees for name in _definitions(tree)
                     if not name.startswith("_") and name not in used)
     assert unused == []
+
+
+def test_no_src_method_is_named_like_a_src_function():
+    # a method named like a module-level function is most likely a second
+    # door to it, which the check above cannot see: the shared name is used
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    functions = {node.name for tree in trees for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    twins = sorted(f"{cls.name}.{m.name}" for tree in trees for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for m in cls.body
+                   if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                   and m.name in functions)
+    assert twins == []
 
 
 def _config_problem_default(tree):

@@ -150,8 +150,9 @@ def _curved_factors(mesh, prob, k):
     bases = build_local_bases(mesh, k, element_node_layouts(mesh, prob.geom, k))
     dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)
     system = assemble(mesh, dm, bases, prob)
-    return (system, assemble_gram(system.blocks, bases, "test_space"),
-            assemble_gram(system.blocks, bases, "trial_space"), shift_update(system.blocks, bases))
+    return (system, assemble_gram(dm, system.blocks, bases, "test_space"),
+            assemble_gram(dm, system.blocks, bases, "trial_space"),
+            shift_update(dm, system.blocks, bases))
 
 
 @pytest.mark.parametrize("mesh, prob, k", [

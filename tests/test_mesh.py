@@ -122,6 +122,30 @@ def test_boundary_listing_that_is_not_a_triple_rejected(edge):
         make_mesh(verts, [(0, 1, 2)], [(1, 2, "D"), edge])
 
 
+@pytest.mark.parametrize("tris", [[(0.9, 1, 2)], [(True, 1, 2)], [(0, 1, np.True_)],
+                                  np.array([(1, 1, 1)], dtype=bool), [(0, 1, "2")]])
+def test_triangle_index_that_is_not_an_integer_rejected(tris):
+    # float indices used to be truncated, and bools read as 0 and 1
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    with pytest.raises(InvalidParam, match="triangle vertex indices must be integers"):
+        make_mesh(verts, tris, [])
+
+
+@pytest.mark.parametrize("edge", [(0.7, 1, "D"), (0, True, "D"), ("0", 1, "D")])
+def test_boundary_index_that_is_not_an_integer_rejected(edge):
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    with pytest.raises(InvalidParam, match=rf"boundary edge {re.escape(repr(edge))} "
+                                           r"\(listing 0\) has a vertex index that is not"):
+        make_mesh(verts, [(0, 1, 2)], [edge])
+
+
+def test_numpy_integer_indices_accepted():
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    mesh = make_mesh(verts, np.array([(0, 1, 2)], dtype=np.int32),
+                     [(np.int64(0), np.uint8(1), "D")])
+    assert mesh.triangles.tolist() == [[0, 1, 2]] and mesh.boundary_edges == ((0, 1, "D"),)
+
+
 def test_unclassified_mesh_rejects_element_queries():
     mesh = gen_quarter_ellipse_mesh(2, 0.5)
     with pytest.raises(MeshAssumptionViolated, match="not been classified"):
@@ -273,7 +297,22 @@ def test_cracked_square_rejected():
     lambda: gen_quarter_annulus_mesh(0, 3, 0.5),
     lambda: gen_quarter_annulus_mesh(2, 2, 1.0),
     lambda: gen_unit_square_mesh(0),
+    # sizes that are not integers used to fail inside the generators, with
+    # numpy's IndexError, a TypeError and a ValueError in turn
+    lambda: gen_quarter_ellipse_mesh(2.5, 0.5),
+    lambda: gen_unit_square_mesh(2.5),
+    lambda: gen_quarter_ellipse_mesh(True, 0.5),
+    lambda: gen_quarter_annulus_mesh(4, 2.0, 0.5),
+    lambda: gen_quarter_annulus_mesh(True, 2, 0.5),
+    lambda: gen_quarter_ellipse_mesh(4, True),
+    lambda: gen_quarter_ellipse_mesh(4, np.True_),
 ])
 def test_generator_parameter_validation(call):
     with pytest.raises(InvalidParam):
         call()
+
+
+def test_numpy_integer_sizes_accepted():
+    assert gen_quarter_ellipse_mesh(np.int64(2), 0.5).num_triangles == 6
+    assert gen_quarter_annulus_mesh(np.int32(2), np.uint8(1), 0.5).num_triangles == 4
+    assert gen_unit_square_mesh(np.int16(2)).num_triangles == 8
