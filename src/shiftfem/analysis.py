@@ -51,8 +51,8 @@ class ConvergenceTable:
 @dataclass(frozen=True)
 class ErrorSetup:
     """What :func:`error_norms` reads of one mesh, its dof map and its local
-    bases, none of which depends on the solution: taken before the solve, it
-    lets the caller drop all three under the LU of A.
+    bases, none of which depends on the solution, so it can be taken before
+    the solve.
 
     ``vertices``, ``dirichlet_values`` and ``dirichlet_mask``, ``shifted``
     and ``coeffs`` are the arrays of the mesh, the dof map and the bases,

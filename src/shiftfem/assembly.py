@@ -85,9 +85,7 @@ class AssembledSystem:
     summed CSR is converted before it is returned, so that CSR and its
     COO-sized buffers are gone before the LU, and the LU copies nothing.
     The blocks are about as large as A, and each piece can outlive the
-    others: the CLI keeps ``blocks`` only for an entry that estimates
-    alpha_h, where they wait under the LU of A and are gone, like A and the
-    load, before the Gram factors run last.
+    others.
     """
 
     A: sp.csc_matrix

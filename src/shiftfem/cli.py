@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .analysis import (ConvergenceTable, ErrorReport, chord_node_gap,
                        convergence_orders, error_norms, error_setup, inf_sup_estimate)
-from .assembly import EXTENSION_MODES, assemble, assemble_gram, shift_update
+from .assembly import EXTENSION_MODES, ProblemSpec, assemble, assemble_gram, shift_update
 from .errors import ConfigError, InvalidParam, ShiftFEMError
 from .linsolve import solve
 from .mesh import (classify_elements, gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh,
@@ -157,11 +157,53 @@ def render(rows: Sequence[EntryResult], label: str, deterministic: bool) -> dict
             (("table.csv", csv), ("table.md", md), ("diagnostics.csv", diag))}
 
 
+# A sweep entry runs as four stages, each called by the next, so each SuperLU
+# factor has under it only what the stages still running hold. Under the LU of
+# A: A, the load and the error setup, plus an alpha_h entry's dof map, blocks
+# and bases, and a mesh to dump. A is gone when the Grams are built, and under
+# the Gram factors, last, are the Grams, the update and x.
+def _prepare(cfg: ExperimentConfig, problem: ProblemSpec, param: int) -> tuple:
+    mesh = classify_elements(MESH_FAMILIES[problem.geom.kind][1](param, cfg.e), problem.geom)
+    bases = build_local_bases(mesh, cfg.k, element_node_layouts(mesh, problem.geom, cfg.k))
+    dm = build_dof_map(mesh, bases, dirichlet_data=problem.d)
+    setup = error_setup(mesh, dm, bases, problem.exact)
+    chord_gap = chord_node_gap(mesh, bases, problem.exact.value)
+    kt_dev = float(bases.kt_deviation.max(initial=0.0))
+    sysm = assemble(mesh, dm, bases, problem)
+    gram_data = (dm, sysm.blocks, bases) if 0 < dm.n_unknowns <= INFSUP_LIMIT else None
+    return (sysm.A, sysm.rhs, setup, gram_data, mesh if cfg.dump_meshes else None,
+            dm.n_unknowns, chord_gap, kt_dev)
+
+
+def _lu(cfg: ExperimentConfig, problem: ProblemSpec, param: int) -> tuple:
+    A, rhs, *rest = _prepare(cfg, problem, param)
+    return solve(A, rhs), *rest
+
+
+def _solved(cfg: ExperimentConfig, problem: ProblemSpec, param: int) -> tuple:
+    srep, setup, gram_data, *rest = _lu(cfg, problem, param)
+    rep = error_norms(setup, srep.x, param=param)
+    return srep, rep, None if gram_data is None else (
+        assemble_gram(*gram_data, "test_space"), assemble_gram(*gram_data, "trial_space"),
+        shift_update(*gram_data)), *rest
+
+
+def _entry(cfg: ExperimentConfig, problem: ProblemSpec, param: int) -> tuple:
+    """The entry's row, its solve report, and its mesh's text if it is dumped."""
+    t0 = time.perf_counter()
+    srep, rep, infsup, mesh, n, chord_gap, kt_dev = _solved(cfg, problem, param)
+    row = EntryResult(report=rep, n_unknowns=n, kt_dev=kt_dev,
+                      alpha_h=None if infsup is None else inf_sup_estimate(*infsup),
+                      chord_gap=chord_gap, residual=srep.residual_norm,
+                      runtime_s=time.perf_counter() - t0)
+    return row, srep, None if mesh is None else mesh_text(mesh)
+
+
 def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
     """Sweep the mesh parameter, solve, and rewrite every artifact after each
     entry, so a run that fails later keeps the rows already finished."""
     problem = by_name(cfg.problem, e=cfg.e, k=cfg.k, extension_mode=cfg.extension_mode)
-    label, mesh_of, _ = MESH_FAMILIES[problem.geom.kind]
+    label = MESH_FAMILIES[problem.geom.kind][0]
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -171,51 +213,19 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
     rows = []
     for param in cfg.sweep:
         try:
-            t0 = time.perf_counter()
-            mesh = classify_elements(mesh_of(param, cfg.e), problem.geom)
-            bases = build_local_bases(mesh, cfg.k,
-                                      element_node_layouts(mesh, problem.geom, cfg.k))
-            dm = build_dof_map(mesh, bases, dirichlet_data=problem.d)
-            # all that reads the mesh, bases and dof map but not x runs before
-            # the solve, and alpha_h last, so each factor has only its own
-            # inputs under it: the LU of A has A, the load and the error setup
-            # (and an alpha_h entry's dof map, blocks and bases, for its
-            # Grams); the Gram factors have the Grams, the update and x
-            n = dm.n_unknowns
-            setup = error_setup(mesh, dm, bases, problem.exact)
-            chord_gap = chord_node_gap(mesh, bases, problem.exact.value)
-            kt_dev = float(bases.kt_deviation.max(initial=0.0))
-            sysm = assemble(mesh, dm, bases, problem)
-            gram_data = (dm, sysm.blocks, bases) if 0 < n <= INFSUP_LIMIT else None
-            A, rhs = sysm.A, sysm.rhs
-            mesh = mesh if cfg.dump_meshes else None  # a mesh dump reads it last
-            del sysm, bases, dm
-            srep = solve(A, rhs)
-            del A, rhs
-            rep = error_norms(setup, srep.x, param=param)
-            del setup
-            infsup = None if gram_data is None else (
-                assemble_gram(*gram_data, "test_space"),
-                assemble_gram(*gram_data, "trial_space"),
-                shift_update(*gram_data))
-            del gram_data
-            alpha = None if infsup is None else inf_sup_estimate(*infsup)
-            del infsup
-            row = EntryResult(report=rep, n_unknowns=n, kt_dev=kt_dev, alpha_h=alpha,
-                              chord_gap=chord_gap, residual=srep.residual_norm,
-                              runtime_s=time.perf_counter() - t0)
+            row, srep, dump = _entry(cfg, problem, param)
         except ShiftFEMError as exc:
             raise type(exc)(f"sweep entry param={param}: {exc}") from exc
         rows.append(row)
         files = render(rows, label, cfg.deterministic)
         if cfg.dump_meshes:
-            files[f"mesh_{param}.txt"] = mesh_text(mesh)
+            files[f"mesh_{param}.txt"] = dump
         for name, text in files.items():
             _write_atomic(out / name, text)
         if log is not None:
-            alpha_h = "" if alpha is None else f" alpha_h={alpha:.6f}"
-            print(f"param={param}: n={row.n_unknowns} grad={rep.grad_err:.6e} "
-                  f"l2={rep.l2_err:.6e} max={rep.max_nodal_err:.6e} "
+            alpha_h = "" if row.alpha_h is None else f" alpha_h={row.alpha_h:.6f}"
+            print(f"param={param}: n={row.n_unknowns} grad={row.report.grad_err:.6e} "
+                  f"l2={row.report.l2_err:.6e} max={row.report.max_nodal_err:.6e} "
                   f"eta={srep.backward_error:.6e}{alpha_h}", file=log)
 
     if log is not None:

@@ -421,6 +421,17 @@ def test_alpha_h_stays_near_one_on_annuli_up_to_half_thin(k, e):
     assert 0.96 <= alphas[0] < alphas[1] < alphas[2] <= 1.0
 
 
+@pytest.mark.parametrize("prob,k,e", [(ellipse_test1, 2, 0.5), (ellipse_test1, 3, 0.5),
+                                      (annulus_test2, 2, 0.5), (annulus_test2, 3, 0.5),
+                                      (annulus_test2, 3, 0.9)])
+def test_one_minus_alpha_h_decays_at_second_order(prob, k, e):
+    # the discrete inf-sup constant tends to 1 at O(h^2) on every refined
+    # pair: the order from 16 to 32 is 1.90 to 2.19 over these cases
+    alphas = [_alpha_h(prob(e), k, e, param) for param in (8, 16, 32)]
+    assert min(alphas) >= 0.85
+    assert 1.8 <= math.log2((1.0 - alphas[1]) / (1.0 - alphas[2])) <= 2.3
+
+
 def test_thin_annulus_alpha_h_is_small_on_coarse_meshes():
     # Documented behaviour at e = 0.95, not a bound the method promises: the
     # ring is 0.05 wide, so a coarse mesh barely resolves it. At k = 2 the

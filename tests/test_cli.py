@@ -398,6 +398,47 @@ def test_the_lu_of_a_runs_without_the_mesh_bases_and_dof_map(tmp_path, monkeypat
     assert grams == ["test_space", "trial_space"]
 
 
+def test_nothing_of_an_entry_survives_into_the_next_entrys_lu(tmp_path, monkeypatch):
+    """Both entries estimate alpha_h; under the second entry's LU of A, the
+    first entry's A, error setup, local bases, dof map, element blocks, both
+    Grams and shift update are all gone."""
+    refs, checked = {}, []
+
+    def traced(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            if name == "assemble":
+                refs.setdefault("blocks", weakref.ref(result.blocks))
+            elif name == "assemble_gram":
+                refs.setdefault(f"gram {args[3]}", weakref.ref(result))
+            else:
+                refs.setdefault(name, weakref.ref(result))
+            return result
+        return wrapper
+
+    def solved(A, b):
+        if checked:  # the first entry's objects were all recorded by now
+            gc.collect()
+            checked.append((len(b), sorted(name for name, ref in refs.items()
+                                           if ref() is not None)))
+        else:
+            refs["A"] = weakref.ref(A)
+            checked.append((len(b), None))
+        return linsolve.solve(A, b)
+
+    names = ("error_setup", "build_local_bases", "build_dof_map", "assemble",
+             "assemble_gram", "shift_update")
+    for name in names:
+        monkeypatch.setattr(cli, name, traced(name, getattr(cli, name)))
+    monkeypatch.setattr(cli, "solve", solved)
+    assert main(["run", "--problem", "ellipse_test1", "--k", "2", "--sweep", "4,8",
+                 "--out", str(tmp_path)]) == 0
+    assert len(refs) == 8
+    assert checked == [(60, None), (248, [])]
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
+    assert all(row.split(",")[4] for row in rows)
+
+
 def test_a_mesh_dump_is_written_from_the_kept_mesh(tmp_path, monkeypatch):
     # no entry estimates alpha_h, so only the dump reads the mesh after the solve
     monkeypatch.setattr(cli, "INFSUP_LIMIT", 0)

@@ -1,7 +1,7 @@
-"""Module layering: one module owns the sparse factorizations, one the
-formats of the run's artifacts, src/ defines only what src/ uses and no
-method that doubles a function, and the tests reach src/ only through its
-public names."""
+"""Module layering: one module owns the sparse factorizations and one calls
+them, one holds the formats of the run's artifacts, src/ defines only what
+src/ uses and no method that doubles a function, and the tests reach src/ only
+through its public names."""
 
 import ast
 from pathlib import Path
@@ -28,6 +28,28 @@ def test_only_linsolve_imports_sparse_linalg():
         if any(m == "scipy.sparse.linalg" or m.startswith("scipy.sparse.linalg.")
                for m in _imported_modules(ast.parse(path.read_text()))))
     assert importers == ["linsolve.py"]
+
+
+def _called(tree, names):
+    """The names in ``names`` a module calls, bare or as ``module.name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in names:
+                yield func.id
+            elif (isinstance(func, ast.Attribute) and func.attr in names
+                  and isinstance(func.value, ast.Name)
+                  and func.value.id in ("linsolve", "analysis")):
+                yield func.attr
+
+
+def test_only_cli_runs_the_factorizations():
+    # the runner's stages decide what is alive under each SuperLU factor; a
+    # call from another module would factor outside that structure
+    callers = sorted({(path.name, name) for path in SRC.glob("*.py")
+                      for name in _called(ast.parse(path.read_text()),
+                                          {"solve", "inf_sup_estimate"})})
+    assert callers == [("cli.py", "inf_sup_estimate"), ("cli.py", "solve")]
 
 
 def test_only_cli_holds_the_artifact_headers():
