@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import ExactSolution, ShiftUpdate, element_geometry
+from .assembly import ExactSolution, ShiftUpdate, element_geometry, trial_gram
 from .errors import (DimensionMismatch, InconsistentDof, InvalidParam, MissingExact,
                      NonDyadicSequence, NotSPD)
 from .linsolve import bordered_schur, fill_order
@@ -170,7 +170,7 @@ def chord_node_gap(mesh: TriMesh, local_bases: LocalBases, u: Callable) -> float
     return float(np.max(gap, initial=0.0))
 
 
-def inf_sup_estimate(G_test, G_trial, update: ShiftUpdate) -> float:
+def inf_sup_estimate(G_test, update: ShiftUpdate) -> float:
     """Discrete inf over trial w of sup over test v of a_h(w, v) / (|w|_1 |v|_1).
 
     Its square is the smallest eigenvalue s of A^T G_test^-1 A w = s G_trial w,
@@ -193,12 +193,14 @@ def inf_sup_estimate(G_test, G_trial, update: ShiftUpdate) -> float:
     K_N leaves -R in the trailing block of its L U, and of
     K_L = [[G_trial, L], [L^T, 0]] leaves -W. :func:`bordered_schur` factors
     each once, in the ``MMD_AT_PLUS_A`` order of G_test (:func:`fill_order`;
-    G_trial has the same pattern) with the border last. Eliminating the Gram
-    first leaves its pivots untouched by the border, so the same factor
-    proves each Gram symmetric positive definite; this is the one place the
-    Grams are proved so, also when r = 0, where alpha_h is exactly 1. Then
-    Z is the dense Cholesky factor of W and Z^T R Z one r x r symmetric
-    eigenproblem: no factor of A, no solve and no iteration.
+    G_trial has no entry outside its pattern) with the border last.
+    Eliminating the Gram first leaves its pivots untouched by the border, so
+    the same factor proves each Gram symmetric positive definite; this is the
+    one place the Grams are proved so, also when r = 0, where alpha_h is
+    exactly 1. Then Z is the dense Cholesky factor of W and Z^T R Z one r x r
+    symmetric eigenproblem: no factor of A, no solve and no iteration.
+    G_trial (:func:`trial_gram`) is formed after K_N's factor and dropped
+    before its own, so each factor has one Gram under it.
 
     L must have full column rank, as it does when every moved node is listed
     once (cond(W) <= 54 on the built-in meshes): then W is positive definite
@@ -207,9 +209,8 @@ def inf_sup_estimate(G_test, G_trial, update: ShiftUpdate) -> float:
     """
     N, L, Q = update.N, update.L, update.Q
     n, r = N.shape
-    if G_test.shape != (n, n) or G_trial.shape != (n, n) or L.shape != (n, r) \
-            or Q.shape != (r, r):
-        raise DimensionMismatch("both Gram matrices must be n x n, N and L n x r, Q r x r")
+    if G_test.shape != (n, n) or L.shape != (n, r) or Q.shape != (r, r):
+        raise DimensionMismatch("G_test must be n x n, N and L n x r, Q r x r")
     if n == 0:
         raise DimensionMismatch("the inf-sup estimate needs at least one unknown")
     tol = (n + r) * np.finfo(float).eps
@@ -224,7 +225,7 @@ def inf_sup_estimate(G_test, G_trial, update: ShiftUpdate) -> float:
         order = fill_order(G_test)
         R = -bordered_schur(G_test, N, Q, order)[0]
         gram = "trial"
-        S, pivots = bordered_schur(G_trial, L, None, order)
+        S, pivots = bordered_schur(trial_gram(G_test, update), L, None, order)
     except (NotSPD, InconsistentDof) as exc:
         raise type(exc)(f"{gram}-space Gram: {exc}") from exc
     if not np.all(pivots < -tol * np.abs(S).max(initial=0.0)):

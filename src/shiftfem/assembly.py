@@ -30,7 +30,6 @@ from .spaces import (DofMap, LocalBases, barycentric_gradients, check_compatible
                      eval_basis_bary, eval_basis_bary_grad)
 
 EXTENSION_MODES = ("analytic", "zero_outside")
-BASIS_CHOICES = ("test_space", "trial_space")
 # A point with a larger boundary field g is outside the domain.
 OUTSIDE_TOL = 1e-12
 # Elements per call of the stiffness-block and load kernels.
@@ -78,8 +77,8 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class AssembledSystem:
     """A and the load of one mesh, plus the standard-basis element stiffness
-    blocks B (T, n_k, n_k) both Gram matrices are built from. A's block of a
-    shifted element is ``B @ C`` for its coefficient map C.
+    blocks B (T, n_k, n_k) of the test Gram and the shift update. A's block
+    of a shifted element is ``B @ C`` for its coefficient map C.
 
     A is CSC, the format SuperLU factors, with exactly ``A.nnz`` slots: its
     summed CSR is converted before it is returned, so that CSR and its
@@ -184,26 +183,18 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     return AssembledSystem(A=_scatter(ui, B, dofmap.n_unknowns, s, BC).tocsc(), rhs=rhs, blocks=B)
 
 
-def assemble_gram(dofmap: DofMap, blocks: np.ndarray, local_bases: LocalBases,
-                  basis_choice: str = "test_space") -> sp.csr_matrix:
-    """Gradient Gram matrix of the chosen space's basis over the unknowns.
+def assemble_gram(dofmap: DofMap, blocks: np.ndarray) -> sp.csr_matrix:
+    """Gradient Gram matrix of the test space's basis over the unknowns.
 
-    Built from the element blocks B :func:`assemble` made with ``dofmap``,
-    so it uses the same stiffness rule and costs no second block kernel: the
-    test Gram sums the blocks B, the trial Gram takes ``C^T B C`` on the
-    shifted elements. The result is not checked here;
+    Sums the element blocks B :func:`assemble` made with ``dofmap``, so it
+    uses the same stiffness rule and costs no second block kernel. The trial
+    space's Gram is this one plus the low-rank :class:`ShiftUpdate`
+    (:func:`trial_gram`). The result is not checked here;
     :func:`shiftfem.analysis.inf_sup_estimate` proves both Grams symmetric
     positive definite with the bordered factors of :mod:`shiftfem.linsolve`
     (failure signals a broken dof map).
     """
-    if basis_choice not in BASIS_CHOICES:
-        raise InvalidParam(f"unknown basis_choice {basis_choice!r}")
-    ui = dofmap.unknown_index[dofmap.element_to_global]
-    if basis_choice == "test_space":
-        G = _scatter(ui, blocks, dofmap.n_unknowns)
-    else:
-        s, C = local_bases.shifted, local_bases.coeffs
-        G = _scatter(ui, blocks, dofmap.n_unknowns, s, C.transpose(0, 2, 1) @ blocks[s] @ C)
+    G = _scatter(dofmap.unknown_index[dofmap.element_to_global], blocks, dofmap.n_unknowns)
     # the summed CSR views COO-sized buffers (SciPy prunes only past 50 % slack),
     # and the Gram stays under both bordered factors: keep exactly nnz slots
     return G.copy()
@@ -220,7 +211,8 @@ class ShiftUpdate:
     the unknowns. ``Q`` (r, r) is the plain stiffness among the moved nodes:
     block diagonal, one block per element, since each moved node lies on a
     boundary edge and so in one element. Moved nodes are Dirichlet nodes, so
-    their own columns are not unknowns, and up to rounding
+    their own columns are not unknowns, and up to rounding (the trial Gram is
+    only ever formed this way, by :func:`trial_gram`)
 
         A = G_test + N L^T,    G_trial = G_test + N L^T + L N^T + L Q L^T.
     """
@@ -246,3 +238,9 @@ def shift_update(dofmap: DofMap, blocks: np.ndarray, local_bases: LocalBases) ->
     Q = np.where(el[:, None] == el, B[el[:, None], loc[:, None], loc], 0.0)
     return ShiftUpdate(N=N, L=L, Q=Q)
 
+
+def trial_gram(G_test, update: ShiftUpdate) -> sp.csr_matrix:
+    """G_trial = G_test + N L^T + L (N + L Q)^T of :class:`ShiftUpdate`, unchecked
+    like :func:`assemble_gram`. Q is made sparse, or the sum would be dense n x n."""
+    N, L = update.N, update.L
+    return G_test + N @ L.T + L @ (N + L @ sp.csc_matrix(update.Q)).T

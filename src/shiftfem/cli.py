@@ -160,8 +160,8 @@ def render(rows: Sequence[EntryResult], label: str, deterministic: bool) -> dict
 # A sweep entry runs as four stages, each called by the next, so each SuperLU
 # factor has under it only what the stages still running hold. Under the LU of
 # A: A, the load and the error setup, plus an alpha_h entry's dof map, blocks
-# and bases, and a mesh to dump. A is gone when the Grams are built, and under
-# the Gram factors, last, are the Grams, the update and x.
+# and bases, and a mesh to dump. A is gone when the test Gram is built, and
+# under the Gram factors, last, are one Gram, the update and x.
 def _prepare(cfg: ExperimentConfig, problem: ProblemSpec, param: int) -> tuple:
     mesh = classify_elements(MESH_FAMILIES[problem.geom.kind][1](param, cfg.e), problem.geom)
     bases = build_local_bases(mesh, cfg.k, element_node_layouts(mesh, problem.geom, cfg.k))
@@ -184,8 +184,7 @@ def _solved(cfg: ExperimentConfig, problem: ProblemSpec, param: int) -> tuple:
     srep, setup, gram_data, *rest = _lu(cfg, problem, param)
     rep = error_norms(setup, srep.x, param=param)
     return srep, rep, None if gram_data is None else (
-        assemble_gram(*gram_data, "test_space"), assemble_gram(*gram_data, "trial_space"),
-        shift_update(*gram_data)), *rest
+        assemble_gram(*gram_data[:2]), shift_update(*gram_data)), *rest
 
 
 def _entry(cfg: ExperimentConfig, problem: ProblemSpec, param: int) -> tuple:

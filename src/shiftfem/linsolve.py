@@ -141,6 +141,7 @@ def bordered_schur(G, X, C, order) -> tuple[np.ndarray, np.ndarray]:
     # K in its factor order at once: relabelling the COO entries costs no
     # permuted copies of K, whose heap would stay under the factor
     K = sp.bmat([[G, X], [X.T, C]], format="coo")
+    del G  # K has its entries: a Gram the caller passed as a temporary is freed before the LU
     q = np.r_[order, n + np.arange(r)].astype(K.row.dtype)
     K = sp.csc_matrix((K.data, (q[K.row], q[K.col])), shape=K.shape)
     lu = _superlu(splu, NotSPD, "gram matrix is singular", K, permc_spec="NATURAL",

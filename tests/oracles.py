@@ -10,6 +10,8 @@ error norms. Sparsity patterns, numbering and counts stay exact.
 from the standard basis and that element's coefficient map, where the
 pipeline works on whole-mesh stacks at quadrature points. ``load_mesh``
 reads back the text format of ``shiftfem.mesh.mesh_text``.
+``element_trial_gram`` sums the trial space's Gram element by element, where
+the pipeline adds the low-rank shift update to the test Gram.
 ``scalar_pieces`` and ``scalar_ray_intersection`` cast one ray at a time
 through scalar closures, where the pipeline solves every ray of a mesh in
 one array iteration.
@@ -23,6 +25,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from shiftfem.assembly import assemble_gram
 from shiftfem.errors import MeshAssumptionViolated, NoConvergence
 from shiftfem.geometry import DEFAULT_BRACKET, DEFAULT_TOL
 from shiftfem.mesh import TriMesh, make_mesh
@@ -88,6 +91,15 @@ def eval_uh(dofmap: DofMap, local_bases: LocalBases,
     a = element_coeffs(local_bases, element_id) @ c_local
     vals, grads = eval_basis_physical(local_bases.k, nodes[:3], np.asarray(p, dtype=float))
     return EvalResult(value=float(vals[0] @ a), gradient=grads[0].T @ a)
+
+
+def element_trial_gram(dofmap: DofMap, local_bases: LocalBases, blocks: np.ndarray):
+    """The trial space's Gram from the element blocks B ``assemble`` made
+    with ``dofmap``: C^T B C on each shifted element, B elsewhere."""
+    shifted, C = local_bases.shifted, local_bases.coeffs
+    trial = blocks.copy()
+    trial[shifted] = C.transpose(0, 2, 1) @ blocks[shifted] @ C
+    return assemble_gram(dofmap, trial)
 
 
 def load_mesh(path) -> TriMesh:

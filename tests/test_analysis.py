@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
+from scipy.linalg import block_diag, solve_triangular
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from shiftfem import cli, linsolve
@@ -16,7 +16,7 @@ from shiftfem.analysis import (ConvergenceTable, ErrorReport, chord_node_gap,
                                convergence_orders, error_norms, error_setup,
                                inf_sup_estimate)
 from shiftfem.assembly import (ExactSolution, ProblemSpec, ShiftUpdate, assemble,
-                               assemble_gram, shift_update)
+                               assemble_gram, shift_update, trial_gram)
 from shiftfem.cli import MESH_FAMILIES
 from shiftfem.errors import (DimensionMismatch, InconsistentDof, InvalidParam,
                              MeshAssumptionViolated, MissingExact, NonDyadicSequence,
@@ -29,7 +29,7 @@ from shiftfem.problems import annulus_test2, ellipse_test1, polygon_patch
 from shiftfem.spaces import (build_dof_map, build_local_bases,
                              element_node_layouts, full_vector, lagrange_layout)
 
-from oracles import assert_within_rounding, eval_uh
+from oracles import assert_within_rounding, element_trial_gram, eval_uh
 
 # Frozen outputs of this pipeline (splu solve, default quadrature). These
 # pin regressions: any change to mesh generation, node relocation, assembly,
@@ -377,22 +377,18 @@ def test_inf_sup_polygon_is_one():
     mesh, dm, bases, sysm, _ = _solve_problem(prob, gen_unit_square_mesh(4))
     update = shift_update(dm, sysm.blocks, bases)
     assert update.N.shape == (dm.n_unknowns, 0)
-    assert inf_sup_estimate(assemble_gram(dm, sysm.blocks, bases, "test_space"),
-                            assemble_gram(dm, sysm.blocks, bases, "trial_space"), update) == 1.0
+    assert inf_sup_estimate(assemble_gram(dm, sysm.blocks), update) == 1.0
 
 
 def test_inf_sup_frozen_on_curved_domains():
     for J, expected in ELLIPSE_ALPHA.items():
         _, mesh, dm, bases, sysm, _ = _ellipse_case(J)
-        a = inf_sup_estimate(assemble_gram(dm, sysm.blocks, bases, "test_space"),
-                             assemble_gram(dm, sysm.blocks, bases, "trial_space"),
+        a = inf_sup_estimate(assemble_gram(dm, sysm.blocks),
                              shift_update(dm, sysm.blocks, bases))
         assert a == pytest.approx(expected, abs=1e-5)
         assert 0.1 <= a <= 1.0
     _, mesh, dm, bases, sysm, _ = _annulus_case(4)
-    a = inf_sup_estimate(assemble_gram(dm, sysm.blocks, bases, "test_space"),
-                         assemble_gram(dm, sysm.blocks, bases, "trial_space"),
-                         shift_update(dm, sysm.blocks, bases))
+    a = inf_sup_estimate(assemble_gram(dm, sysm.blocks), shift_update(dm, sysm.blocks, bases))
     assert a == pytest.approx(ANNULUS_ALPHA[4], abs=1e-5)
 
 
@@ -402,9 +398,7 @@ def _alpha_h(prob, k, e, param):
     bases = build_local_bases(mesh, k, element_node_layouts(mesh, prob.geom, k))
     dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)
     blocks = assemble(mesh, dm, bases, prob).blocks
-    return inf_sup_estimate(assemble_gram(dm, blocks, bases, "test_space"),
-                            assemble_gram(dm, blocks, bases, "trial_space"),
-                            shift_update(dm, blocks, bases))
+    return inf_sup_estimate(assemble_gram(dm, blocks), shift_update(dm, blocks, bases))
 
 
 @pytest.mark.parametrize("e", [0.05, 0.5, 0.95])
@@ -465,10 +459,10 @@ def _curved_pipeline(case):
 
 
 def _curved_system(case):
+    """A, the test Gram, the element-by-element trial Gram and the update."""
     dm, bases, sysm = _curved_pipeline(case)
-    return (sysm.A, assemble_gram(dm, sysm.blocks, bases, "test_space"),
-            assemble_gram(dm, sysm.blocks, bases, "trial_space"),
-            shift_update(dm, sysm.blocks, bases))
+    return (sysm.A, assemble_gram(dm, sysm.blocks),
+            element_trial_gram(dm, bases, sysm.blocks), shift_update(dm, sysm.blocks, bases))
 
 
 @pytest.mark.parametrize("case", [("ellipse", 8, 2), ("ellipse", 8, 3),
@@ -476,14 +470,11 @@ def _curved_system(case):
 def test_shift_update_reproduces_a_and_the_trial_gram(case):
     # A wrong set of moved locals leaves errors of order kt_dev, not rounding.
     dm, bases, sysm = _curved_pipeline(case)
-    A, G_test, G_trial = (sysm.A, assemble_gram(dm, sysm.blocks, bases, "test_space"),
-                          assemble_gram(dm, sysm.blocks, bases, "trial_space"))
-    u = shift_update(dm, sysm.blocks, bases)
+    G_test, u = assemble_gram(dm, sysm.blocks), shift_update(dm, sysm.blocks, bases)
     assert u.N.shape[1] == (case[2] - 1) * len(bases.shifted)  # k-1 per curved edge
-    tol = 1e-13 * abs(A).max()
-    NL = u.N @ u.L.T
-    assert abs(A - G_test - NL).max() <= tol
-    assert abs(G_trial - G_test - NL - NL.T - u.L @ sp.csr_matrix(u.Q) @ u.L.T).max() <= tol
+    tol = 1e-13 * abs(sysm.A).max()
+    assert abs(sysm.A - G_test - u.N @ u.L.T).max() <= tol
+    assert abs(trial_gram(G_test, u) - element_trial_gram(dm, bases, sysm.blocks)).max() <= tol
 
 
 def test_shift_update_rejects_a_moved_unknown():
@@ -501,9 +492,9 @@ def test_shift_update_rejects_a_moved_unknown():
                                   ("annulus", 16, 3)])
 def test_inf_sup_matches_dense_svd(case):
     A, G_test, G_trial, update = _curved_system(case)
-    a = inf_sup_estimate(G_test, G_trial, update)
+    a = inf_sup_estimate(G_test, update)
     assert a == pytest.approx(_dense_inf_sup(A, G_test, G_trial), rel=1e-12)
-    assert inf_sup_estimate(G_test, G_trial, update) == a
+    assert inf_sup_estimate(G_test, update) == a
 
 
 def test_inf_sup_matches_lanczos_on_the_full_pencil():
@@ -516,7 +507,7 @@ def test_inf_sup_matches_lanczos_on_the_full_pencil():
                             matvec=lambda x: lu.solve(G_test @ lu.solve(x, trans="T")))
     s2 = eigsh(op_inv, k=1, M=G_trial, sigma=0.0, OPinv=op_inv,
                v0=np.ones(A.shape[0]), return_eigenvectors=False)[0]
-    assert inf_sup_estimate(G_test, G_trial, update) == pytest.approx(math.sqrt(s2), rel=1e-12)
+    assert inf_sup_estimate(G_test, update) == pytest.approx(math.sqrt(s2), rel=1e-12)
 
 
 def test_inf_sup_small_systems():
@@ -529,16 +520,16 @@ def test_inf_sup_small_systems():
             N=sp.csc_matrix(N), L=sp.csc_matrix(L), Q=Q)
 
     A, G, Gw, u = pencil([[4.0]], [[-1.0]], [[2.0]], [[3.0]])
-    assert inf_sup_estimate(G, Gw, u) == pytest.approx(_dense_inf_sup(A, G, Gw), rel=1e-14)
+    assert inf_sup_estimate(G, u) == pytest.approx(_dense_inf_sup(A, G, Gw), rel=1e-14)
     A, G, Gw, u = pencil([[2.0, -1.0], [-1.0, 2.0]], [[-1.0], [0.5]], [[0.3], [0.2]], [[1.5]])
-    assert inf_sup_estimate(G, Gw, u) == pytest.approx(_dense_inf_sup(A, G, Gw), rel=1e-12)
+    assert inf_sup_estimate(G, u) == pytest.approx(_dense_inf_sup(A, G, Gw), rel=1e-12)
     A, G, Gw, u = pencil(np.eye(3), [[-1.0, 0.0], [0.0, -0.5], [0.5, 0.5]],
                          [[0.1, 0.0], [0.2, 0.3], [0.0, -0.4]], [[2.0, 0.5], [0.5, 1.0]])
-    assert inf_sup_estimate(G, Gw, u) == pytest.approx(_dense_inf_sup(A, G, Gw), rel=1e-12)
+    assert inf_sup_estimate(G, u) == pytest.approx(_dense_inf_sup(A, G, Gw), rel=1e-12)
     # A = 1 - 1 = 0 while G_trial = 1: no inf-sup stability at all
     A, G, Gw, u = pencil([[1.0]], [[-1.0]], [[1.0]], [[2.0]])
     assert A[0, 0] == 0.0 and Gw[0, 0] == 1.0
-    assert inf_sup_estimate(G, Gw, u) == 0.0
+    assert inf_sup_estimate(G, u) == 0.0
 
 
 def _neumann_laplacian(n, scale=1.0):
@@ -564,35 +555,48 @@ def _beside(G, M):
     return sp.block_diag((sp.csr_matrix(G), M), format="csr")
 
 
+# The test Gram c I over which a spoiled update builds a bad trial Gram: at
+# c = 2.5, every G - c I in NOT_SPD factors with nonzero diagonal pivots.
+SHIFT = 2.5
+
+
+def _stacked(a, b):
+    """The updates of two sets of unknowns side by side: N, L and Q block diagonal."""
+    return ShiftUpdate(N=sp.block_diag((a.N, b.N), format="csc"),
+                       L=sp.block_diag((a.L, b.L), format="csc"),
+                       Q=block_diag(a.Q, b.Q))
+
+
 @pytest.mark.parametrize("name", list(NOT_SPD))
 def test_sparse_spd_proof_rejects_what_dense_cholesky_rejects(name):
-    # Both Grams must be proved SPD through either slot: with no moved node
-    # (r = 0), where alpha_h needs no Schur complement, and beside a real
-    # ellipse mesh's Grams and update (r > 0), out of reach of the border.
+    # Both Grams must be proved SPD, alone and beside a real ellipse mesh's
+    # Gram and update, out of reach of its border. A bad test Gram is passed
+    # in; a bad trial Gram comes from a spoiled update: one moved node per
+    # unknown with L = I, N = 0 and Q = (G - c I)^T makes the trial Gram over
+    # the test Gram c I exactly G. With no moved node (r = 0) the trial Gram
+    # is the test Gram, so a bad one alone cannot arise there.
     G = NOT_SPD[name]
     m = len(G)
     eye, none = np.eye(m), _no_shift(m)
     if name != "nonsymmetric":  # dense Cholesky reads one triangle only
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(G)
-    _, G_test, G_trial, u = _curved_system(("ellipse", 4, 2))
-
-    def pad(X):
-        return sp.vstack((sp.csc_matrix((m, X.shape[1])), X), format="csc")
-
-    real = replace(u, N=pad(u.N), L=pad(u.L))
-    assert real.N.shape[1] > 0
-    for bad_test_slot, bad_trial_slot, update in (
-            ((G, eye), (eye, G), none),
-            ((_beside(G, G_test), _beside(eye, G_trial)),
-             (_beside(eye, G_test), _beside(G, G_trial)), real)):
+    _, G_test, _, u = _curved_system(("ellipse", 4, 2))
+    bad = ShiftUpdate(N=sp.csc_matrix((m, m)), L=sp.identity(m, format="csc"),
+                      Q=(G - SHIFT * eye).T)
+    assert np.array_equal(np.asarray(trial_gram(SHIFT * eye, bad)), G)
+    assert u.N.shape[1] > 0
+    for bad_test_slot, bad_trial_slot in (
+            ((G, none), (SHIFT * eye, bad)),
+            ((_beside(G, G_test), _stacked(none, u)),
+             (_beside(SHIFT * eye, G_test), _stacked(bad, u)))):
         with pytest.raises(NotSPD, match="^test-space Gram: "):
-            inf_sup_estimate(*bad_test_slot, update)
+            inf_sup_estimate(*bad_test_slot)
         with pytest.raises(NotSPD, match="^trial-space Gram: "):
-            inf_sup_estimate(*bad_trial_slot, update)
-    assert inf_sup_estimate(eye, eye, none) == 1.0
-    assert inf_sup_estimate(_beside(eye, G_test), _beside(eye, G_trial), real) \
-        == pytest.approx(inf_sup_estimate(G_test, G_trial, u), rel=1e-14)
+            inf_sup_estimate(*bad_trial_slot)
+    assert inf_sup_estimate(eye, none) == 1.0
+    assert inf_sup_estimate(_beside(eye, G_test), _stacked(none, u)) \
+        == pytest.approx(inf_sup_estimate(G_test, u), rel=1e-14)
 
 
 def test_fill_order_failure_is_not_spd():
@@ -657,11 +661,11 @@ def test_inf_sup_solves_nothing(monkeypatch):
             return Counted(fn(*args, **kwargs))
         return wrapper
 
-    _, G_test, G_trial, update = _curved_system(("ellipse", 8, 2))
-    expected = inf_sup_estimate(G_test, G_trial, update)
+    _, G_test, _, update = _curved_system(("ellipse", 8, 2))
+    expected = inf_sup_estimate(G_test, update)
     monkeypatch.setattr(linsolve, "splu", counted(linsolve.splu))
     monkeypatch.setattr(linsolve, "spilu", counted(linsolve.spilu))
-    assert inf_sup_estimate(G_test, G_trial, update) == expected
+    assert inf_sup_estimate(G_test, update) == expected
     assert factors == ["spilu", "splu", "splu"] and solves == []
 
 
@@ -675,7 +679,7 @@ def test_inf_sup_needs_no_symmetric_eigendecomposition(case, monkeypatch):
         raise AssertionError("np.linalg.eigh called")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    assert inf_sup_estimate(G_test, G_trial, update) == pytest.approx(want, rel=1e-12)
+    assert inf_sup_estimate(G_test, update) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, -1), (2, 3)])
@@ -683,32 +687,33 @@ def test_inf_sup_rejects_dependent_moved_node_rows(pair):
     # A moved node listed twice gives L two equal columns and K_L a singular
     # trailing block; SuperLU may then raise, pivot off the diagonal or leave
     # a rounding-sized pivot of either sign, so the rank is checked first.
-    _, G_test, G_trial, u = _curved_system(("ellipse", 8, 2))
+    _, G_test, _, u = _curved_system(("ellipse", 8, 2))
     cols = np.arange(u.L.shape[1])
     cols[pair[1]] = pair[0]
     with pytest.raises(InconsistentDof, match="linearly dependent"):
-        inf_sup_estimate(G_test, G_trial, replace(u, L=u.L[:, cols]))
+        inf_sup_estimate(G_test, replace(u, L=u.L[:, cols]))
 
 
 def test_inf_sup_rejects_a_trailing_pivot_at_rounding_size():
-    # L has full rank (cond(L^T L) ~ 1e12), but G^-1 stretches its common
-    # direction so far that K_L's last pivot, -3.6e-12, is rounding next to
-    # max|W| = 1e4: W is not numerically positive definite.
+    # L has full rank (cond(L^T L) ~ 1e12), but G_trial = G + L L^T, about
+    # diag(1.02e-4, 1), stretches its common direction so far that K_L's last
+    # pivot, -3.5e-18, is rounding next to max|W| = 9.8e-3: W is not
+    # numerically positive definite.
     G = sp.csr_matrix(np.diag([1e-4, 1.0]))
-    update = ShiftUpdate(N=sp.csc_matrix((2, 2)), L=sp.csc_matrix([[1.0, 1.0], [0.0, 2e-6]]),
-                         Q=np.eye(2))
+    update = ShiftUpdate(N=sp.csc_matrix((2, 2)),
+                         L=sp.csc_matrix([[1e-3, 1e-3], [0.0, 2e-9]]), Q=np.eye(2))
     with pytest.raises(InconsistentDof, match="not positive definite"):
-        inf_sup_estimate(G, G, update)
+        inf_sup_estimate(G, update)
 
 
 def test_inf_sup_memory_is_bounded():
     # Peak of Python-heap allocations of one estimate at n = 4,559, r = 128:
     # 5.1 MiB. Densifying the factors' border columns before taking their
     # trailing rows would hold (n + r) x r arrays and reach 14.6 MiB.
-    _, G_test, G_trial, update = _curved_system(("annulus", 32, 3))
+    _, G_test, _, update = _curved_system(("annulus", 32, 3))
     tracemalloc.start()
     try:
-        inf_sup_estimate(G_test, G_trial, update)
+        inf_sup_estimate(G_test, update)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -734,23 +739,27 @@ def test_assemble_memory_is_bounded():
 
 
 def test_inf_sup_rejects_indefinite_gram():
-    _, G_test, G_trial, update = _curved_system(("ellipse", 4, 2))
-    assert update.N.shape[1] > 0
+    # the trial Gram is G_trial - c L L^T for Q - c I, indefinite for large c
+    _, G_test, _, update = _curved_system(("ellipse", 4, 2))
+    r = update.N.shape[1]
+    assert r > 0
     with pytest.raises(NotSPD, match="^test-space Gram: gram matrix is not positive definite"):
-        inf_sup_estimate(-G_test, G_trial, update)
+        inf_sup_estimate(-G_test, update)
+    spoiled = replace(update, Q=update.Q - 1e3 * abs(G_test).max() * np.eye(r))
     with pytest.raises(NotSPD, match="^trial-space Gram: gram matrix is not positive definite"):
-        inf_sup_estimate(G_test, -G_trial, update)
+        inf_sup_estimate(G_test, spoiled)
+
 
 
 def test_inf_sup_rejects_shape_mismatch():
     with pytest.raises(DimensionMismatch):
-        inf_sup_estimate(np.eye(4), np.eye(3), _no_shift(3))
+        inf_sup_estimate(np.eye(4), _no_shift(3))
     with pytest.raises(DimensionMismatch):
-        inf_sup_estimate(np.eye(3), np.eye(3), _no_shift(4))
+        inf_sup_estimate(np.eye(3), replace(_no_shift(3), Q=np.eye(1)))
 
 
 def test_inf_sup_rejects_zero_unknowns():
     empty = sp.csr_matrix((0, 0))
     with pytest.raises(DimensionMismatch, match="at least one unknown"):
-        inf_sup_estimate(empty, empty, _no_shift(0))
+        inf_sup_estimate(empty, _no_shift(0))
 

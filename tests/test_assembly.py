@@ -9,8 +9,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from shiftfem import assembly, linsolve
-from shiftfem.assembly import ProblemSpec, assemble, assemble_gram, element_geometry
-from shiftfem.errors import InconsistentDof, InvalidParam
+from shiftfem.assembly import (ProblemSpec, assemble, assemble_gram, element_geometry,
+                               shift_update, trial_gram)
+from shiftfem.errors import InconsistentDof
 from shiftfem.geometry import annulus, ellipse, unit_square
 from shiftfem.linsolve import bordered_schur, fill_order, solve
 from shiftfem.mesh import (INTERIOR, classify_elements,
@@ -95,21 +96,17 @@ def test_a_is_csc_and_reaches_superlu_uncopied(monkeypatch, mesh, prob, k):
 
 def test_grams_own_exactly_nnz_slots():
     # SciPy's COO -> CSR leaves the duplicates' slots behind (28 % more than
-    # nnz here) and prunes only past 50 %; both Grams stay under the bordered
-    # factors
+    # nnz here) and prunes only past 50 %; the test Gram stays under both
+    # bordered factors
     prob = annulus_test2(extension_mode="zero_outside")
     mesh = classify_elements(gen_quarter_annulus_mesh(8, 4, 0.5), prob.geom)
     dm, bases, system = _pipeline(mesh, prob.geom, 3, prob)
-    blocks, C = system.blocks.copy(), bases.coeffs
-    for choice in ("test_space", "trial_space"):
-        if choice == "trial_space":
-            blocks[bases.shifted] = C.transpose(0, 2, 1) @ blocks[bases.shifted] @ C
-        want = _summed_csr(blocks, dm)
-        assert _root_size(want.data) > 1.2 * want.nnz  # the slack is there to drop
-        G = assemble_gram(dm, system.blocks, bases, choice)
-        assert _root_size(G.data) == _root_size(G.indices) == G.nnz
-        for name in ("data", "indices", "indptr"):
-            assert _same_bits(getattr(G, name), getattr(want, name))
+    want = _summed_csr(system.blocks, dm)
+    assert _root_size(want.data) > 1.2 * want.nnz  # the slack is there to drop
+    G = assemble_gram(dm, system.blocks)
+    assert _root_size(G.data) == _root_size(G.indices) == G.nnz
+    for name in ("data", "indices", "indptr"):
+        assert _same_bits(getattr(G, name), getattr(want, name))
 
 
 def test_polygon_matrix_symmetric():
@@ -288,8 +285,8 @@ def test_gram_equals_stiffness_on_polygon():
     geom = unit_square()
     mesh = classify_elements(gen_unit_square_mesh(3), geom)
     dm, bases, sys = _pipeline(mesh, geom, 2, polygon_patch(2))
-    g_test = assemble_gram(dm, sys.blocks, bases, "test_space")
-    g_trial = assemble_gram(dm, sys.blocks, bases, "trial_space")
+    g_test = assemble_gram(dm, sys.blocks)
+    g_trial = trial_gram(g_test, shift_update(dm, sys.blocks, bases))
     assert np.array_equal(g_test.toarray(), sys.A.toarray())
     assert np.array_equal(g_trial.toarray(), sys.A.toarray())
 
@@ -299,7 +296,9 @@ def test_gram_symmetric_spd_on_curved_mesh(choice):
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(8, 0.5), geom)
     dm, bases, sys = _pipeline(mesh, geom, 2, ellipse_test1())
-    G = assemble_gram(dm, sys.blocks, bases, choice)
+    G = assemble_gram(dm, sys.blocks)
+    if choice == "trial_space":
+        G = trial_gram(G, shift_update(dm, sys.blocks, bases))
     bordered_schur(G, sp.csc_matrix((G.shape[0], 0)), None, fill_order(G))
     dense = G.toarray()
     assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
@@ -309,8 +308,8 @@ def test_gram_spaces_differ_on_curved_mesh():
     geom = ellipse(0.5)
     mesh = classify_elements(gen_quarter_ellipse_mesh(4, 0.5), geom)
     dm, bases, sys = _pipeline(mesh, geom, 2, ellipse_test1())
-    g_test = assemble_gram(dm, sys.blocks, bases, "test_space")
-    g_trial = assemble_gram(dm, sys.blocks, bases, "trial_space")
+    g_test = assemble_gram(dm, sys.blocks)
+    g_trial = trial_gram(g_test, shift_update(dm, sys.blocks, bases))
     assert np.max(np.abs((g_test - g_trial).toarray())) > 1e-6
 
 
@@ -325,9 +324,6 @@ def test_invalid_inputs_rejected():
     short = replace(bases2, nodes=bases2.nodes[:-1], kt_deviation=bases2.kt_deviation[:-1])
     with pytest.raises(InconsistentDof):
         assemble(mesh, dm, short, polygon_patch(2))
-    with pytest.raises(InvalidParam):
-        assemble_gram(dm, assemble(mesh, dm, bases2, polygon_patch(2)).blocks, bases2,
-                      "both_spaces")
 
 
 @pytest.mark.parametrize("k", [2, 3])

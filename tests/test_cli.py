@@ -13,13 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from shiftfem import assembly, cli, linsolve
 from shiftfem.analysis import ErrorReport, inf_sup_estimate
 from shiftfem.cli import (DIAG_HEADER, MESH_FAMILIES, TABLE_HEADER, EntryResult,
                           ExperimentConfig, build_parser, config_from_args, main, render,
                           run_experiment)
-from shiftfem.errors import ConfigError, InconsistentDof, MeshAssumptionViolated, MissingExact
+from shiftfem.errors import (ConfigError, InconsistentDof, MeshAssumptionViolated, MissingExact,
+                             NotSPD)
 from shiftfem.mesh import classify_elements, gen_unit_square_mesh, mesh_text
 from shiftfem.problems import PROBLEM_NAMES, by_name
 from shiftfem.spaces import build_dof_map, build_local_bases, element_node_layouts
@@ -293,9 +295,9 @@ def test_alpha_h_waits_for_the_solve_and_a_is_gone_first(tmp_path, capsys, monke
         events.append(("solved", len(b)))
         return report
 
-    def gram(dofmap, blocks, bases, choice="test_space"):
-        events.append(("assemble_gram", choice, "A dead" if live["A"]() is None else "A alive"))
-        return assembly.assemble_gram(dofmap, blocks, bases, choice)
+    def gram(dofmap, blocks):
+        events.append(("assemble_gram", "A dead" if live["A"]() is None else "A alive"))
+        return assembly.assemble_gram(dofmap, blocks)
 
     def update(dofmap, blocks, bases):
         events.append(("shift_update",))
@@ -308,8 +310,7 @@ def test_alpha_h_waits_for_the_solve_and_a_is_gone_first(tmp_path, capsys, monke
                  "--extension", "zero_outside", "--out", str(tmp_path)]) == 0
     assert events == [
         ("solve", 275, "blocks alive"), ("solved", 275),
-        ("assemble_gram", "test_space", "A dead"), ("assemble_gram", "trial_space", "A dead"),
-        ("shift_update",),
+        ("assemble_gram", "A dead"), ("shift_update",),
         ("solve", 1127, "blocks dead"), ("solved", 1127),
     ]
     alpha = [row.split(",")[4] for row in
@@ -357,11 +358,44 @@ def test_alpha_h_runs_last_on_the_grams_alone(tmp_path, monkeypatch):
     assert checked == [60, 248]
 
 
+def test_one_gram_is_alive_under_each_bordered_factor(tmp_path, monkeypatch):
+    """The trial Gram is formed from the shift update after the test Gram's
+    bordered factor and freed before its own, so under each bordered factor
+    one n x n Gram is alive, the test Gram."""
+    def grams():
+        return [o for o in gc.get_objects() if sp.issparse(o) and o.format == "csr"]
+
+    held = grams()  # left by earlier tests: not counted below
+    unknowns, alive = [], []
+
+    def update(dofmap, blocks, bases):
+        unknowns.append(dofmap.n_unknowns)
+        return assembly.shift_update(dofmap, blocks, bases)
+
+    def superlu(factor, error, what, *args, **kwargs):
+        if factor is linsolve.splu and error is NotSPD:  # a bordered Gram factor
+            gc.collect()
+            n = unknowns[-1]
+            # sp.csr_matrix(G) views G's buffers: count each data buffer once
+            alive.append(len({id(G.data if G.data.base is None else G.data.base)
+                              for G in grams()
+                              if G.shape == (n, n) and not any(G is h for h in held)}))
+        return superlu_call(factor, error, what, *args, **kwargs)
+
+    superlu_call = linsolve._superlu
+    monkeypatch.setattr(cli, "shift_update", update)
+    monkeypatch.setattr(linsolve, "_superlu", superlu)
+    assert main(["run", "--problem", "annulus_test2", "--k", "3", "--sweep", "8,16",
+                 "--out", str(tmp_path)]) == 0
+    assert unknowns == [275, 1127]
+    assert alive == [1, 1, 1, 1]
+
+
 def test_the_lu_of_a_runs_without_the_mesh_bases_and_dof_map(tmp_path, monkeypatch):
     """Per entry, the error setup, the chord gap and kt_dev are taken before
     the solve, and the entry's mesh is gone under the LU of A. An entry that
     estimates no alpha_h has dropped its local bases and dof map too; one that
-    does keeps them for its two Grams."""
+    does keeps them for its Gram and shift update."""
     monkeypatch.setattr(cli, "INFSUP_LIMIT", 100)  # J=4 has 60 unknowns, J=8 248
     kept = ("classify_elements", "build_local_bases", "build_dof_map")
     refs, done, dead, grams = {}, [], [], []
@@ -384,9 +418,9 @@ def test_the_lu_of_a_runs_without_the_mesh_bases_and_dof_map(tmp_path, monkeypat
         dead.append((len(b), [name for name in kept if refs[name]() is None]))
         return linsolve.solve(A, b)
 
-    def gram(dofmap, blocks, bases, choice="test_space"):
-        grams.append(choice)
-        return assembly.assemble_gram(dofmap, blocks, bases, choice)
+    def gram(dofmap, blocks):
+        grams.append(dofmap.n_unknowns)
+        return assembly.assemble_gram(dofmap, blocks)
 
     for name in (*kept, "error_setup", "chord_node_gap"):
         monkeypatch.setattr(cli, name, traced(name, getattr(cli, name)))
@@ -395,13 +429,13 @@ def test_the_lu_of_a_runs_without_the_mesh_bases_and_dof_map(tmp_path, monkeypat
     assert main(["run", "--problem", "ellipse_test1", "--k", "2", "--sweep", "4,8",
                  "--out", str(tmp_path)]) == 0
     assert dead == [(60, ["classify_elements"]), (248, list(kept))]
-    assert grams == ["test_space", "trial_space"]
+    assert grams == [60]
 
 
 def test_nothing_of_an_entry_survives_into_the_next_entrys_lu(tmp_path, monkeypatch):
     """Both entries estimate alpha_h; under the second entry's LU of A, the
-    first entry's A, error setup, local bases, dof map, element blocks, both
-    Grams and shift update are all gone."""
+    first entry's A, error setup, local bases, dof map, element blocks, test
+    Gram and shift update are all gone."""
     refs, checked = {}, []
 
     def traced(name, fn):
@@ -409,8 +443,6 @@ def test_nothing_of_an_entry_survives_into_the_next_entrys_lu(tmp_path, monkeypa
             result = fn(*args, **kwargs)
             if name == "assemble":
                 refs.setdefault("blocks", weakref.ref(result.blocks))
-            elif name == "assemble_gram":
-                refs.setdefault(f"gram {args[3]}", weakref.ref(result))
             else:
                 refs.setdefault(name, weakref.ref(result))
             return result
@@ -433,7 +465,7 @@ def test_nothing_of_an_entry_survives_into_the_next_entrys_lu(tmp_path, monkeypa
     monkeypatch.setattr(cli, "solve", solved)
     assert main(["run", "--problem", "ellipse_test1", "--k", "2", "--sweep", "4,8",
                  "--out", str(tmp_path)]) == 0
-    assert len(refs) == 8
+    assert len(refs) == 7
     assert checked == [(60, None), (248, [])]
     rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
     assert all(row.split(",")[4] for row in rows)
@@ -598,13 +630,14 @@ def test_thin_annulus_runs_where_the_mesh_resolves_it(k, sweep, tmp_path):
 
 
 def test_cli_exit_non_spd_gram(tmp_path, capsys, monkeypatch):
-    # A trial Gram that is not positive definite (as a broken dof map would
-    # give) is a numerical failure naming the sweep entry.
-    def negated(dofmap, blocks, bases, choice="test_space"):
-        G = assembly.assemble_gram(dofmap, blocks, bases, choice)
-        return -G if choice == "trial_space" else G
+    # A trial Gram that is not positive definite (as a broken shift update
+    # would give: Q - c I makes it G_trial - c L L^T) is a numerical failure
+    # naming the sweep entry.
+    def spoiled(dofmap, blocks, bases):
+        update = assembly.shift_update(dofmap, blocks, bases)
+        return replace(update, Q=update.Q - 1e3 * np.abs(blocks).max() * np.eye(len(update.Q)))
 
-    monkeypatch.setattr(cli, "assemble_gram", negated)
+    monkeypatch.setattr(cli, "shift_update", spoiled)
     rc = main(["run", "--problem", "ellipse_test1", "--sweep", "4,8",
                "--out", str(tmp_path)])
     assert rc == 2
@@ -613,10 +646,10 @@ def test_cli_exit_non_spd_gram(tmp_path, capsys, monkeypatch):
 
 
 def test_work_per_sweep_entry(tmp_path, monkeypatch):
-    """Per entry that reports alpha_h: one element-block kernel, shared by A and
-    both Grams, three sparse LUs (the solve, and one bordered factor per Gram
-    that proves it SPD and holds its Schur complement) and one incomplete LU
-    that orders both bordered factors."""
+    """Per entry that reports alpha_h: one element-block kernel, shared by A,
+    the test Gram and the shift update, three sparse LUs (the solve, and one
+    bordered factor per Gram that proves it SPD and holds its Schur
+    complement) and one incomplete LU that orders both bordered factors."""
     calls = {"splu": 0, "spilu": 0, "blocks": 0}
 
     def counted(key, fn):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from shiftfem import linsolve
-from shiftfem.assembly import assemble, assemble_gram, shift_update
+from shiftfem.assembly import assemble, assemble_gram, shift_update, trial_gram
 from shiftfem.errors import DimensionMismatch, NotSPD, SingularMatrix
 from shiftfem.linsolve import bordered_schur, fill_order, solve
 from shiftfem.mesh import classify_elements, gen_quarter_annulus_mesh, gen_quarter_ellipse_mesh
@@ -150,9 +150,8 @@ def _curved_factors(mesh, prob, k):
     bases = build_local_bases(mesh, k, element_node_layouts(mesh, prob.geom, k))
     dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)
     system = assemble(mesh, dm, bases, prob)
-    return (system, assemble_gram(dm, system.blocks, bases, "test_space"),
-            assemble_gram(dm, system.blocks, bases, "trial_space"),
-            shift_update(dm, system.blocks, bases))
+    G_test, update = assemble_gram(dm, system.blocks), shift_update(dm, system.blocks, bases)
+    return system, G_test, trial_gram(G_test, update), update
 
 
 @pytest.mark.parametrize("mesh, prob, k", [

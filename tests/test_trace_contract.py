@@ -41,7 +41,7 @@ def test_traced_run_counts_grams_and_fills_alpha_h(tmp_path, monkeypatch, capsys
         "inf_sup_estimate's first positional argument must be n x n: "
         "the tracer reads the unknown count from its shape[0]")
     metrics = tracing.layer_metrics(spans, 1.0, 1.0)
-    assert metrics["assembly.gram_calls"][0] == 4
+    assert metrics["assembly.gram_calls"][0] == 2
     assert metrics["analysis.alpha_h_fill"][0] == 1
     # one ray solve per curved sweep entry, through the binding in spaces
     # that the tracer wraps
