@@ -42,7 +42,9 @@ class ErrorReport:
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    reports: tuple[ErrorReport, ...]
+    """Orders of a sweep's errors: entry i is the log2 ratio of the errors of
+    reports i and i+1, nan where either is at or below its floor."""
+
     grad_orders: tuple[float, ...]
     l2_orders: tuple[float, ...]
     max_orders: tuple[float, ...]
@@ -133,10 +135,9 @@ def error_norms(setup: ErrorSetup, x: np.ndarray, param: int = 0) -> ErrorReport
                        max_nodal_floor=floor * float(np.max(np.abs(unknown), initial=0.0)))
 
 
-def _pair_orders(reports: Sequence[ErrorReport], name: str) -> tuple[float, ...]:
-    """log2 ratios of the ``name`` errors of consecutive reports; nan where
-    either error is at or below its rounding floor."""
-    errs = [(getattr(r, f"{name}_err"), getattr(r, f"{name}_floor")) for r in reports]
+def _pair_orders(errs: Sequence[tuple[float, float]]) -> tuple[float, ...]:
+    """log2 ratios of consecutive errors, given as (error, floor) pairs; nan
+    where either error is at or below its rounding floor."""
     return tuple(math.log2(a / b) if a > fa and b > fb else math.nan
                  for (a, fa), (b, fb) in zip(errs, errs[1:]))
 
@@ -150,9 +151,10 @@ def convergence_orders(reports: Sequence[ErrorReport]) -> ConvergenceTable:
     for a, b in zip(params, params[1:]):
         if b != 2 * a:
             raise NonDyadicSequence(f"parameters {params} are not consecutive doublings")
-    return ConvergenceTable(reports=tuple(reports), grad_orders=_pair_orders(reports, "grad"),
-                            l2_orders=_pair_orders(reports, "l2"),
-                            max_orders=_pair_orders(reports, "max_nodal"))
+    return ConvergenceTable(
+        grad_orders=_pair_orders([(r.grad_err, r.grad_floor) for r in reports]),
+        l2_orders=_pair_orders([(r.l2_err, r.l2_floor) for r in reports]),
+        max_orders=_pair_orders([(r.max_nodal_err, r.max_nodal_floor) for r in reports]))
 
 
 def chord_node_gap(mesh: TriMesh, local_bases: LocalBases, u: Callable) -> float:

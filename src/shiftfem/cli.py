@@ -67,6 +67,12 @@ class ExperimentConfig:
             spec = by_name(self.problem, e=self.e, k=self.k, extension_mode=self.extension_mode)
         except InvalidParam as exc:
             raise ConfigError(str(exc)) from exc
+        try:  # stored as a tuple, so the config hashes whatever sequence it was given
+            if isinstance(self.sweep, (str, bytes)):
+                raise TypeError
+            object.__setattr__(self, "sweep", tuple(self.sweep))
+        except TypeError:
+            raise ConfigError(f"sweep must be a sequence of integers, got {self.sweep!r}") from None
         if not self.sweep:
             raise ConfigError("sweep must contain at least one mesh parameter")
         if any(not is_int(p) or p < 1 for p in self.sweep):
@@ -90,10 +96,6 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "sweep" in raw:
-            if not isinstance(raw["sweep"], list):
-                raise ConfigError("sweep must be a JSON list")
-            raw["sweep"] = tuple(raw["sweep"])
         return cls(**raw)
 
 

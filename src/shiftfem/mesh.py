@@ -35,7 +35,8 @@ BoundaryEdge = tuple[int, int, str]
 class TriMesh:
     """Conforming triangle mesh with tagged boundary edges.
 
-    Edges are numbered once, by :func:`make_mesh`: ``edge_of`` (T, 3) holds
+    ``h_per_element`` (T,) holds each triangle's longest edge. Edges are
+    numbered once, by :func:`make_mesh`: ``edge_of`` (T, 3) holds
     the numbers of edges (i, j), (j, k), (k, i) of every triangle (i, j, k),
     and ``boundary_edge_ids`` (B,) the number of each of ``boundary_edges``.
     ``element_class`` is filled by :func:`classify_elements`: entry t is
@@ -47,7 +48,6 @@ class TriMesh:
     triangles: np.ndarray
     boundary_edges: tuple[BoundaryEdge, ...]
     h_per_element: np.ndarray
-    rho_per_element: np.ndarray
     edge_of: np.ndarray
     boundary_edge_ids: np.ndarray
     element_class: np.ndarray | None = None
@@ -90,7 +90,7 @@ def _coincident_vertices(verts: np.ndarray, tol: float) -> tuple[int, int] | Non
 
 
 def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
-    """Validate raw arrays and build a TriMesh with per-element h and rho.
+    """Validate raw arrays and build a TriMesh with per-element h.
 
     Raises InvalidParam on non-finite coordinates, inverted/degenerate
     triangles, vertex indices that are not integers (a bool is not) or out of
@@ -174,7 +174,7 @@ def make_mesh(vertices, triangles, boundary_edges) -> TriMesh:
         first, second = order[n], order[n + 1]
         raise InvalidParam(f"boundary edge {bedges[second]} (listing {second}) repeats "
                            f"{bedges[first]} (listing {first})")
-    return TriMesh(verts, tris, bedges, h, rho, edge_of.reshape(-1, 3), bids)
+    return TriMesh(verts, tris, bedges, h, edge_of.reshape(-1, 3), bids)
 
 
 def _edge_triple(n: int, edge) -> BoundaryEdge:

@@ -66,15 +66,12 @@ class TriangleRule:
 
     Attributes
     ----------
-    degree : int
-        Maximal total polynomial degree integrated exactly.
     points : (n, 3) ndarray
         Barycentric triples, each strictly positive.
     weights : (n,) ndarray
         Weights relative to triangle area, summing to one.
     """
 
-    degree: int
     points: np.ndarray
     weights: np.ndarray
 
@@ -109,14 +106,13 @@ def _expand_orbits(table) -> tuple[np.ndarray, np.ndarray]:
 def rule_for_degree(d: int) -> TriangleRule:
     """Return an embedded rule exact for total degree <= d, for 0 <= d <= 10.
 
-    The smallest embedded table of degree >= d is returned, so the rule
-    degree may exceed the request.
+    The smallest embedded table of degree >= d is returned, so the rule may
+    be exact beyond the request.
     """
     if d < 0 or d > MAX_DEGREE:
         raise UnsupportedDegree(f"no embedded triangle rule for degree {d} (supported 0..{MAX_DEGREE})")
-    table_degree = next(t for t in _EMBEDDED_DEGREES if t >= d)
-    points, weights = _expand_orbits(_ORBIT_TABLES[table_degree])
-    return TriangleRule(degree=table_degree, points=points, weights=weights)
+    points, weights = _expand_orbits(_ORBIT_TABLES[next(t for t in _EMBEDDED_DEGREES if t >= d)])
+    return TriangleRule(points=points, weights=weights)
 
 
 def triangle_area(tri: np.ndarray):

@@ -127,9 +127,9 @@ class LocalBases:
     ``nodes[shifted[i]]`` to reference-basis coefficients, and every other
     element's map is the identity. ``moved`` (S, n_k) marks the locals of
     ``shifted[i]`` whose node left its lattice position; ``coeffs[i]`` equals
-    the identity up to rounding outside those rows. ``kt_deviation`` (T,) is
-    the max departure of each node-evaluation matrix from the identity (0 on
-    interior elements).
+    the identity up to rounding outside those rows. ``kt_deviation`` (S,) is
+    the max departure of the node-evaluation matrix of ``shifted[i]`` from the
+    identity.
     """
 
     k: int
@@ -202,11 +202,9 @@ def build_local_bases(mesh: TriMesh, k: int, layouts: np.ndarray) -> LocalBases:
         raise SingularLocalSystem(
             f"node-evaluation matrix of element {int(shifted[bad[0]])} has condition "
             f"estimate {cond[bad[0]]:.3e} > {COND_LIMIT:.0e}")
-    kt_deviation = np.zeros(mesh.num_triangles)
-    kt_deviation[shifted] = np.abs(kt - np.eye(n_k)).max(axis=(1, 2), initial=0.0)
     return LocalBases(k=k, nodes=layouts, shifted=shifted, coeffs=np.linalg.inv(kt),
                       moved=np.any(layouts[shifted] != lagrange_layout(k, tris), axis=-1),
-                      kt_deviation=kt_deviation)
+                      kt_deviation=np.abs(kt - np.eye(n_k)).max(axis=(1, 2), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ error norms. Sparsity patterns, numbering and counts stay exact.
 ``eval_uh`` evaluates a trial-space function at one point of one element,
 from the standard basis and that element's coefficient map, where the
 pipeline works on whole-mesh stacks at quadrature points. ``load_mesh``
-reads back the text format of ``shiftfem.mesh.mesh_text``.
+reads back the text format of ``shiftfem.mesh.mesh_text``, and ``inradius``
+measures each triangle's shape.
 ``element_trial_gram`` sums the trial space's Gram element by element, where
 the pipeline adds the low-rank shift update to the test Gram.
 ``scalar_pieces`` and ``scalar_ray_intersection`` cast one ray at a time
@@ -100,6 +101,14 @@ def element_trial_gram(dofmap: DofMap, local_bases: LocalBases, blocks: np.ndarr
     trial = blocks.copy()
     trial[shifted] = C.transpose(0, 2, 1) @ blocks[shifted] @ C
     return assemble_gram(dofmap, trial)
+
+
+def inradius(mesh: TriMesh) -> np.ndarray:
+    """(T,) inradius of every triangle: twice its area over its perimeter."""
+    (x0, y0), (x1, y1), (x2, y2) = np.moveaxis(mesh.vertices[mesh.triangles], (1, 2), (0, 1))
+    area = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+    return 2.0 * area / (np.hypot(x1 - x0, y1 - y0) + np.hypot(x2 - x1, y2 - y1)
+                         + np.hypot(x0 - x2, y0 - y2))
 
 
 def load_mesh(path) -> TriMesh:

@@ -321,7 +321,7 @@ def test_invalid_inputs_rejected():
     bases3 = build_local_bases(mesh, 3, element_node_layouts(mesh, geom, 3))
     with pytest.raises(InconsistentDof):
         assemble(mesh, dm, bases3, polygon_patch(2))
-    short = replace(bases2, nodes=bases2.nodes[:-1], kt_deviation=bases2.kt_deviation[:-1])
+    short = replace(bases2, nodes=bases2.nodes[:-1])
     with pytest.raises(InconsistentDof):
         assemble(mesh, dm, short, polygon_patch(2))
 

@@ -1,7 +1,8 @@
 """Module layering: one module owns the sparse factorizations and one calls
 them, one holds the formats of the run's artifacts, src/ defines only what
-src/ uses and no method that doubles a function, and the tests reach src/ only
-through its public names."""
+src/ uses and no method that doubles a function, a src/ dataclass stores only
+fields that src/ or the benchmark's tracer reads as attributes, and the tests
+reach src/ only through its public names."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ from shiftfem.cli import DIAG_HEADER, TABLE_HEADER
 from shiftfem.problems import PROBLEM_NAMES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "shiftfem"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 TESTS = Path(__file__).resolve().parent
 
 
@@ -83,6 +85,28 @@ def test_every_public_definition_is_used_in_src():
     unused = sorted(name for tree in trees for name in _definitions(tree)
                     if not name.startswith("_") and name not in used)
     assert unused == []
+
+
+def _dataclass_fields(tree):
+    """(class, field) of every field of the dataclasses a module defines."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0] == "dataclass" for d in cls.decorator_list):
+            yield from ((cls.name, node.target.id) for node in cls.body
+                        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name))
+
+
+def test_every_dataclass_field_is_read():
+    # a field no stage reads is state carried for nothing; the tracer reads
+    # its work counts off results, so its attribute reads count too. A read
+    # through getattr with a computed name is not seen, and so not counted.
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    read = {node.attr for tree in trees + [ast.parse(TRACER.read_text())]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{cls}.{field}" for tree in trees
+                    for cls, field in _dataclass_fields(tree) if field not in read)
+    assert unread == []
 
 
 def test_no_src_method_is_named_like_a_src_function():

@@ -14,7 +14,7 @@ from shiftfem.mesh import (INTERIOR, TAG_DIRICHLET, TAG_SYMMETRY,
                            make_mesh, mesh_text)
 from shiftfem.spaces import element_node_layouts
 
-from oracles import load_mesh
+from oracles import inradius, load_mesh
 
 
 def _signed_area(tri):
@@ -23,7 +23,7 @@ def _signed_area(tri):
 
 
 def _gamma(mesh):
-    return float(np.max(mesh.h_per_element / mesh.rho_per_element))
+    return float(np.max(mesh.h_per_element / inradius(mesh)))
 
 
 def _tag_count(mesh, tag):
@@ -226,7 +226,7 @@ def test_ellipse_center_cells_degrade_but_boundary_cells_stay_regular():
     for J in (8, 32):
         mesh = classify_elements(gen_quarter_ellipse_mesh(J, 0.5), geom)
         boundary = mesh.element_class != INTERIOR
-        ratios = mesh.h_per_element[boundary] / mesh.rho_per_element[boundary]
+        ratios = mesh.h_per_element[boundary] / inradius(mesh)[boundary]
         assert float(np.max(ratios)) < 10.0
     g8 = _gamma(gen_quarter_ellipse_mesh(8, 0.5))
     g32 = _gamma(gen_quarter_ellipse_mesh(32, 0.5))

@@ -89,13 +89,11 @@ def test_point_counts():
 
 
 def test_requests_between_tables_round_up():
-    assert rule_for_degree(0).degree == 2
-    assert rule_for_degree(1).degree == 2
-    assert rule_for_degree(3).degree == 4
-    assert rule_for_degree(5).degree == 6
-    assert rule_for_degree(7).degree == 8
-    assert rule_for_degree(9).degree == 10
-    assert rule_for_degree(MAX_DEGREE).degree == 10
+    # a request gets the points and weights of the smallest table at or above it
+    for d, table in ((0, 2), (1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (MAX_DEGREE, 10)):
+        got, want = rule_for_degree(d), rule_for_degree(table)
+        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(got.weights, want.weights)
 
 
 def test_unsupported_degree_raises():
