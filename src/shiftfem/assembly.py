@@ -70,8 +70,8 @@ class ProblemSpec:
             raise InvalidParam(f"unknown extension_mode {self.extension_mode!r}; "
                                f"choose from {EXTENSION_MODES}")
         if self.extension_mode == "zero_outside" and self.geom.fields is None:
-            raise InvalidParam(f"extension_mode 'zero_outside' needs a curved boundary; "
-                               f"{self.geom.kind} geometry has none")
+            raise InvalidParam("extension_mode 'zero_outside' needs a curved boundary; "
+                               "the geometry has none")
 
 
 @dataclass(frozen=True)

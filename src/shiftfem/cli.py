@@ -29,13 +29,13 @@ TABLE_HEADER = "param,h,grad_err,grad_order,l2_err,l2_order,max_err,max_order,al
 DIAG_HEADER = "param,n_unknowns,h,kt_dev,alpha_h,chord_gap,residual"
 INFSUP_LIMIT = 5000  # larger entries leave alpha_h empty, as perfbench/reference does
 
-# The sweep's mesh family per geometry kind: the parameter's letter, the mesh
+# The sweep's mesh family per named problem: the parameter's letter, the mesh
 # of (parameter p, e), and whether p must be even (the annulus's p = I = 2J).
 # Each gen_* name is looked up at call time, so rebinding it here takes effect.
 MESH_FAMILIES = {
-    "ellipse": ("J", lambda p, e: gen_quarter_ellipse_mesh(p, e), False),
-    "annulus": ("I", lambda p, e: gen_quarter_annulus_mesh(p, p // 2, e), True),
-    "polygon": ("J", lambda p, e: gen_unit_square_mesh(p), False),
+    "ellipse_test1": ("J", lambda p, e: gen_quarter_ellipse_mesh(p, e), False),
+    "annulus_test2": ("I", lambda p, e: gen_quarter_annulus_mesh(p, p // 2, e), True),
+    "polygon_patch": ("J", lambda p, e: gen_unit_square_mesh(p), False),
 }
 
 
@@ -64,7 +64,7 @@ class ExperimentConfig:
                 or not 0.0 < self.e < 1.0:
             raise ConfigError(f"geometry parameter e must be a number in (0, 1), got {self.e!r}")
         try:  # the problem's own checks: its name and its extension mode
-            spec = by_name(self.problem, e=self.e, k=self.k, extension_mode=self.extension_mode)
+            by_name(self.problem, e=self.e, k=self.k, extension_mode=self.extension_mode)
         except InvalidParam as exc:
             raise ConfigError(str(exc)) from exc
         try:  # stored as a tuple, so the config hashes whatever sequence it was given
@@ -79,9 +79,9 @@ class ExperimentConfig:
             raise ConfigError(f"sweep entries must be positive integers, got {self.sweep}")
         if any(b != 2 * a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ConfigError(f"sweep entries must each double the last, got {self.sweep}")
-        label, _, even = MESH_FAMILIES[spec.geom.kind]
+        label, _, even = MESH_FAMILIES[self.problem]
         if even and any(p % 2 for p in self.sweep):
-            raise ConfigError(f"{spec.geom.kind} sweep entries {label} must be even, "
+            raise ConfigError(f"{self.problem} sweep entries {label} must be even, "
                               f"got {self.sweep}")
 
     @classmethod
@@ -165,7 +165,7 @@ def render(rows: Sequence[EntryResult], label: str, deterministic: bool) -> dict
 # and bases, and a mesh to dump. A is gone when the test Gram is built, and
 # under the Gram factors, last, are one Gram, the update and x.
 def _prepare(cfg: ExperimentConfig, problem: ProblemSpec, param: int) -> tuple:
-    mesh = classify_elements(MESH_FAMILIES[problem.geom.kind][1](param, cfg.e), problem.geom)
+    mesh = classify_elements(MESH_FAMILIES[cfg.problem][1](param, cfg.e), problem.geom)
     bases = build_local_bases(mesh, cfg.k, element_node_layouts(mesh, problem.geom, cfg.k))
     dm = build_dof_map(mesh, bases, dirichlet_data=problem.d)
     setup = error_setup(mesh, dm, bases, problem.exact)
@@ -204,7 +204,7 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceTable:
     """Sweep the mesh parameter, solve, and rewrite every artifact after each
     entry, so a run that fails later keeps the rows already finished."""
     problem = by_name(cfg.problem, e=cfg.e, k=cfg.k, extension_mode=cfg.extension_mode)
-    label = MESH_FAMILIES[problem.geom.kind][0]
+    label = MESH_FAMILIES[cfg.problem][0]
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

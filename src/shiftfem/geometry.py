@@ -29,16 +29,15 @@ class BoundaryGeometry:
     """Domain description: ``fields(x, y)`` gives the values of the curved
     boundary pieces at arrays of points, one row per piece, and
     ``grads(x, y)`` their gradients, one (d/dx, d/dy) row per piece. Both are
-    None for a polygon."""
+    None for a polygon. The named problem, not this, picks a sweep's mesh."""
 
-    kind: str
     fields: Callable[[np.ndarray, np.ndarray], tuple] | None = None
     grads: Callable[[np.ndarray, np.ndarray], tuple] | None = None
 
     def value_many(self, pts: np.ndarray) -> np.ndarray:
         """Composite g, the max over the pieces, at an (n, 2) array of points."""
         if self.fields is None:
-            raise InvalidParam(f"{self.kind} geometry has no curved boundary field")
+            raise InvalidParam("the geometry has no curved boundary")
         pts = np.asarray(pts, dtype=float)
         return np.max(self.fields(pts[:, 0], pts[:, 1]), axis=0)
 
@@ -54,7 +53,7 @@ def ellipse(e: float) -> BoundaryGeometry:
     def grads(x, y):
         return ((2.0 * x / (e * e), 2.0 * y),)
 
-    return BoundaryGeometry("ellipse", fields, grads)
+    return BoundaryGeometry(fields, grads)
 
 
 def _radius(x, y) -> np.ndarray:
@@ -78,12 +77,12 @@ def annulus(e: float) -> BoundaryGeometry:
         r = _radius(x, y)
         return (-x / r, -y / r), (x / r, y / r)
 
-    return BoundaryGeometry("annulus", fields, grads)
+    return BoundaryGeometry(fields, grads)
 
 
 def unit_square() -> BoundaryGeometry:
     """The unit square: a polygon, with no curved pieces."""
-    return BoundaryGeometry("polygon")
+    return BoundaryGeometry()
 
 
 def ray_boundary_intersection(geom: BoundaryGeometry, piece, origin, through) -> np.ndarray:

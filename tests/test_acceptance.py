@@ -37,7 +37,7 @@ MAGNITUDE_FACTOR = 3.0
 def _sweep(problem_name, params, k=2, extension_mode="analytic",
            alpha_upto=0, with_interp=False):
     prob = by_name(problem_name, k=k, extension_mode=extension_mode)
-    mesh_of = MESH_FAMILIES[prob.geom.kind][1]
+    mesh_of = MESH_FAMILIES[problem_name][1]
     out = {"reports": [], "interp": [], "kt": [], "alpha": {}, "gap": []}
     t0 = time.perf_counter()
     for p in params:

@@ -24,8 +24,7 @@ from shiftfem.errors import (DimensionMismatch, InconsistentDof, InvalidParam,
 from shiftfem.linsolve import bordered_schur, fill_order, solve
 from shiftfem.mesh import (INTERIOR, classify_elements, gen_quarter_annulus_mesh,
                            gen_quarter_ellipse_mesh, gen_unit_square_mesh)
-from shiftfem.geometry import annulus, ellipse
-from shiftfem.problems import annulus_test2, ellipse_test1, polygon_patch
+from shiftfem.problems import annulus_test2, by_name, ellipse_test1, polygon_patch
 from shiftfem.spaces import (build_dof_map, build_local_bases,
                              element_node_layouts, full_vector, lagrange_layout)
 
@@ -100,30 +99,31 @@ CUBIC_PATCH = ExactSolution(
     grad=lambda x, y: np.stack((2.0 * x + 3.0 * x * x, 4.0 * y - 3.0 * y * y), axis=-1))
 
 
-def _curved_patch_errors(exact, f, geom, param, k):
-    """README pipeline with the exact solution as Dirichlet data on the arcs."""
-    prob = ProblemSpec(geom, f, d=exact.value, exact=exact)
-    raw = MESH_FAMILIES[geom.kind][1](param, 0.5)
+def _curved_patch_errors(exact, f, name, param, k):
+    """README pipeline on the named problem's domain and mesh, with the exact
+    solution as Dirichlet data on the arcs."""
+    prob = ProblemSpec(by_name(name).geom, f, d=exact.value, exact=exact)
+    raw = MESH_FAMILIES[name][1](param, 0.5)
     mesh, dm, bases, _, x = _solve_problem(prob, raw, k)
     return error_norms(error_setup(mesh, dm, bases, exact), x, param=param)
 
 
-@pytest.mark.parametrize("geom", [ellipse(0.5), annulus(0.5)], ids=["ellipse", "annulus"])
+@pytest.mark.parametrize("name", ["ellipse_test1", "annulus_test2"], ids=["ellipse", "annulus"])
 @pytest.mark.parametrize("exact, f, k", [
     (QUADRATIC_PATCH, lambda x, y: -6.0, 2),
     (QUADRATIC_PATCH, lambda x, y: -6.0, 3),
     (CUBIC_PATCH, lambda x, y: -6.0 - 6.0 * x + 6.0 * y, 3),
 ], ids=["quadratic_k2", "quadratic_k3", "cubic_k3"])
-def test_curved_patch_is_reproduced(geom, exact, f, k):
+def test_curved_patch_is_reproduced(name, exact, f, k):
     # nonzero Dirichlet data imposed at the moved boundary nodes
     for param in (4, 8, 16):
-        r = _curved_patch_errors(exact, f, geom, param, k)
+        r = _curved_patch_errors(exact, f, name, param, k)
         assert r.grad_err < 1e-11 and r.l2_err < 1e-11, (param, r)
 
 
-@pytest.mark.parametrize("geom", [ellipse(0.5), annulus(0.5)], ids=["ellipse", "annulus"])
-def test_cubic_patch_is_not_reproduced_at_k2(geom):
-    r = _curved_patch_errors(CUBIC_PATCH, lambda x, y: -6.0 - 6.0 * x + 6.0 * y, geom, 16, 2)
+@pytest.mark.parametrize("name", ["ellipse_test1", "annulus_test2"], ids=["ellipse", "annulus"])
+def test_cubic_patch_is_not_reproduced_at_k2(name):
+    r = _curved_patch_errors(CUBIC_PATCH, lambda x, y: -6.0 - 6.0 * x + 6.0 * y, name, 16, 2)
     assert r.grad_err > 1e-4
 
 
@@ -392,9 +392,10 @@ def test_inf_sup_frozen_on_curved_domains():
     assert a == pytest.approx(ANNULUS_ALPHA[4], abs=1e-5)
 
 
-def _alpha_h(prob, k, e, param):
-    """alpha_h of ``prob`` on the CLI's mesh of (param, e) at degree k."""
-    mesh = classify_elements(MESH_FAMILIES[prob.geom.kind][1](param, e), prob.geom)
+def _alpha_h(name, k, e, param):
+    """alpha_h of the named problem on the CLI's mesh of (param, e) at degree k."""
+    prob = by_name(name, e=e, k=k)
+    mesh = classify_elements(MESH_FAMILIES[name][1](param, e), prob.geom)
     bases = build_local_bases(mesh, k, element_node_layouts(mesh, prob.geom, k))
     dm = build_dof_map(mesh, bases, dirichlet_data=prob.d)
     blocks = assemble(mesh, dm, bases, prob).blocks
@@ -404,24 +405,24 @@ def _alpha_h(prob, k, e, param):
 @pytest.mark.parametrize("e", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("k", [2, 3])
 def test_alpha_h_rises_with_the_mesh_on_every_ellipse(k, e):
-    alphas = [_alpha_h(ellipse_test1(e), k, e, J) for J in (4, 8, 16)]
+    alphas = [_alpha_h("ellipse_test1", k, e, J) for J in (4, 8, 16)]
     assert 0.92 <= alphas[0] < alphas[1] < alphas[2] <= 1.0
 
 
 @pytest.mark.parametrize("e", [0.05, 0.5])
 @pytest.mark.parametrize("k", [2, 3])
 def test_alpha_h_stays_near_one_on_annuli_up_to_half_thin(k, e):
-    alphas = [_alpha_h(annulus_test2(e), k, e, I) for I in (4, 8, 16)]
+    alphas = [_alpha_h("annulus_test2", k, e, I) for I in (4, 8, 16)]
     assert 0.96 <= alphas[0] < alphas[1] < alphas[2] <= 1.0
 
 
-@pytest.mark.parametrize("prob,k,e", [(ellipse_test1, 2, 0.5), (ellipse_test1, 3, 0.5),
-                                      (annulus_test2, 2, 0.5), (annulus_test2, 3, 0.5),
-                                      (annulus_test2, 3, 0.9)])
-def test_one_minus_alpha_h_decays_at_second_order(prob, k, e):
+@pytest.mark.parametrize("name,k,e", [("ellipse_test1", 2, 0.5), ("ellipse_test1", 3, 0.5),
+                                      ("annulus_test2", 2, 0.5), ("annulus_test2", 3, 0.5),
+                                      ("annulus_test2", 3, 0.9)])
+def test_one_minus_alpha_h_decays_at_second_order(name, k, e):
     # the discrete inf-sup constant tends to 1 at O(h^2) on every refined
     # pair: the order from 16 to 32 is 1.90 to 2.19 over these cases
-    alphas = [_alpha_h(prob(e), k, e, param) for param in (8, 16, 32)]
+    alphas = [_alpha_h(name, k, e, param) for param in (8, 16, 32)]
     assert min(alphas) >= 0.85
     assert 1.8 <= math.log2((1.0 - alphas[1]) / (1.0 - alphas[2])) <= 2.3
 
@@ -431,10 +432,9 @@ def test_thin_annulus_alpha_h_is_small_on_coarse_meshes():
     # ring is 0.05 wide, so a coarse mesh barely resolves it. At k = 2 the
     # I=4 mesh is rejected outright; at k = 3 it runs and alpha_h is 0.15.
     # A coarse-mesh check on alpha_h would change this test.
-    prob = annulus_test2(0.95)
     with pytest.raises(MeshAssumptionViolated, match="too coarse"):
-        _alpha_h(prob, 2, 0.95, 4)
-    measured = {(k, I): _alpha_h(prob, k, 0.95, I)
+        _alpha_h("annulus_test2", 2, 0.95, 4)
+    measured = {(k, I): _alpha_h("annulus_test2", k, 0.95, I)
                 for k, I in ((2, 8), (2, 16), (3, 4), (3, 8), (3, 16))}
     assert measured == pytest.approx({(2, 8): 0.877651, (2, 16): 0.979998,
                                       (3, 4): 0.153858, (3, 8): 0.605708,

@@ -252,7 +252,7 @@ def test_stacked_kernels_reproduce_the_element_loops(name):
     assert_within_rounding(mesh.h_per_element, h, _size(mesh), 4)
 
     lay = element_node_layouts(mesh, prob.geom, k)
-    pieces = () if prob.geom.fields is None else scalar_pieces(prob.geom.kind, 0.5)
+    pieces = () if prob.geom.fields is None else scalar_pieces(name.split("_")[0], 0.5)
     assert_within_rounding(lay, _loop_layouts(mesh, pieces, k), _size(mesh), 4)
     bases = build_local_bases(mesh, k, lay)
     coeffs, dev = _loop_local_bases(mesh, k, lay)

@@ -85,6 +85,12 @@ def test_config_is_checked_when_built():
         ExperimentConfig(k=5)
 
 
+def test_odd_annulus_sweep_error_names_the_problem():
+    with pytest.raises(ConfigError, match=r"^annulus_test2 sweep entries I must be even, "
+                                          r"got \(3, 6\)$"):
+        ExperimentConfig(problem="annulus_test2", sweep=(3, 6))
+
+
 @pytest.mark.parametrize("sweep", [[4, 8], np.array([4, 8]), range(4, 9, 4)])
 def test_config_stores_any_integer_sweep_as_a_tuple(sweep):
     # a frozen config hashes only if its sweep does
@@ -183,8 +189,30 @@ def test_every_run_option_sets_the_config_field_named_by_its_dest():
 
 
 def test_every_named_problem_has_a_mesh_family():
-    kinds = {by_name(name).geom.kind for name in PROBLEM_NAMES}
-    assert kinds <= set(MESH_FAMILIES)
+    # and no family outlives its problem: the table is keyed by problem name
+    assert set(MESH_FAMILIES) == set(PROBLEM_NAMES)
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_each_mesh_family_smallest_entry_meshes_its_problem(name):
+    # the smallest legal sweep entry: 1, or 2 where the entries must be even
+    _, mesh_of, even = MESH_FAMILIES[name]
+    prob = by_name(name)
+    mesh = classify_elements(mesh_of(2 if even else 1, 0.5), prob.geom)
+    assert mesh.num_triangles > 0
+
+
+@pytest.mark.parametrize("e", [0.05, 0.95])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", ["ellipse_test1", "annulus_test2"])
+def test_sweep_completes_on_near_degenerate_domains(tmp_path, name, k, e):
+    # the finer entry's alpha_h is at least 0.941 over these cases; the
+    # coarse one is not bounded (0.606 on the annulus at e = 0.95, k = 3, I = 8)
+    run_experiment(ExperimentConfig(problem=name, e=e, k=k, sweep=(8, 16),
+                                    out_dir=str(tmp_path)))
+    coarse, fine = csv.DictReader((tmp_path / "table.csv").read_text().splitlines())
+    assert float(fine["grad_err"]) < float(coarse["grad_err"])
+    assert float(fine["alpha_h"]) >= 0.9
 
 
 def test_cli_exit_success(tmp_path, capsys):
@@ -494,7 +522,7 @@ def test_a_mesh_dump_is_written_from_the_kept_mesh(tmp_path, monkeypatch):
                  "--out", str(tmp_path)]) == 0
     geom = by_name("ellipse_test1").geom
     for J in (4, 8):
-        mesh = classify_elements(MESH_FAMILIES["ellipse"][1](J, 0.5), geom)
+        mesh = classify_elements(MESH_FAMILIES["ellipse_test1"][1](J, 0.5), geom)
         assert (tmp_path / f"mesh_{J}.txt").read_bytes() == mesh_text(mesh).encode()
     rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
     assert [row.split(",")[4] for row in rows] == ["", ""]

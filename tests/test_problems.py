@@ -15,15 +15,15 @@ from oracles import assert_within_rounding
 FD_H = 1e-4
 
 
-def _interior_points(kind, rng, n=10):
-    if kind == "ellipse":
+def _interior_points(name, rng, n=10):
+    if name == "ellipse_test1":
         pts = []
         while len(pts) < n:
             x, y = rng.uniform(0.0, 0.5), rng.uniform(0.0, 1.0)
             if (x / 0.5) ** 2 + y ** 2 < 0.9:
                 pts.append((x, y))
         return pts
-    if kind == "annulus":
+    if name == "annulus_test2":
         r = rng.uniform(0.55, 0.95, size=n)
         th = rng.uniform(0.05, math.pi / 2 - 0.05, size=n)
         return list(zip(r * np.cos(th), r * np.sin(th)))
@@ -41,7 +41,7 @@ def test_source_matches_fd_laplacian(name):
     prob = PROBLEMS[name]
     u = prob.exact.value
     rng = np.random.default_rng(42)
-    for x, y in _interior_points(prob.geom.kind, rng):
+    for x, y in _interior_points(name, rng):
         lap = (u(x + FD_H, y) + u(x - FD_H, y) + u(x, y + FD_H) + u(x, y - FD_H)
                - 4.0 * u(x, y)) / FD_H ** 2
         assert float(prob.f(x, y)) == pytest.approx(-lap, abs=1e-6)
@@ -52,7 +52,7 @@ def test_gradient_matches_fd(name):
     prob = PROBLEMS[name]
     u = prob.exact.value
     rng = np.random.default_rng(43)
-    for x, y in _interior_points(prob.geom.kind, rng):
+    for x, y in _interior_points(name, rng):
         gx = (u(x + FD_H, y) - u(x - FD_H, y)) / (2.0 * FD_H)
         gy = (u(x, y + FD_H) - u(x, y - FD_H)) / (2.0 * FD_H)
         got = prob.exact.grad(x, y)
@@ -101,7 +101,8 @@ def test_vectorized_evaluation():
 def test_by_name_dispatch_and_validation():
     # the inner circle of the annulus is r = e
     assert by_name("annulus_test2", e=0.4).geom.value_many([(0.4, 0.0)])[0] == 0.0
-    assert by_name("polygon_patch", k=3).geom.kind == "polygon"
+    square = by_name("polygon_patch", k=3).geom
+    assert square.fields is None and square.grads is None
     with pytest.raises(InvalidParam):
         by_name("nope")
     with pytest.raises(InvalidParam):
