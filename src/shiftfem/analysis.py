@@ -75,7 +75,6 @@ class ErrorSetup:
     coeffs: np.ndarray
     exact_at_unknowns: np.ndarray
     h: float
-    n_unknowns: int
 
 
 def error_setup(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
@@ -87,15 +86,14 @@ def error_setup(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     if exact is None:
         raise MissingExact("error norms require a manufactured solution")
     check_compatible(mesh, dofmap, local_bases)
-    unknown = ~dofmap.dirichlet_mask
     return ErrorSetup(
         exact=exact, k=local_bases.k, vertices=mesh.vertices,
         triangles=mesh.triangles.astype(np.int32),
         element_to_global=dofmap.element_to_global.astype(np.int32),
         dirichlet_values=dofmap.dirichlet_values, dirichlet_mask=dofmap.dirichlet_mask,
         shifted=local_bases.shifted, coeffs=local_bases.coeffs,
-        exact_at_unknowns=exact.value(*dofmap.node_coords[unknown].T),
-        h=float(mesh.h_per_element.max()), n_unknowns=dofmap.n_unknowns)
+        exact_at_unknowns=exact.value(*dofmap.node_coords[~dofmap.dirichlet_mask].T),
+        h=float(mesh.h_per_element.max()))
 
 
 def error_norms(setup: ErrorSetup, x: np.ndarray, param: int = 0) -> ErrorReport:
@@ -107,7 +105,8 @@ def error_norms(setup: ErrorSetup, x: np.ndarray, param: int = 0) -> ErrorReport
     directly (they are nodal values), over unknown nodes only: constrained
     nodes sit on the true boundary where the imposed datum is exact.
     """
-    full = full_vector(setup.dirichlet_values, setup.dirichlet_mask, setup.n_unknowns, x)
+    full = full_vector(setup.dirichlet_values, setup.dirichlet_mask,
+                       len(setup.exact_at_unknowns), x)
     k, exact = setup.k, setup.exact
     rule = rule_for_degree(2 * k + 4)
     tris, grads, area = element_geometry(setup)
@@ -125,14 +124,13 @@ def error_norms(setup: ErrorSetup, x: np.ndarray, param: int = 0) -> ErrorReport
     def norm(v2):  # square root of the integral of v2 (T, Q) over the mesh
         return math.sqrt(area @ (v2 @ rule.weights))
 
-    unknown = full[~setup.dirichlet_mask]
-    nodal = np.abs(unknown - setup.exact_at_unknowns)
-    floor = setup.n_unknowns * float(np.finfo(float).eps)
+    nodal = np.abs(x - setup.exact_at_unknowns)
+    floor = len(x) * float(np.finfo(float).eps)
     return ErrorReport(grad_err=norm(np.vecdot(dg, dg)), l2_err=norm(dv * dv),
                        max_nodal_err=float(np.max(nodal, initial=0.0)),
                        h=setup.h, param=int(param),
                        grad_floor=floor * norm(np.vecdot(gh, gh)), l2_floor=floor * norm(uh * uh),
-                       max_nodal_floor=floor * float(np.max(np.abs(unknown), initial=0.0)))
+                       max_nodal_floor=floor * float(np.max(np.abs(x), initial=0.0)))
 
 
 def _pair_orders(errs: Sequence[tuple[float, float]]) -> tuple[float, ...]:

@@ -78,13 +78,13 @@ class ProblemSpec:
 class AssembledSystem:
     """A and the load of one mesh, plus the standard-basis element stiffness
     blocks B (T, n_k, n_k) of the test Gram and the shift update. A's block
-    of a shifted element is ``B @ C`` for its coefficient map C.
+    of a shifted element is ``B @ C`` for its coefficient map C, swapped into
+    B in place while A and the lift are formed, then swapped back: no copy of B.
 
-    A is CSC, the format SuperLU factors, with exactly ``A.nnz`` slots: its
-    summed CSR is converted before it is returned, so that CSR and its
-    COO-sized buffers are gone before the LU, and the LU copies nothing.
-    The blocks are about as large as A, and each piece can outlive the
-    others.
+    A is CSC, the format SuperLU factors, with exactly ``A.nnz`` slots: its summed
+    CSR is converted before it is returned, so that CSR and its COO-sized buffers
+    are gone before the LU, and the LU copies nothing. The blocks are about as
+    large as A, and each piece can outlive the others.
     """
 
     A: sp.csc_matrix
@@ -134,24 +134,16 @@ def _stiffness_blocks(mesh: TriMesh, k: int):
     return tris, area, B
 
 
-def _scatter(ui: np.ndarray, blocks: np.ndarray, n: int,
-             shifted: np.ndarray | None = None,
-             shifted_blocks: np.ndarray | None = None) -> sp.csr_matrix:
+def _scatter(ui: np.ndarray, blocks: np.ndarray, n: int) -> sp.csr_matrix:
     """Sum element blocks (T, n_k, n_k) into n x n CSR, dropping the rows and
     columns of locals whose unknown index ``ui`` (T, n_k) is -1. COO entries
-    run element by element, row-major over the free locals. If given,
-    ``shifted_blocks`` (S, n_k, n_k) stand in for the blocks of the sorted
-    elements ``shifted`` (S,), without a copy of ``blocks``."""
+    run element by element, row-major over the free locals. For A, ``blocks``
+    is B with A's blocks swapped in (:class:`AssembledSystem`)."""
     free = (ui[:, :, None] >= 0) & (ui[:, None, :] >= 0)
     ui = ui.astype(np.int32)  # SciPy's index type for n < 2**31 either way
     rows = np.broadcast_to(ui[:, :, None], blocks.shape)[free]
     cols = np.broadcast_to(ui[:, None, :], blocks.shape)[free]
-    data = blocks[free]
-    if shifted is not None:
-        sub = np.zeros_like(free)
-        sub[shifted] = free[shifted]
-        data[sub[free]] = shifted_blocks[free[shifted]]
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    return sp.coo_matrix((blocks[free], (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
@@ -166,7 +158,8 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     k = local_bases.k
     tris, area, B = _stiffness_blocks(mesh, k)
     s = local_bases.shifted
-    BC = B[s] @ local_bases.coeffs
+    plain = B[s]
+    B[s] = plain @ local_bases.coeffs  # A's blocks, until restored below
     load = rule_for_degree(2 * k + 2)
     phi_load = eval_basis_bary(k, load.points).T[None]
     F = np.empty(B.shape[:2])
@@ -174,13 +167,13 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
         pts = load.physical_points(tris[c])
         f = source_values(problem, pts.reshape(-1, 2)).reshape(pts.shape[:2])
         F[c] = area[c, None] * (phi_load @ (load.weights * f)[:, :, None])[..., 0]
-    d = dofmap.dirichlet_values[dofmap.element_to_global][:, :, None]
-    lift = (B @ d)[..., 0]
-    lift[s] = (BC @ d[s])[..., 0]
+    lift = (B @ dofmap.dirichlet_values[dofmap.element_to_global][:, :, None])[..., 0]
     ui = dofmap.unknown_index[dofmap.element_to_global]
     free = ui >= 0
     rhs = np.bincount(ui[free], (F - lift)[free], minlength=dofmap.n_unknowns)
-    return AssembledSystem(A=_scatter(ui, B, dofmap.n_unknowns, s, BC).tocsc(), rhs=rhs, blocks=B)
+    A = _scatter(ui, B, dofmap.n_unknowns).tocsc()
+    B[s] = plain
+    return AssembledSystem(A=A, rhs=rhs, blocks=B)
 
 
 def assemble_gram(dofmap: DofMap, blocks: np.ndarray) -> sp.csr_matrix:

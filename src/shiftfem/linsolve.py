@@ -136,7 +136,7 @@ def bordered_schur(G, X, C, order) -> tuple[np.ndarray, np.ndarray]:
     G = sp.csr_matrix(G)
     G.sum_duplicates()
     g_max = float(np.abs(G.data).max(initial=0.0))
-    if float(np.abs((G - G.T).data).max(initial=0.0)) > 1e-12 * max(1.0, g_max):
+    if float(np.abs((G - G.T).data).max(initial=0.0)) > 1e-12 * g_max:
         raise NotSPD("gram matrix is not symmetric")
     # K in its factor order at once: relabelling the COO entries costs no
     # permuted copies of K, whose heap would stay under the factor

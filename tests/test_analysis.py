@@ -722,7 +722,9 @@ def test_inf_sup_memory_is_bounded():
 
 def test_assemble_memory_is_bounded():
     # Peak of Python-heap allocations of assemble at ellipse k=2, J=64
-    # (8,128 triangles): 13.2 MiB, with the blocks and the COO build of A.
+    # (8,128 triangles): 12.5 MiB, with the blocks and the COO build of A.
+    # A copy of the blocks with A's swapped in, instead of a swap in place,
+    # reached 15.1 MiB.
     # Whole-mesh stiffness and load kernels reached 19.4 MiB, and the heap
     # they left stayed resident under the LU of A.
     prob = ellipse_test1()

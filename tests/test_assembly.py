@@ -86,6 +86,8 @@ def test_a_is_csc_and_reaches_superlu_uncopied(monkeypatch, mesh, prob, k):
     want = _summed_csr(blocks, dm).tocsc()
     for name in ("data", "indices", "indptr"):
         assert _same_bits(getattr(A, name), getattr(want, name))
+    # A's blocks were swapped into B to scatter A: the plain ones are back, bit for bit
+    assert _same_bits(system.blocks, assembly._stiffness_blocks(mesh, k)[2])
     factored = []
     splu = linsolve.splu
     monkeypatch.setattr(linsolve, "splu", lambda M: factored.append(M) or splu(M))

@@ -165,9 +165,13 @@ def test_bordered_factor_in_factor_order_moves_no_bit(mesh, prob, k):
         S_want, pivots_want = _permuted_copy_schur(G, X, C, order)
         assert S.tobytes() == S_want.tobytes() and S.shape == S_want.shape
         assert pivots.tobytes() == pivots_want.tobytes() and len(pivots) == X.shape[1] > 0
-    skew = sp.csr_matrix(([1e-9 * np.abs(G_test.data).max()], ([0], [1])), shape=G_test.shape)
-    with pytest.raises(NotSPD, match="not symmetric"):
-        bordered_schur(G_test + skew, u.N, u.Q, order)
+    # the symmetry gate is relative to max|G|: an absolute floor would let
+    # the same skew through once the Gram is scaled below 1
+    for scale in (1.0, 1e-6):
+        skew = sp.csr_matrix(([1e-9 * scale * np.abs(G_test.data).max()], ([0], [1])),
+                             shape=G_test.shape)
+        with pytest.raises(NotSPD, match="not symmetric"):
+            bordered_schur(scale * G_test + skew, u.N, u.Q, order)
 
 
 def _logged(calls, name, fn):
