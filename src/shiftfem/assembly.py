@@ -1,17 +1,10 @@
 """Stiffness and load assembly: standard test space against shifted trial space.
 
-Kernels work on (T, ...) stacks of elements. The stiffness-block and load
-kernels run over chunks of ``CHUNK`` elements into preallocated (T, ...)
-outputs: their per-quadrature-point temporaries would otherwise take several
-times the size of the result. Freed heap is handed back to the OS before each
-factorization (:func:`shiftfem.linsolve.release_heap`), but fragmentation keeps
-part of whole-mesh temporaries resident under the LU that follows: without
-chunks, the peak RSS of the cubic annulus sweep to I = 128 is about 5 MB higher.
-Each element's entries are computed alone, so the chunk size moves no bit.
-The element loops the kernels replaced are test oracles now, bounding each
-entry to a few eps of the largest one. Bits are pinned by ``tests/golden/``
-and by the benchmark's reference tables (1e-9 relative), which a regrouped
-stiffness contraction would move.
+Kernels work on (T, ...) stacks of elements, the whole mesh at once. Each
+element's entries are computed alone. The element loops the kernels replaced
+are test oracles now, bounding each entry to a few eps of the largest one.
+Bits are pinned by ``tests/golden/`` and by the benchmark's reference tables
+(1e-9 relative), which a regrouped stiffness contraction would move.
 """
 
 from __future__ import annotations
@@ -32,8 +25,6 @@ from .spaces import (DofMap, LocalBases, barycentric_gradients, check_compatible
 EXTENSION_MODES = ("analytic", "zero_outside")
 # A point with a larger boundary field g is outside the domain.
 OUTSIDE_TOL = 1e-12
-# Elements per call of the stiffness-block and load kernels.
-CHUNK = 1024
 
 
 def _zero(x, y):
@@ -112,11 +103,6 @@ def element_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return tris, barycentric_gradients(tris), np.abs(triangle_area(tris))
 
 
-def _chunks(n: int):
-    """Slices of ``CHUNK`` consecutive elements covering range(n)."""
-    return (slice(i, i + CHUNK) for i in range(0, n, CHUNK))
-
-
 def _stiffness_blocks(mesh: TriMesh, k: int):
     """Vertices, areas and standard-basis stiffness blocks B (T, n_k, n_k).
 
@@ -125,12 +111,8 @@ def _stiffness_blocks(mesh: TriMesh, k: int):
     """
     tris, grads, area = element_geometry(mesh)
     rule = rule_for_degree(2 * (k - 1))
-    ref = eval_basis_bary_grad(k, rule.points)[None]
-    n_k = ref.shape[2]
-    B = np.empty((len(tris), n_k, n_k))
-    for c in _chunks(len(tris)):
-        dphi = ref @ grads[c, None]
-        B[c] = area[c, None, None] * np.einsum("tqid,tqjd,q->tij", dphi, dphi, rule.weights)
+    dphi = eval_basis_bary_grad(k, rule.points)[None] @ grads[:, None]
+    B = area[:, None, None] * np.einsum("tqid,tqjd,q->tij", dphi, dphi, rule.weights)
     return tris, area, B
 
 
@@ -162,11 +144,9 @@ def assemble(mesh: TriMesh, dofmap: DofMap, local_bases: LocalBases,
     B[s] = plain @ local_bases.coeffs  # A's blocks, until restored below
     load = rule_for_degree(2 * k + 2)
     phi_load = eval_basis_bary(k, load.points).T[None]
-    F = np.empty(B.shape[:2])
-    for c in _chunks(len(tris)):
-        pts = load.physical_points(tris[c])
-        f = source_values(problem, pts.reshape(-1, 2)).reshape(pts.shape[:2])
-        F[c] = area[c, None] * (phi_load @ (load.weights * f)[:, :, None])[..., 0]
+    pts = load.physical_points(tris)
+    f = source_values(problem, pts.reshape(-1, 2)).reshape(pts.shape[:2])
+    F = area[:, None] * (phi_load @ (load.weights * f)[:, :, None])[..., 0]
     lift = (B @ dofmap.dirichlet_values[dofmap.element_to_global][:, :, None])[..., 0]
     ui = dofmap.unknown_index[dofmap.element_to_global]
     free = ui >= 0

@@ -16,7 +16,7 @@ from shiftfem.analysis import (ConvergenceTable, ErrorReport, chord_node_gap,
                                convergence_orders, error_norms, error_setup,
                                inf_sup_estimate)
 from shiftfem.assembly import (ExactSolution, ProblemSpec, ShiftUpdate, assemble,
-                               assemble_gram, shift_update, trial_gram)
+                               assemble_gram, element_geometry, shift_update, trial_gram)
 from shiftfem.cli import MESH_FAMILIES
 from shiftfem.errors import (DimensionMismatch, InconsistentDof, InvalidParam,
                              MeshAssumptionViolated, MissingExact, NonDyadicSequence,
@@ -25,8 +25,9 @@ from shiftfem.linsolve import bordered_schur, fill_order, solve
 from shiftfem.mesh import (INTERIOR, classify_elements, gen_quarter_annulus_mesh,
                            gen_quarter_ellipse_mesh, gen_unit_square_mesh)
 from shiftfem.problems import annulus_test2, by_name, ellipse_test1, polygon_patch
-from shiftfem.spaces import (build_dof_map, build_local_bases,
-                             element_node_layouts, full_vector, lagrange_layout)
+from shiftfem.quadrature import rule_for_degree
+from shiftfem.spaces import (build_dof_map, build_local_bases, element_node_layouts,
+                             eval_basis_bary_grad, full_vector, lagrange_layout)
 
 from oracles import assert_within_rounding, element_trial_gram, eval_uh
 
@@ -125,6 +126,42 @@ def test_curved_patch_is_reproduced(name, exact, f, k):
 def test_cubic_patch_is_not_reproduced_at_k2(name):
     r = _curved_patch_errors(CUBIC_PATCH, lambda x, y: -6.0 - 6.0 * x + 6.0 * y, name, 16, 2)
     assert r.grad_err > 1e-4
+
+
+def _strip_split(name, k, param):
+    """Squared gradient error on the boundary strip (the shifted elements) and
+    on the interior, the strip's area share, and error_norms' grad_err."""
+    prob = by_name(name, e=0.5)
+    mesh, dm, bases, _, x = _solve_problem(prob, MESH_FAMILIES[name][1](param, 0.5), k)
+    setup = error_setup(mesh, dm, bases, prob.exact)
+    s = setup.shifted
+    full = full_vector(setup.dirichlet_values, setup.dirichlet_mask, len(x), x)
+    a = full[setup.element_to_global]
+    a[s] = (setup.coeffs @ a[s][:, :, None])[..., 0]
+    rule = rule_for_degree(2 * k + 4)  # error_norms' rule
+    tris, grads, area = element_geometry(setup)
+    pts = rule.physical_points(tris)
+    gh = np.einsum("tj,jqm->tqm", a, np.moveaxis(eval_basis_bary_grad(k, rule.points), 1, 0))
+    dg = gh @ grads - prob.exact.grad(pts[..., 0], pts[..., 1])
+    per_element = area * (np.vecdot(dg, dg) @ rule.weights)
+    return (per_element[s].sum(), np.delete(per_element, s).sum(), area[s].sum() / area.sum(),
+            error_norms(setup, x).grad_err)
+
+
+@pytest.mark.parametrize("name, k", [("ellipse_test1", 2), ("annulus_test2", 2),
+                                     ("annulus_test2", 3)])
+def test_boundary_strip_error_keeps_the_interior_density(name, k):
+    # Moving the curved-edge nodes keeps the error density on the shifted
+    # elements, a strip of width O(h), within a small factor of the
+    # interior's, so the strip's H1 error decays at k + 1/2. Measured strip
+    # orders: 2.33, 2.42 (ellipse k=2); 2.48, 2.49 (annulus k=2); 3.46, 3.47
+    # (annulus k=3). Share-to-area ratios at 32: 2.67, 1.04, 1.29.
+    splits = [_strip_split(name, k, param) for param in (8, 16, 32)]
+    for strip, interior, area_share, grad_err in splits:
+        assert strip + interior == pytest.approx(grad_err**2, rel=1e-12, abs=0.0)
+        assert strip / (strip + interior) / area_share <= 4.0
+    orders = [0.5 * math.log2(c[0] / f[0]) for c, f in zip(splits, splits[1:])]
+    assert all(k + 0.3 <= p <= k + 0.7 for p in orders[1:]), orders
 
 
 def test_interpolant_of_space_polynomial_exact():
@@ -722,11 +759,10 @@ def test_inf_sup_memory_is_bounded():
 
 def test_assemble_memory_is_bounded():
     # Peak of Python-heap allocations of assemble at ellipse k=2, J=64
-    # (8,128 triangles): 12.5 MiB, with the blocks and the COO build of A.
-    # A copy of the blocks with A's swapped in, instead of a swap in place,
-    # reached 15.1 MiB.
-    # Whole-mesh stiffness and load kernels reached 19.4 MiB, and the heap
-    # they left stayed resident under the LU of A.
+    # (8,128 triangles): 14.5 MiB, with the whole-mesh stiffness and load
+    # kernels, the blocks and the COO build of A. Kernels run over chunks of
+    # 1,024 elements peaked at 12.5 MiB, and 15.1 MiB with a copy of the
+    # blocks holding A's, instead of a swap in place.
     prob = ellipse_test1()
     mesh = classify_elements(gen_quarter_ellipse_mesh(64, 0.5), prob.geom)
     bases = build_local_bases(mesh, 2, element_node_layouts(mesh, prob.geom, 2))

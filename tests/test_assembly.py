@@ -37,25 +37,6 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("mesh, prob, k", [
-    (gen_quarter_ellipse_mesh(8, 0.5), ellipse_test1(), 2),
-    (gen_quarter_annulus_mesh(8, 4, 0.5), annulus_test2(extension_mode="zero_outside"), 3)])
-def test_chunk_size_moves_no_bit(monkeypatch, mesh, prob, k):
-    # 7 divides neither triangle count (120, 64), so the last chunk is short;
-    # zero_outside chunks source_values' boundary field too.
-    mesh = classify_elements(mesh, prob.geom)
-    assert mesh.num_triangles % 7
-    systems = []
-    for chunk in (mesh.num_triangles, 7):
-        monkeypatch.setattr(assembly, "CHUNK", chunk)
-        systems.append(_pipeline(mesh, prob.geom, k, prob)[2])
-    whole, chunked = systems
-    for name in ("data", "indices", "indptr"):
-        assert _same_bits(getattr(whole.A, name), getattr(chunked.A, name))
-    assert _same_bits(whole.rhs, chunked.rhs)
-    assert _same_bits(whole.blocks, chunked.blocks)
-
-
 def _root_size(a):
     """Slots of the buffer a view of ``a`` is cut from."""
     return (a if a.base is None else a.base).size
